@@ -20,7 +20,7 @@
 //!   axes, with everything unassigned being noise.
 //! * CSV import/export so examples can round-trip data.
 //! * [`parallel`] — deterministic work-partitioning helpers shared by every
-//!   multi-threaded phase (sharded tree build, parallel convolution scan).
+//!   multi-threaded phase (sharded tree build, chunked merge scan).
 
 pub mod bbox;
 pub mod boxindex;

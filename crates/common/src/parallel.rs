@@ -1,10 +1,10 @@
 //! Deterministic work partitioning for the parallel execution mode.
 //!
 //! Every parallel phase in the workspace (sharded Counting-tree
-//! construction, the per-level convolution scan) follows the same recipe:
+//! construction, the merge phase's dataset pass) follows the same recipe:
 //! split the work into **contiguous, index-ordered ranges**, process the
 //! ranges on worker threads, and reduce the partial results **in range
-//! order** (or with an order-insensitive total-order reduction). The helpers
+//! order**. The helpers
 //! here compute those ranges; keeping the partitioning in one place is what
 //! makes "parallel output ≡ serial output" an auditable property instead of
 //! a hope.

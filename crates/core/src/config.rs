@@ -20,7 +20,7 @@ pub enum MaskKind {
     /// Order-3 mask with non-zero entries everywhere: centre `3^d − 1`, all
     /// `3^d − 1` neighbors `−1`. `O(3^d)` per cell; the paper reports it
     /// "improves a little" but costs too much. Kept for the ablation bench;
-    /// only valid for small `d`.
+    /// [`MrCC::fit`](crate::MrCC::fit) rejects it on more than 10 axes.
     Full,
 }
 
@@ -80,10 +80,11 @@ pub struct MrCCConfig {
     /// Worker threads for the parallel execution mode: the Counting-tree is
     /// built over contiguous point shards
     /// ([`CountingTree::build_sharded`](mrcc_counting_tree::CountingTree::build_sharded))
-    /// and the per-level convolution scan fans out over cell-range chunks.
-    /// Both phases are engineered to be **bit-for-bit identical** to the
-    /// serial pipeline for every thread count, so this is purely a speed
-    /// knob. Default 1 = the exact historical serial code path.
+    /// and the merge phase's dataset pass fans out over point chunks; the
+    /// β-cluster search is serial at every thread count. Both parallel
+    /// phases are engineered to be **bit-for-bit identical** to the serial
+    /// pipeline for every thread count, so this is purely a speed knob.
+    /// Default 1 = the exact historical serial code path.
     pub threads: usize,
 }
 

@@ -26,12 +26,17 @@ pub fn convolve_face_only(level: &Level, id: CellId, dims: usize) -> i64 {
     acc
 }
 
+/// Largest dimensionality [`MrCC::fit`](crate::MrCC::fit) accepts with
+/// [`MaskKind::Full`]: past it the `3^d` offsets per cell make a fit
+/// infeasible, and at `d ≥ 40` the centre weight `3^d − 1` overflows `i64`.
+pub(crate) const MAX_FULL_MASK_DIMS: usize = 10;
+
 /// Convolved value of the *full* order-3 Laplacian at `id`: centre weight
 /// `3^d − 1`, every one of the `3^d − 1` neighbors (faces and corners) `−1`.
 ///
-/// Cost is `O(3^d · d)`; callers must keep `d` small (the ablation bench uses
-/// `d ≤ 10`, mirroring the paper's remark that a 10-dimensional cell already
-/// has 59,028 corner elements).
+/// Cost is `O(3^d · d)`; callers must keep `d` small (at most
+/// [`MAX_FULL_MASK_DIMS`], mirroring the paper's remark that a 10-dimensional
+/// cell already has 59,028 corner elements; the ablation bench uses `d ≤ 8`).
 pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
     let cell = level.cell(id);
     let center = cell.n() as i64;

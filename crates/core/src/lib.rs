@@ -57,7 +57,7 @@ pub use merge::{dataset_scan_count, CorrelationCluster, MergeCache};
 pub use result::{FitStats, MrCCResult};
 pub use soft::SoftClustering;
 
-use mrcc_common::{Dataset, Result};
+use mrcc_common::{Dataset, Error, Result};
 use mrcc_counting_tree::CountingTree;
 
 /// The MrCC clustering method. Construct with a [`MrCCConfig`], then call
@@ -80,18 +80,29 @@ impl MrCC {
 
     /// Runs the full three-phase method over a unit-normalized dataset.
     ///
-    /// With `config.threads > 1` all three phases run on that many worker
-    /// threads (sharded tree build, parallel convolution scan, chunked
-    /// merge scan); the result is bit-for-bit identical to a serial fit —
-    /// the thread count is purely a speed knob (see DESIGN.md, "Parallel
+    /// With `config.threads > 1` the tree build and the merge run on that
+    /// many worker threads (sharded build, chunked merge scan); the β-cluster
+    /// search is serial. The result is bit-for-bit identical to a serial fit
+    /// — the thread count is purely a speed knob (see DESIGN.md, "Parallel
     /// execution").
     ///
     /// # Errors
     /// Propagates configuration validation and Counting-tree construction
     /// errors (e.g. data outside `[0,1)` — normalize first, or use
-    /// [`MrCC::fit_normalizing`]).
+    /// [`MrCC::fit_normalizing`]). [`MaskKind::Full`] on more than 10 axes
+    /// is an [`Error::InvalidParameter`] for `mask`, returned before any work.
     pub fn fit(&self, dataset: &Dataset) -> Result<MrCCResult> {
         self.config.validate()?;
+        if self.config.mask == MaskKind::Full && dataset.dims() > convolution::MAX_FULL_MASK_DIMS {
+            return Err(Error::InvalidParameter {
+                name: "mask",
+                message: format!(
+                    "the full mask convolves 3^d offsets per cell and supports at most {} axes, got {}",
+                    convolution::MAX_FULL_MASK_DIMS,
+                    dataset.dims()
+                ),
+            });
+        }
         let build_start = std::time::Instant::now();
         let mut tree =
             CountingTree::build_sharded(dataset, self.config.resolutions, self.config.threads)?;

@@ -10,19 +10,28 @@
 //! count `cP_j` is tested one-sided against `Binomial(nP_j, 1/6)`. A cell
 //! significant on at least one axis seeds a new β-cluster; its relevant axes
 //! come from an MDL cut over the per-axis relevances and its bounds from the
-//! centre cell refined by its face neighbors. After every find the search
-//! restarts from level 2; it stops after a full sweep finds nothing.
+//! centre cell refined by its face neighbors.
+//!
+//! Algorithm 2 restarts from level 2 after every find and stops after a full
+//! sweep finds nothing. Read literally, every sweep re-convolves every cell;
+//! this implementation convolves each cell exactly once instead. A convolved
+//! value depends only on cell counts, which the search never changes, and a
+//! cell's eligibility (not yet used, no strict overlap with a found β-box)
+//! can only be lost, never regained. So each level is ranked once by the
+//! total order *(convolved value descending, `CellId` ascending)* — a full
+//! scan's "first maximum wins" over ascending ids — and a per-level cursor walks that
+//! ranking: a sweep's winner at a level is the first eligible cell past the
+//! cursor, and every cell the cursor passes stays ineligible for good. The
+//! search is serial at every thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cmp::Reverse;
 
-use mrcc_common::num::bounded_to_u32;
-use mrcc_common::parallel::{chunk_ranges, effective_workers};
 use mrcc_common::{AxisMask, BoundingBox};
 use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
-use crate::config::{AxisSelection, MrCCConfig};
+use crate::config::{AxisSelection, MaskKind, MrCCConfig};
 use crate::convolution::convolve;
 
 /// Number of consecutive equal-size regions the parent neighborhood is split
@@ -36,18 +45,27 @@ pub const NULL_REGION_SHARE: f64 = 1.0 / 6.0;
 
 /// Runs the full β-cluster search over a freshly built Counting-tree.
 ///
-/// With `config.threads > 1` the per-level convolution scan runs on scoped
-/// worker threads; the winner selection uses a strict total order, so the
-/// returned β-clusters are bit-identical to a serial run (see
-/// [`best_cell_at_level`]).
+/// Marks every tested winner's `usedCell` flag. The result does not depend
+/// on `config.threads`: the search is serial.
 pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
-    let mut betas: Vec<BetaCluster> = Vec::new();
+    let dims = tree.dims();
     let h_max = tree.deepest_level();
+    // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
+    let mut cursors: Vec<_> = (2..=h_max)
+        .map(|h| ranked_cells(tree.level(h), dims, config.mask).into_iter())
+        .collect();
+    let mut betas: Vec<BetaCluster> = Vec::new();
     'search: loop {
         // One sweep from the coarsest convolvable level down.
-        for h in 2..=h_max {
-            let Some(winner) = best_cell_at_level(tree.level(h), tree.dims(), &betas, config)
-            else {
+        for (h, cursor) in (2..=h_max).zip(cursors.iter_mut()) {
+            let level = tree.level(h);
+            let side = level.side();
+            // `find` steps the cursor past every cell it rejects and past
+            // the winner itself.
+            let Some(winner) = cursor.find(|&id| {
+                let cell = level.cell(id);
+                !cell.used() && !shares_space_with_any(cell, side, dims, &betas)
+            }) else {
                 continue;
             };
             tree.level_mut(h).set_used(winner, true);
@@ -61,107 +79,16 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
     betas
 }
 
-/// Cells per work unit of the parallel convolution scan: small enough to
-/// load-balance skewed levels across workers, large enough that the queue's
-/// atomic traffic is noise next to the convolution itself.
-const SCAN_CHUNK: usize = 1024;
-
-/// Keeps the better of two scan candidates under the **strict total order**
-/// "higher convolved value wins, ties go to the lower cell id". Because the
-/// order is total, reducing any set of candidates with it is associative and
-/// commutative — the parallel scan's reduction is deterministic no matter
-/// which worker finished which chunk first — and it reproduces the serial
-/// scan exactly (ascending iteration with "first maximum wins" *is*
-/// lowest-id-on-ties).
-fn better(a: (CellId, i64), b: (CellId, i64)) -> (CellId, i64) {
-    if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Serial scan of one contiguous arena-id range, returning the local winner.
-fn scan_range(
-    level: &Level,
-    range: std::ops::Range<usize>,
-    dims: usize,
-    betas: &[BetaCluster],
-    config: &MrCCConfig,
-) -> Option<(CellId, i64)> {
-    let side = level.side();
-    let mut best: Option<(CellId, i64)> = None;
-    for i in range {
-        let id = bounded_to_u32(i);
-        let cell = level.cell(id);
-        if cell.used() || shares_space_with_any(cell, side, dims, betas) {
-            continue;
-        }
-        let candidate = (id, convolve(level, id, dims, config.mask));
-        best = Some(match best {
-            Some(current) => better(current, candidate),
-            None => candidate,
-        });
-    }
-    best
-}
-
-/// The convolution winner at one level: the unused, non-overlapping cell with
-/// the largest convolved value, or `None` when no candidate remains.
-///
-/// With `config.threads > 1` the scan fans out over a work queue of
-/// contiguous cell-id chunks on scoped threads; the chunk results are
-/// reduced with [`better`], whose strict total order makes the outcome
-/// bit-identical to the serial scan regardless of scheduling.
-fn best_cell_at_level(
-    level: &Level,
-    dims: usize,
-    betas: &[BetaCluster],
-    config: &MrCCConfig,
-) -> Option<CellId> {
-    let n = level.n_cells();
-    let workers = effective_workers(config.threads, n.div_ceil(SCAN_CHUNK));
-    if workers <= 1 {
-        return scan_range(level, 0..n, dims, betas, config).map(|(id, _)| id);
-    }
-    let chunks = chunk_ranges(n, SCAN_CHUNK);
-    let next = AtomicUsize::new(0);
-    let locals: Vec<Option<(CellId, i64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut best: Option<(CellId, i64)> = None;
-                    loop {
-                        let claimed = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = chunks.get(claimed) else {
-                            break;
-                        };
-                        if let Some(candidate) =
-                            scan_range(level, range.clone(), dims, betas, config)
-                        {
-                            best = Some(match best {
-                                Some(current) => better(current, candidate),
-                                None => candidate,
-                            });
-                        }
-                    }
-                    best
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    locals
-        .into_iter()
-        .flatten()
-        .reduce(better)
-        .map(|(id, _)| id)
+/// Every cell id of `level`, convolved once and ordered by the strict total
+/// order *(convolved value descending, `CellId` ascending)*: the order in
+/// which the restart-scan of Algorithm 2 would pick them as winners.
+fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
+    let mut ranked: Vec<(Reverse<i64>, CellId)> = level
+        .iter()
+        .map(|(id, _)| (Reverse(convolve(level, id, dims, mask)), id))
+        .collect();
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(_, id)| id).collect()
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -375,43 +302,161 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn parallel_search_equals_serial() {
-        let ds = blob_and_noise();
-        let describe = |betas: &[BetaCluster]| {
-            betas
-                .iter()
-                .map(|b| {
-                    (
-                        b.level,
-                        b.center_coords.clone(),
-                        b.axes.iter().collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut tree = CountingTree::build(&ds, 4).unwrap();
-        let serial = find_beta_clusters(&mut tree, &MrCCConfig::default());
-        for threads in [2usize, 3, 8] {
-            let mut tree = CountingTree::build_sharded(&ds, 4, threads).unwrap();
-            let config = MrCCConfig::default().with_threads(threads);
-            let parallel = find_beta_clusters(&mut tree, &config);
-            assert_eq!(
-                describe(&parallel),
-                describe(&serial),
-                "threads={threads} diverged"
-            );
+    /// The restart-scan the cursor search replaced, kept as the reference it
+    /// must reproduce: every sweep convolves every eligible cell of a level
+    /// and keeps the first maximum in ascending id order.
+    fn reference_find_beta_clusters(
+        tree: &mut CountingTree,
+        config: &MrCCConfig,
+    ) -> Vec<BetaCluster> {
+        let dims = tree.dims();
+        let mut betas: Vec<BetaCluster> = Vec::new();
+        'search: loop {
+            for h in 2..=tree.deepest_level() {
+                let level = tree.level(h);
+                let side = level.side();
+                let mut best: Option<(CellId, i64)> = None;
+                for (id, cell) in level.iter() {
+                    if cell.used() || shares_space_with_any(cell, side, dims, &betas) {
+                        continue;
+                    }
+                    let value = convolve(level, id, dims, config.mask);
+                    if best.is_none_or(|(_, top)| value > top) {
+                        best = Some((id, value));
+                    }
+                }
+                let Some((winner, _)) = best else {
+                    continue;
+                };
+                tree.level_mut(h).set_used(winner, true);
+                if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
+                    betas.push(beta);
+                    continue 'search;
+                }
+            }
+            break;
         }
+        betas
     }
 
-    #[test]
-    fn chunk_reduction_total_order() {
-        // better() prefers the higher value, breaking ties toward the lower
-        // id, from either argument position.
-        assert_eq!(better((3, 10), (7, 9)), (3, 10));
-        assert_eq!(better((7, 9), (3, 10)), (3, 10));
-        assert_eq!(better((5, 10), (2, 10)), (2, 10));
-        assert_eq!(better((2, 10), (5, 10)), (2, 10));
+    /// Everything a β-cluster reports, floats as bit patterns, so `==` means
+    /// bit-identical.
+    #[allow(clippy::type_complexity)]
+    fn fingerprint(
+        b: &BetaCluster,
+    ) -> (
+        usize,
+        Vec<u64>,
+        Vec<usize>,
+        u64,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64, u64, u64)>,
+    ) {
+        (
+            b.level,
+            b.center_coords.clone(),
+            b.axes.iter().collect(),
+            b.relevance_threshold.to_bits(),
+            (0..b.bounds.dims())
+                .map(|j| (b.bounds.lower(j).to_bits(), b.bounds.upper(j).to_bits()))
+                .collect(),
+            b.axis_stats
+                .iter()
+                .map(|s| (s.neighborhood, s.center, s.critical, s.relevance.to_bits()))
+                .collect(),
+        )
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn fingerprints(
+        betas: &[BetaCluster],
+    ) -> Vec<(
+        usize,
+        Vec<u64>,
+        Vec<usize>,
+        u64,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64, u64, u64)>,
+    )> {
+        betas.iter().map(fingerprint).collect()
+    }
+
+    /// The `usedCell` flags of every level, in arena order.
+    fn used_flags(tree: &CountingTree) -> Vec<Vec<bool>> {
+        tree.levels()
+            .map(|level| level.iter().map(|(_, cell)| cell.used()).collect())
+            .collect()
+    }
+
+    /// Thread counts the equivalence check sweeps; `MRCC_TEST_THREADS`
+    /// appends one more.
+    fn thread_counts() -> Vec<usize> {
+        let mut counts = vec![1usize, 2, 8];
+        if let Some(n) = std::env::var("MRCC_TEST_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+        {
+            if n >= 1 && !counts.contains(&n) {
+                counts.push(n);
+            }
+        }
+        counts
+    }
+
+    mod cursor_equals_restart_scan {
+        use super::*;
+        use mrcc_datagen::{generate, SyntheticSpec};
+        use proptest::prelude::*;
+
+        /// Random blob-plus-noise workload, tree height and configuration.
+        /// The full mask enumerates `3^d` offsets per cell, so it draws
+        /// `d ≤ 5` to keep the reference's repeated sweeps fast.
+        fn case_strategy() -> impl Strategy<Value = (SyntheticSpec, MrCCConfig)> {
+            (
+                (2usize..=8, 200usize..=1_200, 1usize..=3, 1u64..=1_000),
+                (3usize..=5, any::<bool>(), any::<bool>(), any::<bool>()),
+            )
+                .prop_map(|((dims, points, clusters, seed), (h, full, mdl, loose))| {
+                    let (mask, dims) = if full {
+                        (MaskKind::Full, 2 + dims % 4)
+                    } else {
+                        (MaskKind::FaceOnly, dims)
+                    };
+                    let axis_selection = if mdl {
+                        AxisSelection::Mdl
+                    } else {
+                        AxisSelection::Share(45.0)
+                    };
+                    let alpha = if loose { 1e-2 } else { 1e-10 };
+                    let spec = SyntheticSpec::new("search", dims, points, clusters, 0.15, seed);
+                    let config = MrCCConfig::with_params(alpha, h)
+                        .with_mask(mask)
+                        .with_axis_selection(axis_selection);
+                    (spec, config)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The cursor search returns the reference's β-clusters bit for
+            /// bit and leaves the same `usedCell` flags, at every thread
+            /// count.
+            #[test]
+            fn same_betas_and_used_flags((spec, config) in case_strategy()) {
+                let ds = generate(&spec).dataset;
+                let h = config.resolutions;
+                let mut reference_tree = CountingTree::build(&ds, h).unwrap();
+                let reference = reference_find_beta_clusters(&mut reference_tree, &config);
+                for threads in thread_counts() {
+                    let mut tree = CountingTree::build_sharded(&ds, h, threads).unwrap();
+                    let betas = find_beta_clusters(&mut tree, &config.clone().with_threads(threads));
+                    let context = format!("{spec:?} {config:?} @ {threads} threads");
+                    prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
+                    prop_assert_eq!(used_flags(&tree), used_flags(&reference_tree), "{}", context);
+                }
+            }
+        }
     }
 
     #[test]

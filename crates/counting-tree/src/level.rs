@@ -8,6 +8,7 @@
 
 use crate::cell::{Cell, CellId};
 use crate::hasher::FxHashMap;
+use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, powi_exp, u32_to_usize};
 
 /// Direction of a face neighbor along one axis.
@@ -100,10 +101,14 @@ impl Level {
                 up
             }
         };
-        // Stack-friendly key reuse: clone coords, patch one axis.
-        let mut key: Box<[u64]> = cell.coords().into();
+        // Copy the coordinates into a stack key and patch one axis: no heap
+        // allocation per lookup (cells never exceed MAX_DIMS axes).
+        let coords = cell.coords();
+        let mut buf = [0u64; MAX_DIMS];
+        let key = &mut buf[..coords.len()];
+        key.copy_from_slice(coords);
         key[axis] = nc;
-        self.find(&key)
+        self.find(key)
     }
 
     /// Point count of the face neighbor, 0 when absent (how the convolution
