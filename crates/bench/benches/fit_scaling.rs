@@ -2,7 +2,7 @@
 //! memory and quasi-linear time in d).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrcc::{MrCC, MrCCConfig};
+use mrcc::MrCC;
 use mrcc_datagen::{generate, SyntheticSpec};
 
 fn fit_scaling(c: &mut Criterion) {
@@ -25,14 +25,6 @@ fn fit_scaling(c: &mut Criterion) {
         let synth = generate(&SyntheticSpec::new("f", 12, 20_000, k, 0.15, 13));
         group.bench_with_input(BenchmarkId::new("clusters", k), &synth, |b, s| {
             b.iter(|| MrCC::default().fit(&s.dataset).unwrap());
-        });
-    }
-    // Parallel fit at 1/2/4/8 workers (bit-identical output; speed knob only).
-    let synth = generate(&SyntheticSpec::new("f", 10, 40_000, 4, 0.15, 14));
-    for &t in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
-            let method = MrCC::new(MrCCConfig::default().with_threads(t));
-            b.iter(|| method.fit(&synth.dataset).unwrap());
         });
     }
     group.finish();

@@ -41,14 +41,6 @@ fn merge_scaling(c: &mut Criterion) {
         });
     }
 
-    // Thread sweep over the chunked single scan; output is bit-identical at
-    // every count, so this measures scheduling overhead vs. scan speedup.
-    for &t in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
-            b.iter(|| merge::build_correlation_clusters(&synth.dataset, &betas, t));
-        });
-    }
-
     // The superseded multi-scan path on small prefixes, for the before/after
     // contrast (it re-reads the dataset per β and per overlapping β-pair —
     // keep the sizes small).

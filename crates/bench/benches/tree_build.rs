@@ -30,14 +30,6 @@ fn tree_build(c: &mut Criterion) {
             b.iter(|| CountingTree::build(&synth.dataset, h).unwrap());
         });
     }
-    // Sharded build at 1/2/4/8 workers; results are bit-identical to serial,
-    // so this sweep measures scheduling + merge overhead vs. build speedup.
-    let synth = generate(&SyntheticSpec::new("b", 10, 40_000, 4, 0.15, 4));
-    for &t in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
-            b.iter(|| CountingTree::build_sharded(&synth.dataset, 4, t).unwrap());
-        });
-    }
     group.finish();
 }
 

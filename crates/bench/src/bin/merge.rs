@@ -10,7 +10,7 @@
 //! (η/8, η/4, η/2, η) — best of `R` runs each (default 3). Every timed run
 //! is checked bit-identical to the retained quadratic oracle before its
 //! timing is recorded, so the sweep doubles as an end-to-end equivalence
-//! check (like `BENCH_parallel.json` does for the fit pipeline).
+//! check.
 //!
 //! The report (default `BENCH_merge.json`) records seconds-per-point at
 //! every η: the paper's bound says merge time is linear in η at fixed β,

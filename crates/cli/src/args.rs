@@ -83,9 +83,6 @@ pub enum Command {
         clusters: Option<usize>,
         /// Known noise fraction (HARP).
         noise: f64,
-        /// Worker threads for MrCC's parallel execution mode (1 = serial;
-        /// results are bit-identical for every value).
-        threads: usize,
         /// Emit a JSON cluster summary instead of prose.
         json: bool,
     },
@@ -131,7 +128,7 @@ usage: mrcc <command> [options]
 commands:
   cluster   --input FILE [--output FILE] [--method mrcc|lac|epch|cfpc|p3c|harp|clique|proclus|sting]
             [--alpha 1e-10] [--resolutions 4] [--clusters K] [--noise 0.15]
-            [--threads 1] [--json true]
+            [--json true]
   generate  --dims D --points N --clusters K [--noise 0.15] [--rotations 0]
             [--seed 42] [--output FILE]
   evaluate  --found FILE --truth FILE [--json true]
@@ -201,7 +198,6 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
                 resolutions: take(&mut map, "resolutions")?.unwrap_or(4),
                 clusters: take(&mut map, "clusters")?,
                 noise: take(&mut map, "noise")?.unwrap_or(0.15),
-                threads: take(&mut map, "threads")?.unwrap_or(1),
                 json: take(&mut map, "json")?.unwrap_or(false),
             };
             reject_leftovers(map)?;
@@ -274,7 +270,6 @@ mod tests {
                 method,
                 alpha,
                 resolutions,
-                threads,
                 json,
                 ..
             } => {
@@ -282,23 +277,10 @@ mod tests {
                 assert_eq!(method, MethodChoice::MrCC);
                 assert_eq!(alpha, 1e-10);
                 assert_eq!(resolutions, 4);
-                assert_eq!(threads, 1);
                 assert!(!json);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-    }
-
-    #[test]
-    fn cluster_threads_flag() {
-        let c = parse_args(&v(&["cluster", "--input", "a.csv", "--threads", "4"])).unwrap();
-        match c {
-            Command::Cluster { threads, .. } => assert_eq!(threads, 4),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let err =
-            parse_args(&v(&["cluster", "--input", "a.csv", "--threads", "lots"])).unwrap_err();
-        assert!(err.contains("--threads"));
     }
 
     #[test]

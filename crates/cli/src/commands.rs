@@ -56,7 +56,6 @@ pub fn run(command: Command, out: &mut dyn Write) -> CliResult<()> {
             resolutions,
             clusters,
             noise,
-            threads,
             json,
         } => cluster(
             &input,
@@ -66,7 +65,6 @@ pub fn run(command: Command, out: &mut dyn Write) -> CliResult<()> {
             resolutions,
             clusters,
             noise,
-            threads,
             json,
             out,
         ),
@@ -200,7 +198,6 @@ fn cluster(
     resolutions: usize,
     clusters: Option<usize>,
     noise: f64,
-    threads: usize,
     json: bool,
     out: &mut dyn Write,
 ) -> CliResult<()> {
@@ -212,7 +209,7 @@ fn cluster(
     let start = std::time::Instant::now();
     let clustering: SubspaceClustering = match method {
         MethodChoice::MrCC => {
-            let config = MrCCConfig::with_params(alpha, resolutions).with_threads(threads);
+            let config = MrCCConfig::with_params(alpha, resolutions);
             MrCC::new(config)
                 .fit(&ds)
                 .map_err(|e| e.to_string())?

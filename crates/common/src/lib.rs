@@ -19,8 +19,6 @@
 //!   MrCC and every baseline: disjoint point sets plus per-cluster relevant
 //!   axes, with everything unassigned being noise.
 //! * CSV import/export so examples can round-trip data.
-//! * [`parallel`] — deterministic work-partitioning helpers shared by every
-//!   multi-threaded phase (sharded tree build, chunked merge scan).
 
 pub mod bbox;
 pub mod boxindex;
@@ -31,7 +29,6 @@ pub mod error;
 pub mod float;
 pub mod mask;
 pub mod num;
-pub mod parallel;
 
 pub use bbox::BoundingBox;
 pub use boxindex::BoxIndex;

@@ -77,20 +77,15 @@ pub struct MrCCConfig {
     /// (paper-pure significance-only behaviour; ablation `mdl-vs-fixed`
     /// exercises this knob too).
     pub relevance_floor: f64,
-    /// Worker threads for the parallel execution mode: the Counting-tree is
-    /// built over contiguous point shards
-    /// ([`CountingTree::build_sharded`](mrcc_counting_tree::CountingTree::build_sharded))
-    /// and the merge phase's dataset pass fans out over point chunks; the
-    /// β-cluster search is serial at every thread count. Both parallel
-    /// phases are engineered to be **bit-for-bit identical** to the serial
-    /// pipeline for every thread count, so this is purely a speed knob.
-    /// Default 1 = the exact historical serial code path.
+    /// Requested worker threads. Ignored: every fit runs serially and its
+    /// output never depends on this value. The field stays only because
+    /// the `perfbench` benchmark still sets it; [`MrCCConfig::validate`]
+    /// keeps rejecting 0 and values above [`MAX_THREADS`].
     pub threads: usize,
 }
 
-/// Largest accepted [`MrCCConfig::threads`] value — far above any plausible
-/// core count; a sanity bound so a typo'd thread count fails validation
-/// instead of spawning thousands of workers.
+/// Largest accepted [`MrCCConfig::threads`] value; a sanity bound so a
+/// typo'd thread count fails validation.
 pub const MAX_THREADS: usize = 1024;
 
 impl Default for MrCCConfig {
@@ -140,9 +135,8 @@ impl MrCCConfig {
         self
     }
 
-    /// Returns the configuration with the worker-thread count replaced.
-    /// `1` (the default) runs the exact serial pipeline; any larger count
-    /// produces bit-identical results on multiple threads.
+    /// Returns the configuration with [`MrCCConfig::threads`] replaced.
+    /// A no-op for the fit, kept only for the `perfbench` benchmark.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -288,6 +282,7 @@ mod tests {
 
     #[test]
     fn defaults_match_the_paper() {
+        // Sec. IV-D: α = 1e−10 and H = 4.
         let c = MrCCConfig::default();
         assert_eq!(c.alpha, 1e-10);
         assert_eq!(c.resolutions, 4);

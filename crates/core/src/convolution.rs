@@ -129,15 +129,21 @@ mod tests {
 
     #[test]
     fn isolated_cell_convolves_to_positive_mass() {
-        let ds = Dataset::from_rows(&[[0.1, 0.1], [0.12, 0.11]]).unwrap();
-        let tree = CountingTree::build(&ds, 4).unwrap();
-        let l2 = tree.level(2);
-        let (id, cell) = l2.iter().next().unwrap();
-        assert_eq!(convolve_face_only(l2, id, 2), 2 * 2 * cell.n() as i64);
-        assert_eq!(
-            convolve_full(l2, id, 2),
-            (3i64.pow(2) - 1) * cell.n() as i64
-        );
+        // Sec. III-A: an isolated cell of `n` points convolves to its centre
+        // weight times `n` — `2d` for the face-only mask, `3^d − 1` for the
+        // full mask.
+        for (dims, face, full) in [(1usize, 2i64, 2i64), (2, 4, 8), (3, 6, 26), (4, 8, 80)] {
+            let rows = vec![vec![0.1; dims]; 3];
+            let tree = CountingTree::build(&Dataset::from_rows(&rows).unwrap(), 4).unwrap();
+            let l2 = tree.level(2);
+            let (id, _) = l2.iter().next().unwrap();
+            assert_eq!(
+                convolve(l2, id, dims, MaskKind::FaceOnly),
+                face * 3,
+                "d={dims}"
+            );
+            assert_eq!(convolve(l2, id, dims, MaskKind::Full), full * 3, "d={dims}");
+        }
     }
 
     #[test]

@@ -80,11 +80,9 @@ impl MrCC {
 
     /// Runs the full three-phase method over a unit-normalized dataset.
     ///
-    /// With `config.threads > 1` the tree build and the merge run on that
-    /// many worker threads (sharded build, chunked merge scan); the β-cluster
-    /// search is serial. The result is bit-for-bit identical to a serial fit
-    /// — the thread count is purely a speed knob (see DESIGN.md, "Parallel
-    /// execution").
+    /// One serial pass per phase: [`CountingTree::build`], then
+    /// [`search::find_beta_clusters`], then the single-scan merge.
+    /// `config.threads` is ignored (see DESIGN.md, "Serial execution").
     ///
     /// # Errors
     /// Propagates configuration validation and Counting-tree construction
@@ -104,8 +102,7 @@ impl MrCC {
             });
         }
         let build_start = std::time::Instant::now();
-        let mut tree =
-            CountingTree::build_sharded(dataset, self.config.resolutions, self.config.threads)?;
+        let mut tree = CountingTree::build(dataset, self.config.resolutions)?;
         let tree_build = build_start.elapsed();
         let tree_memory = tree.memory_bytes();
 
@@ -115,7 +112,7 @@ impl MrCC {
 
         let merge_start = std::time::Instant::now();
         let (clusters, clustering, merge_cache) =
-            merge::build_correlation_clusters(dataset, &betas, self.config.threads);
+            merge::build_correlation_clusters(dataset, &betas, 1);
         let merge_phase = merge_start.elapsed();
 
         Ok(MrCCResult {

@@ -23,11 +23,8 @@
 //! axis union, hulls and point labels are all derived from that recorded
 //! pass with zero further dataset scans, and the per-β counts plus per-point
 //! containment are handed to the caller as a [`MergeCache`] so downstream
-//! consumers (soft memberships) never re-scan either. With `threads > 1`
-//! the pass fans out over contiguous point chunks claimed from an atomic
-//! work queue and the per-chunk partials are reduced in ascending chunk
-//! order — all accumulators are either additive integers or per-point
-//! records, so the result is bit-identical to the serial pass.
+//! consumers (soft memberships) never re-scan either. The pass is a single
+//! serial loop over the points.
 //!
 //! The superseded multi-scan implementation is retained behind
 //! `#[cfg(any(test, feature = "merge-oracle"))]` as
@@ -36,9 +33,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mrcc_common::parallel::{chunk_ranges, effective_workers};
 use mrcc_common::{AxisMask, BoundingBox, BoxIndex, Dataset, SubspaceCluster, SubspaceClustering};
 
 use crate::beta::BetaCluster;
@@ -46,12 +41,6 @@ use crate::beta::BetaCluster;
 /// Fraction of the smaller box's points that must sit in the shared region
 /// for two β-clusters to merge (see `build_correlation_clusters`).
 const JUNCTION_DENSITY: f64 = 0.20;
-
-/// Points per work unit of the parallel merge scan: large enough that the
-/// queue's atomic traffic is noise next to the stabbing queries, small
-/// enough to load-balance datasets whose dense regions cluster in index
-/// order.
-const MERGE_CHUNK: usize = 4096;
 
 thread_local! {
     /// Debug scan counter, see [`dataset_scan_count`].
@@ -158,128 +147,33 @@ struct ScanResult {
     pair_counts: HashMap<(u32, u32), usize>,
 }
 
-/// One chunk's partial scan: everything is either additive (counts) or a
-/// per-point record (containment), so folding chunks in ascending chunk
-/// order reproduces the serial pass bit for bit.
-struct ChunkScan {
-    chunk: usize,
-    box_counts: Vec<usize>,
-    /// Containment list lengths for each point of the chunk, in order.
-    list_lens: Vec<u32>,
-    /// Concatenated containment ids for the chunk's points.
-    ids: Vec<u32>,
-    pair_counts: HashMap<(u32, u32), usize>,
-}
-
-/// Accumulates one point's containment list into the chunk partial.
-fn record_point(buf: &[u32], acc: &mut ChunkScan) {
-    for (pos, &a) in buf.iter().enumerate() {
-        // xtask-allow: indexing — ids are minted from β indices < betas.len()
-        acc.box_counts[a as usize] += 1;
-        for &b in &buf[pos + 1..] {
-            // `buf` is ascending, so (a, b) is already ordered.
-            *acc.pair_counts.entry((a, b)).or_insert(0) += 1;
-        }
-    }
-    acc.ids.extend_from_slice(buf);
-    acc.list_lens
-        .push(u32::try_from(buf.len()).expect("β count fits in u32 by construction invariant"));
-}
-
-/// Scans one contiguous point range against the index.
-fn scan_chunk(
-    dataset: &Dataset,
-    index: &BoxIndex,
-    chunk: usize,
-    range: std::ops::Range<usize>,
-) -> ChunkScan {
-    let mut acc = ChunkScan {
-        chunk,
-        box_counts: vec![0; index.n_boxes()],
-        list_lens: Vec::with_capacity(range.len()),
-        ids: Vec::new(),
-        pair_counts: HashMap::new(),
-    };
-    let mut buf: Vec<u32> = Vec::new();
-    for i in range {
-        index.containing(dataset.point(i), &mut buf);
-        record_point(&buf, &mut acc);
-    }
-    acc
-}
-
 /// The single dataset pass: builds the β-box index, then walks every point
-/// exactly once (chunk-parallel when `threads > 1`, reduced in ascending
-/// chunk order so the output is bit-identical to the serial walk).
-fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster], threads: usize) -> ScanResult {
+/// exactly once, recording its containing-box set and counting every box
+/// and every co-containing pair.
+fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster]) -> ScanResult {
     note_dataset_scan();
     let boxes: Vec<BoundingBox> = betas.iter().map(|b| b.bounds.clone()).collect();
     let index = BoxIndex::new(&boxes);
-    let n = dataset.len();
-    let chunks = chunk_ranges(n, MERGE_CHUNK);
-    let workers = effective_workers(threads, chunks.len());
-
-    let mut partials: Vec<ChunkScan> = if workers <= 1 {
-        chunks
-            .iter()
-            .enumerate()
-            .map(|(c, r)| scan_chunk(dataset, &index, c, r.clone()))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<ChunkScan> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<ChunkScan> = Vec::new();
-                        loop {
-                            let claimed = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = chunks.get(claimed) else {
-                                break;
-                            };
-                            local.push(scan_chunk(dataset, &index, claimed, range.clone()));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        collected.sort_by_key(|p| p.chunk);
-        collected
-    };
-
-    // Fold partials in ascending chunk order: counts are additive, the CSR
-    // segments concatenate in point order.
     let mut cache = MergeCache {
         box_counts: vec![0; betas.len()],
-        offsets: Vec::with_capacity(n + 1),
+        offsets: Vec::with_capacity(dataset.len() + 1),
         ids: Vec::new(),
     };
     cache.offsets.push(0);
     let mut pair_counts: HashMap<(u32, u32), usize> = HashMap::new();
-    for partial in &mut partials {
-        for (total, part) in cache.box_counts.iter_mut().zip(&partial.box_counts) {
-            *total += part;
+    let mut buf: Vec<u32> = Vec::new();
+    for point in dataset.iter() {
+        index.containing(point, &mut buf);
+        for (pos, &a) in buf.iter().enumerate() {
+            // xtask-allow: indexing — ids are minted from β indices < betas.len()
+            cache.box_counts[a as usize] += 1;
+            for &b in &buf[pos + 1..] {
+                // `buf` is ascending, so (a, b) is already ordered.
+                *pair_counts.entry((a, b)).or_insert(0) += 1;
+            }
         }
-        for (&pair, &count) in &partial.pair_counts {
-            *pair_counts.entry(pair).or_insert(0) += count;
-        }
-        cache.ids.append(&mut partial.ids);
-        let mut end = *cache
-            .offsets
-            .last()
-            .expect("offsets starts non-empty by construction invariant");
-        for &len in &partial.list_lens {
-            end += len as usize;
-            cache.offsets.push(end);
-        }
+        cache.ids.extend_from_slice(&buf);
+        cache.offsets.push(cache.ids.len());
     }
     ScanResult { cache, pair_counts }
 }
@@ -387,12 +281,12 @@ fn describe_groups(
 /// clusters (ordered by smallest member β index), the resulting partition,
 /// and the [`MergeCache`] of reusable scan artifacts.
 ///
-/// `threads` parallelizes the dataset pass (chunked work queue); the output
-/// is bit-identical for every thread count.
+/// `_threads` is ignored: the pass is serial. The parameter stays only
+/// because the `perfbench` benchmark still passes a thread count.
 pub fn build_correlation_clusters(
     dataset: &Dataset,
     betas: &[BetaCluster],
-    threads: usize,
+    _threads: usize,
 ) -> (Vec<CorrelationCluster>, SubspaceClustering, MergeCache) {
     let dims = dataset.dims();
     if betas.is_empty() {
@@ -403,7 +297,7 @@ pub fn build_correlation_clusters(
         );
     }
 
-    let ScanResult { cache, pair_counts } = scan_dataset(dataset, betas, threads);
+    let ScanResult { cache, pair_counts } = scan_dataset(dataset, betas);
 
     // Pairwise share-space → union (Algorithm 3, lines 1–5), with a
     // junction-density check: two β-boxes only describe the same cluster
@@ -564,30 +458,27 @@ mod tests {
     }
 
     /// Asserts the single-scan engine and the quadratic oracle agree
-    /// exactly on `ds`/`betas`, at 1 and 4 threads, and returns the
-    /// engine's output.
+    /// exactly on `ds`/`betas`, and returns the engine's output.
     fn build_checked(
         ds: &Dataset,
         betas: &[BetaCluster],
     ) -> (Vec<CorrelationCluster>, SubspaceClustering, MergeCache) {
         let (oc, ocl) = build_correlation_clusters_oracle(ds, betas);
-        for threads in [1usize, 4] {
-            let (c, cl, cache) = build_correlation_clusters(ds, betas, threads);
-            assert_eq!(cl.labels(), ocl.labels(), "labels diverge @ {threads}t");
-            assert_eq!(c.len(), oc.len(), "cluster count diverges @ {threads}t");
-            for (k, (a, b)) in c.iter().zip(&oc).enumerate() {
-                assert_eq!(a.axes, b.axes, "γ {k} axes @ {threads}t");
-                assert_eq!(a.beta_indices, b.beta_indices, "γ {k} members @ {threads}t");
-                assert_eq!(a.size, b.size, "γ {k} size @ {threads}t");
-                for j in 0..a.hull.dims() {
-                    assert_eq!(a.hull.lower(j).to_bits(), b.hull.lower(j).to_bits());
-                    assert_eq!(a.hull.upper(j).to_bits(), b.hull.upper(j).to_bits());
-                }
+        let (c, cl, cache) = build_correlation_clusters(ds, betas, 1);
+        assert_eq!(cl.labels(), ocl.labels(), "labels diverge");
+        assert_eq!(c.len(), oc.len(), "cluster count diverges");
+        for (k, (a, b)) in c.iter().zip(&oc).enumerate() {
+            assert_eq!(a.axes, b.axes, "γ {k} axes");
+            assert_eq!(a.beta_indices, b.beta_indices, "γ {k} members");
+            assert_eq!(a.size, b.size, "γ {k} size");
+            for j in 0..a.hull.dims() {
+                assert_eq!(a.hull.lower(j).to_bits(), b.hull.lower(j).to_bits());
+                assert_eq!(a.hull.upper(j).to_bits(), b.hull.upper(j).to_bits());
             }
-            assert_eq!(cache.n_points(), ds.len());
-            assert_eq!(cache.n_boxes(), betas.len());
         }
-        build_correlation_clusters(ds, betas, 1)
+        assert_eq!(cache.n_points(), ds.len());
+        assert_eq!(cache.n_boxes(), betas.len());
+        (c, cl, cache)
     }
 
     #[test]
@@ -702,18 +593,7 @@ mod tests {
         ];
         let before = dataset_scan_count();
         let _ = build_correlation_clusters(&ds, &betas, 1);
-        assert_eq!(
-            dataset_scan_count() - before,
-            1,
-            "serial engine must scan once"
-        );
-        let before = dataset_scan_count();
-        let _ = build_correlation_clusters(&ds, &betas, 4);
-        assert_eq!(
-            dataset_scan_count() - before,
-            1,
-            "parallel engine must scan once"
-        );
+        assert_eq!(dataset_scan_count() - before, 1, "engine must scan once");
         // The oracle, by contrast, scans at least thrice on overlapping βs.
         let before = dataset_scan_count();
         let _ = build_correlation_clusters_oracle(&ds, &betas);

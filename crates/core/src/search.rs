@@ -21,8 +21,7 @@
 //! total order *(convolved value descending, `CellId` ascending)* — a full
 //! scan's "first maximum wins" over ascending ids — and a per-level cursor walks that
 //! ranking: a sweep's winner at a level is the first eligible cell past the
-//! cursor, and every cell the cursor passes stays ineligible for good. The
-//! search is serial at every thread count.
+//! cursor, and every cell the cursor passes stays ineligible for good.
 
 use std::cmp::Reverse;
 
@@ -45,8 +44,7 @@ pub const NULL_REGION_SHARE: f64 = 1.0 / 6.0;
 
 /// Runs the full β-cluster search over a freshly built Counting-tree.
 ///
-/// Marks every tested winner's `usedCell` flag. The result does not depend
-/// on `config.threads`: the search is serial.
+/// Marks every tested winner's `usedCell` flag.
 pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
     let dims = tree.dims();
     let h_max = tree.deepest_level();
@@ -225,6 +223,13 @@ mod tests {
     use super::*;
     use mrcc_common::Dataset;
 
+    #[test]
+    fn null_model_matches_the_paper() {
+        // Sec. III-B: six equal regions per axis, `cP_j ~ Binomial(nP_j, 1/6)`.
+        assert_eq!(NEIGHBORHOOD_REGIONS, 6);
+        assert_eq!(NULL_REGION_SHARE.to_bits(), (1.0f64 / 6.0).to_bits());
+    }
+
     /// ~1400 points: a tight 2-d Gaussian-ish blob plus a uniform grid of
     /// noise. The blob should produce exactly one β-cluster relevant on both
     /// axes.
@@ -388,21 +393,6 @@ mod tests {
             .collect()
     }
 
-    /// Thread counts the equivalence check sweeps; `MRCC_TEST_THREADS`
-    /// appends one more.
-    fn thread_counts() -> Vec<usize> {
-        let mut counts = vec![1usize, 2, 8];
-        if let Some(n) = std::env::var("MRCC_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if n >= 1 && !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-        counts
-    }
-
     mod cursor_equals_restart_scan {
         use super::*;
         use mrcc_datagen::{generate, SyntheticSpec};
@@ -440,21 +430,18 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The cursor search returns the reference's β-clusters bit for
-            /// bit and leaves the same `usedCell` flags, at every thread
-            /// count.
+            /// bit and leaves the same `usedCell` flags.
             #[test]
             fn same_betas_and_used_flags((spec, config) in case_strategy()) {
                 let ds = generate(&spec).dataset;
                 let h = config.resolutions;
                 let mut reference_tree = CountingTree::build(&ds, h).unwrap();
                 let reference = reference_find_beta_clusters(&mut reference_tree, &config);
-                for threads in thread_counts() {
-                    let mut tree = CountingTree::build_sharded(&ds, h, threads).unwrap();
-                    let betas = find_beta_clusters(&mut tree, &config.clone().with_threads(threads));
-                    let context = format!("{spec:?} {config:?} @ {threads} threads");
-                    prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
-                    prop_assert_eq!(used_flags(&tree), used_flags(&reference_tree), "{}", context);
-                }
+                let mut tree = CountingTree::build(&ds, h).unwrap();
+                let betas = find_beta_clusters(&mut tree, &config);
+                let context = format!("{spec:?} {config:?}");
+                prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
+                prop_assert_eq!(used_flags(&tree), used_flags(&reference_tree), "{}", context);
             }
         }
     }

@@ -8,28 +8,13 @@
 //! [`mrcc_common::BoxIndex`] must not mis-prune: bounds snapped to a coarse
 //! grid so boxes constantly touch at faces, nest, coincide, degenerate to
 //! zero extent, span the full unit interval on every axis, or contain no
-//! points at all — at every thread count in `{1, 2, 3, 8}` plus an optional
-//! CI-supplied count from `MRCC_TEST_THREADS` (the `parallel-equivalence`
-//! job re-runs this file at 4 threads).
+//! points at all.
 
 use mrcc::beta::BetaCluster;
 use mrcc::merge::{build_correlation_clusters, build_correlation_clusters_oracle, MergeCache};
 use mrcc::CorrelationCluster;
 use mrcc_common::{AxisMask, BoundingBox, Dataset, SubspaceClustering};
 use proptest::prelude::*;
-
-/// Thread counts every case sweeps; `MRCC_TEST_THREADS` appends one more.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 3, 8];
-    if let Ok(v) = std::env::var("MRCC_TEST_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 && !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
 
 /// Grid resolution for box bounds and half the point coordinates: coarse
 /// enough that distinct boxes share faces (and points sit *on* those faces)
@@ -151,12 +136,10 @@ fn run_case(raw_points: &[Vec<u32>], raw_boxes: &[Vec<(u8, u8)>], dims: usize) {
     }
     let betas: Vec<BetaCluster> = raw_boxes.iter().map(|rb| beta(rb)).collect();
     let oracle = build_correlation_clusters_oracle(&ds, &betas);
-    for threads in thread_counts() {
-        let engine = build_correlation_clusters(&ds, &betas, threads);
-        let context = format!("{dims}d/{}pts/{}β @ {threads}t", ds.len(), betas.len());
-        assert_matches_oracle(&engine, &oracle, &context);
-        assert_cache_exact(&engine.2, &ds, &betas, &context);
-    }
+    let engine = build_correlation_clusters(&ds, &betas, 1);
+    let context = format!("{dims}d/{}pts/{}β", ds.len(), betas.len());
+    assert_matches_oracle(&engine, &oracle, &context);
+    assert_cache_exact(&engine.2, &ds, &betas, &context);
 }
 
 proptest! {
@@ -164,7 +147,7 @@ proptest! {
 
     /// Random grid-snapped arrangements: face-touching, nested, duplicated,
     /// zero-extent, whole-axis and point-free boxes all occur; the engine
-    /// must match the oracle bit for bit at every thread count.
+    /// must match the oracle bit for bit.
     #[test]
     fn engine_matches_oracle_on_random_arrangements(
         dims in 2usize..=4,

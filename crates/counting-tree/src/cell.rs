@@ -47,20 +47,6 @@ impl Cell {
         }
     }
 
-    /// Adds another cell's counts into this one (sharded-build merge): `n`
-    /// and every `P[j]` are additive because each point is counted exactly
-    /// once across partial trees; `usedCell` is OR-ed (partial trees from
-    /// `build_sharded` have never been searched, so it is always `false`
-    /// there, but the merge stays correct for arbitrary trees).
-    pub(crate) fn merge_from(&mut self, other: &Cell) {
-        debug_assert_eq!(self.coords, other.coords);
-        self.n += other.n;
-        for (slot, &add) in self.p.iter_mut().zip(other.p.iter()) {
-            *slot += add;
-        }
-        self.used |= other.used;
-    }
-
     /// Absolute grid coordinates of the cell.
     #[inline]
     pub fn coords(&self) -> &[u64] {

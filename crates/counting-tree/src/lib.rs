@@ -31,19 +31,10 @@
 //!   *external* one (different parent) are both `coords[j] ± 1`.
 //!
 //! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's.
-//!
-//! ## Parallel construction
-//!
-//! The cell payloads are purely additive, so partial trees built over
-//! disjoint point shards merge exactly ([`merge`]);
-//! [`CountingTree::build_sharded`] exploits this to build on multiple
-//! threads while staying bit-for-bit identical to the serial
-//! [`CountingTree::build`], arena order included.
 
 pub mod cell;
 pub mod hasher;
 pub mod level;
-pub mod merge;
 pub mod query;
 pub mod tree;
 

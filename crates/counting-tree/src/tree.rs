@@ -75,6 +75,22 @@ impl CountingTree {
         Ok(tree)
     }
 
+    /// Same as [`CountingTree::build`]; `n_threads` is ignored.
+    ///
+    /// Kept only because the `perfbench` benchmark still calls it. The tree
+    /// is always built serially.
+    ///
+    /// # Errors
+    /// Exactly the errors of [`CountingTree::build`].
+    pub fn build_sharded(
+        ds: &Dataset,
+        resolutions: usize,
+        n_threads: usize,
+    ) -> Result<CountingTree> {
+        let _ = n_threads;
+        CountingTree::build(ds, resolutions)
+    }
+
     /// Creates an empty tree for incremental / streaming insertion.
     ///
     /// # Errors
@@ -292,6 +308,12 @@ impl CountingTree {
 mod tests {
     use super::*;
     use mrcc_common::Dataset;
+
+    #[test]
+    fn min_resolutions_matches_the_paper() {
+        // Sec. III: the method needs H ≥ 3 resolutions.
+        assert_eq!(MIN_RESOLUTIONS, 3);
+    }
 
     fn tiny() -> Dataset {
         // 6 points in 2-d, deliberately clustered bottom-left.

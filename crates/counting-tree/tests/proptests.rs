@@ -98,17 +98,6 @@ proptest! {
         }
     }
 
-    /// Sharded builds are bit-for-bit identical to serial builds for every
-    /// thread count, including counts exceeding the point count.
-    #[test]
-    fn sharded_build_equals_serial(ds in dataset_strategy(), threads in 2usize..=9) {
-        let serial = CountingTree::build(&ds, 4).unwrap();
-        let sharded = CountingTree::build_sharded(&ds, 4, threads).unwrap();
-        prop_assert!(sharded.identical(&serial));
-        #[cfg(feature = "strict-invariants")]
-        sharded.check_invariants();
-    }
-
     /// The deepest level's cell bounds actually contain the points that were
     /// inserted: rebuild membership by brute force and compare counts.
     #[test]

@@ -194,6 +194,16 @@ pub fn binomial_critical_value(n: u64, p: f64, alpha: f64) -> u64 {
 mod tests {
     use super::*;
 
+    #[test]
+    fn sf_is_the_incomplete_beta_tail_at_an_exact_point() {
+        // Binomial(3, 1/6): P(X ≥ 2) = 3·(1/6)²·(5/6) + (1/6)³ = 16/216, and
+        // I_p(2, 2) = 3p² − 2p³ = 16/216 at p = 1/6.
+        let exact = 16.0 / 216.0;
+        let p = 1.0 / 6.0;
+        assert!((Binomial::new(3, p).sf(2) - exact).abs() < 1e-15);
+        assert!((inc_beta(2.0, 2.0, p) - exact).abs() < 1e-15);
+    }
+
     /// Direct summation reference for small n.
     fn sf_direct(n: u64, p: f64, k: u64) -> f64 {
         (k..=n).map(|i| Binomial::new(n, p).pmf(i)).sum()

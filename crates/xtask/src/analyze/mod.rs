@@ -1,6 +1,6 @@
 //! The semantic (cross-file) analysis layer: `cargo run -p xtask -- analyze`.
 //!
-//! Three analyses run over the parsed item structure of the workspace's
+//! Two analyses run over the parsed item structure of the workspace's
 //! library crates (see [`crate::ast`]):
 //!
 //! | slug             | analysis                                                |
@@ -10,18 +10,14 @@
 //! |                  | (`panic!`, `unwrap`/`expect`, `assert*`, unchecked `[]` |
 //! |                  | indexing); known paths live in the committed baseline   |
 //! |                  | `crates/xtask/panic-baseline.txt`                       |
-//! | `paper-constant` | conformance of the code to the paper's exact constants  |
-//! |                  | (binomial `p = 1/6`, six half-cell regions, Laplacian   |
-//! |                  | mask weights, default `α`/`H`) via a declarative table  |
 //! | `api-drift`      | each crate's `pub` surface vs the committed snapshot in |
 //! |                  | `api/<crate>.txt`; changes require `analyze --bless`    |
 //!
 //! `--bless` rewrites the panic baseline and the API snapshots from current
-//! state; the paper-constant table cannot be blessed (edit the table in
-//! [`constants`] deliberately if the paper-derived code must change).
+//! state. The paper's exact constants are pinned by unit tests in the crates
+//! that own them.
 
 pub mod api;
-pub mod constants;
 pub mod panics;
 
 use crate::ast::{self, ParsedFile};
@@ -151,7 +147,7 @@ fn collect_lib_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Runs all three analyses over the repository. With `bless`, rewrites the
+/// Runs both analyses over the repository. With `bless`, rewrites the
 /// panic baseline and API snapshots instead of failing on drift.
 pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
     let crates = match load_workspace(repo) {
@@ -167,7 +163,6 @@ pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
     };
     let mut findings = Vec::new();
     findings.extend(panics::audit_repo(repo, &crates, bless));
-    findings.extend(constants::check(&crates));
     findings.extend(api::check_repo(repo, &crates, bless));
     findings
 }

@@ -13,8 +13,8 @@
 //! `src/`, benches and bins — never `vendor/` or `target/`) and applies the
 //! token-level lints in [`lints`] with per-lint path scopes. `analyze` parses
 //! the library crates into their item structure ([`ast`]) and runs the
-//! cross-file analyses in [`analyze`]: the panic-path audit, the
-//! paper-constant conformance table and the public-API drift gate. Both
+//! cross-file analyses in [`analyze`]: the panic-path audit and the
+//! public-API drift gate. Both
 //! commands accept `--format text|json|github` (JSON records for tooling,
 //! GitHub Actions annotations for CI). Exit status is nonzero when any
 //! finding survives, so CI can gate on it.

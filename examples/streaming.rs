@@ -38,8 +38,7 @@ fn main() {
         for i in 0..seen {
             so_far.push(ds.point(i)).expect("point");
         }
-        let (clusters, clustering, _cache) =
-            merge::build_correlation_clusters(&so_far, &betas, config.threads);
+        let (clusters, clustering, _cache) = merge::build_correlation_clusters(&so_far, &betas, 1);
 
         // Score the snapshot against the ground truth restricted to the
         // ingested prefix.

@@ -4,7 +4,8 @@
 //! expected-output JSON capturing the complete clustering: point labels,
 //! every β-cluster (level, axes, center, bit-exact bounds) and every
 //! correlation cluster (axes, members, size, bit-exact hull). The fit —
-//! serial *and* at 4 worker threads — must reproduce the files exactly.
+//! with the default configuration *and* with `with_threads(4)`, which must
+//! not change any output — must reproduce the files exactly.
 //!
 //! Float fields are stored as hexadecimal [`f64::to_bits`] strings, because
 //! the claim under test is representation equality, and JSON numbers (f64 in
@@ -275,9 +276,9 @@ fn golden_fixtures_reproduce_exactly() {
         let expected: Value = serde_json::from_str(&text).unwrap();
 
         assert_matches_golden(&serial, &expected, &format!("{name} serial"));
-        let parallel = MrCC::new(MrCCConfig::default().with_threads(4))
+        let four_threads = MrCC::new(MrCCConfig::default().with_threads(4))
             .fit(&ds)
             .unwrap();
-        assert_matches_golden(&parallel, &expected, &format!("{name} parallel(4)"));
+        assert_matches_golden(&four_threads, &expected, &format!("{name} threads(4)"));
     }
 }

@@ -147,3 +147,35 @@ fn fit_normalizing_accepts_raw_data() {
     let q = quality(&result.clustering, &synth.ground_truth);
     assert!(q.quality > 0.75, "Quality {:.3}", q.quality);
 }
+
+/// Fits `ds` with the default configuration and checks the output covers
+/// every point.
+fn fit_degenerate(ds: &Dataset) {
+    let result = MrCC::default()
+        .fit(ds)
+        .unwrap_or_else(|e| panic!("fit failed: {e}"));
+    assert_eq!(result.clustering.labels().len(), ds.len());
+    #[cfg(feature = "strict-invariants")]
+    result.check_invariants();
+}
+
+#[test]
+fn single_point_dataset() {
+    let ds = Dataset::from_rows(&[[0.42, 0.17, 0.93]]).unwrap();
+    fit_degenerate(&ds);
+}
+
+#[test]
+fn three_point_dataset() {
+    let ds = Dataset::from_rows(&[[0.1, 0.2], [0.5, 0.6], [0.9, 0.1]]).unwrap();
+    fit_degenerate(&ds);
+}
+
+#[test]
+fn all_noise_dataset() {
+    // Structure-free 6-d data: the β-cluster search may find nothing, and
+    // the merge must still label every point.
+    let spec = SyntheticSpec::new("it-all-noise", 6, 4_000, 0, 0.5, 9);
+    let synth = generate(&spec);
+    fit_degenerate(&synth.dataset);
+}
