@@ -93,7 +93,7 @@ fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
 /// cell that merely touches a β-box face is outside it and stays eligible —
 /// grid-aligned bounds make touching ubiquitous, see
 /// [`BoundingBox::overlaps_strict`]).
-fn shares_space_with_any(cell: &Cell, side: f64, dims: usize, betas: &[BetaCluster]) -> bool {
+fn shares_space_with_any(cell: Cell<'_>, side: f64, dims: usize, betas: &[BetaCluster]) -> bool {
     betas.iter().any(|beta| {
         (0..dims).all(|j| {
             cell.upper_bound(j, side) > beta.bounds.lower(j)
@@ -108,10 +108,7 @@ fn neighborhood_stats(tree: &CountingTree, h: usize, winner: CellId, alpha: f64)
     let level = tree.level(h);
     let cell = level.cell(winner);
     let parent_level = tree.level(h - 1);
-    let parent_coords = cell.parent_coords();
-    let parent_id = parent_level
-        .find(&parent_coords)
-        .expect("tree structure invariant: the parent of a non-empty cell is non-empty");
+    let parent_id = level.parent(winner);
     let parent = parent_level.cell(parent_id);
 
     (0..dims)

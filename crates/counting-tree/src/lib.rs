@@ -20,20 +20,20 @@
 //! node, and resolves a cell's *external* face neighbors by walking the tree
 //! from the root. It then notes that, "intending to make it easier to
 //! understand", nodes can equivalently be treated as arrays of cells. We take
-//! the flat view: one cell arena per level plus a hash index keyed by the
-//! cell's **absolute grid coordinates** (one integer per axis, coordinate ∈
-//! `[0, 2^h)`). All the tree navigation of the paper becomes integer
-//! arithmetic —
+//! the flat view: each level keeps one array per cell field, addressed by
+//! [`CellId`], plus an open-addressing index keyed by the cell's **absolute
+//! grid coordinates** (one integer per axis, coordinate ∈ `[0, 2^h)`). All
+//! the tree navigation of the paper becomes integer arithmetic —
 //!
 //! * relative position `loc` bit of axis `j` = low bit of `coords[j]`,
-//! * immediate parent = `coords >> 1` looked up one level up,
+//! * immediate parent = `coords >> 1` one level up, recorded at insertion,
 //! * the *internal* face neighbor of the paper (same parent) and the
-//!   *external* one (different parent) are both `coords[j] ± 1`.
+//!   *external* one (different parent) are both `coords[j] ± 1`; keys are
+//!   additive (`Σ_j c_j·K_j`), so the neighbor's key is `key ± K_j`.
 //!
 //! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's.
 
 pub mod cell;
-pub mod hasher;
 pub mod level;
 pub mod query;
 pub mod tree;

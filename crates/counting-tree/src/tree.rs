@@ -1,5 +1,6 @@
 //! Counting-tree construction (Algorithm 1) and whole-tree queries.
 
+use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, powi_exp, trunc_to_u64};
 use mrcc_common::{Dataset, Error, Result};
 
@@ -57,18 +58,10 @@ impl CountingTree {
     ///   `[0, 1)` (the dataset must be normalized first — Definition 1).
     /// * [`Error::EmptyDataset`] for a dataset with no points.
     pub fn build(ds: &Dataset, resolutions: usize) -> Result<CountingTree> {
-        if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
-            return Err(Error::InvalidParameter {
-                name: "resolutions",
-                message: format!(
-                    "H must be in [{MIN_RESOLUTIONS}, {MAX_RESOLUTIONS}], got {resolutions}"
-                ),
-            });
-        }
+        let mut tree = CountingTree::empty(ds.dims(), resolutions)?;
         if ds.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let mut tree = CountingTree::empty(ds.dims(), resolutions)?;
         for p in ds.iter() {
             tree.insert(p)?;
         }
@@ -94,9 +87,9 @@ impl CountingTree {
     /// Creates an empty tree for incremental / streaming insertion.
     ///
     /// # Errors
-    /// [`Error::InvalidParameter`] for an out-of-range `resolutions`,
-    /// [`Error::UnsupportedDimensionality`] via the same validation
-    /// [`CountingTree::build`] applies.
+    /// [`Error::InvalidParameter`] for an out-of-range `resolutions`;
+    /// [`Error::UnsupportedDimensionality`] for `dims` outside
+    /// `1..=MAX_DIMS`, the range [`Dataset`] accepts.
     pub fn empty(dims: usize, resolutions: usize) -> Result<CountingTree> {
         if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
             return Err(Error::InvalidParameter {
@@ -106,10 +99,10 @@ impl CountingTree {
                 ),
             });
         }
-        if dims == 0 {
-            return Err(Error::InvalidParameter {
-                name: "dims",
-                message: "need at least one axis".into(),
+        if dims == 0 || dims > MAX_DIMS {
+            return Err(Error::UnsupportedDimensionality {
+                dims,
+                max: MAX_DIMS,
             });
         }
         let h_max = resolutions - 1;
@@ -117,7 +110,9 @@ impl CountingTree {
             dims,
             n_points: 0,
             resolutions,
-            levels: (1..=h_max).map(|h| Level::new(bounded_to_u32(h))).collect(),
+            levels: (1..=bounded_to_u32(h_max))
+                .map(|h| Level::new(h, dims))
+                .collect(),
         })
     }
 
@@ -138,9 +133,9 @@ impl CountingTree {
         let h_max = self.resolutions - 1;
         // Finest "virtual" grid: level h_max + 1, used only to derive the
         // coordinates of every real level (right-shift) and the half-space
-        // bit of the deepest level.
+        // bit of the deepest level. Both buffers live on the stack.
         let fine_scale = (2.0f64).powi(powi_exp(h_max + 1));
-        let mut fine = vec![0u64; d];
+        let mut fine = [0u64; MAX_DIMS];
         for ((j, &v), slot) in point.iter().enumerate().zip(fine.iter_mut()) {
             if !(0.0..1.0).contains(&v) {
                 return Err(Error::InvalidParameter {
@@ -152,19 +147,22 @@ impl CountingTree {
             }
             *slot = trunc_to_u64(v * fine_scale);
         }
-        let mut coords = vec![0u64; d];
-        for (li, level) in self.levels.iter_mut().enumerate() {
-            let h = li + 1;
-            let shift = bounded_to_u32(h_max + 1 - h);
-            for (c, f) in coords.iter_mut().zip(&fine) {
+        let fine = &fine[..d]; // xtask-allow: indexing — `empty` bounds d by MAX_DIMS
+        let mut coords = [0u64; MAX_DIMS];
+        let coords = &mut coords[..d]; // xtask-allow: indexing — `empty` bounds d by MAX_DIMS
+                                       // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
+                                       // parent is the implicit root, reported as id 0.
+        let mut parent: CellId = 0;
+        let shifts = (1..=bounded_to_u32(h_max)).rev();
+        for (level, shift) in self.levels.iter_mut().zip(shifts) {
+            for (c, f) in coords.iter_mut().zip(fine) {
                 *c = f >> shift;
             }
-            let id = level.get_or_insert(&coords);
+            let id = level.get_or_insert(coords, parent);
             // The point is in the lower half of this cell along e_j iff its
             // coordinate one level finer is even.
-            level
-                .cell_mut(id)
-                .count_point(fine.iter().map(|f| (f >> (shift - 1)) & 1 == 0));
+            level.count_point(id, fine, shift - 1);
+            parent = id;
         }
         self.n_points += 1;
         Ok(())
@@ -219,15 +217,11 @@ impl CountingTree {
 
     /// Clears every `usedCell` flag (re-run the search on the same tree).
     pub fn reset_used(&mut self) {
-        for level in &mut self.levels {
-            let ids: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
-            for id in ids {
-                level.set_used(id, false);
-            }
-        }
+        self.levels.iter_mut().for_each(Level::reset_used);
     }
 
-    /// Approximate heap footprint in bytes, for the memory experiments.
+    /// Heap footprint in bytes, from the capacity of every array the tree
+    /// owns (the memory experiments and `FitStats::tree_memory_bytes`).
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
     }
@@ -242,7 +236,8 @@ impl CountingTree {
     ///   `2^h` grid;
     /// * **parent/child containment** — every cell at level `h + 1` has a
     ///   materialized parent at level `h` (coordinates right-shifted by one)
-    ///   holding at least as many points.
+    ///   holding at least as many points, and [`Level::parent`] records
+    ///   exactly that cell.
     ///
     /// Compiled only with the `strict-invariants` feature; call from tests
     /// after building or mutating a tree. `O(H · cells · d)`.
@@ -261,40 +256,35 @@ impl CountingTree {
             );
             let extent = level.grid_extent();
             for (_, cell) in level.iter() {
-                assert_eq!(
-                    cell.coords().len(),
-                    self.dims,
-                    "invariant violated: level {} cell with wrong coordinate width",
-                    level.h()
-                );
                 assert!(
                     cell.coords().iter().all(|&c| c < extent),
                     "invariant violated: level {} cell {:?} outside the 2^h grid",
                     level.h(),
                     cell.coords()
                 );
-                for j in 0..self.dims {
-                    assert!(
-                        cell.half_count(j) <= cell.n(),
-                        "invariant violated: level {} cell {:?}: P[{j}] > n",
-                        level.h(),
-                        cell.coords()
-                    );
-                }
+                assert!(
+                    cell.half_counts().iter().all(|&p| p <= cell.n()),
+                    "invariant violated: level {} cell {:?}: some P[j] > n",
+                    level.h(),
+                    cell.coords()
+                );
             }
         }
-        let mut parent_coords = vec![0u64; self.dims];
         for pair in self.levels.windows(2) {
             let (parent, child) = (&pair[0], &pair[1]);
-            for (_, cc) in child.iter() {
-                for (slot, &c) in parent_coords.iter_mut().zip(cc.coords()) {
-                    *slot = c >> 1;
-                }
-                let pid = parent.find(&parent_coords).expect(
-                    "tree containment invariant: every child cell has a materialized parent",
+            for (id, cc) in child.iter() {
+                let pc = parent.cell(child.parent(id));
+                assert!(
+                    pc.coords()
+                        .iter()
+                        .zip(cc.coords())
+                        .all(|(&p, &c)| p == c >> 1),
+                    "invariant violated: level {} cell {:?} records the wrong parent",
+                    child.h(),
+                    cc.coords()
                 );
                 assert!(
-                    parent.cell(pid).n() >= cc.n(),
+                    pc.n() >= cc.n(),
                     "invariant violated: level {} cell {:?} outweighs its parent",
                     child.h(),
                     cc.coords()

@@ -1,7 +1,7 @@
 //! Property-based invariants of the Counting-tree.
 
 use mrcc_common::Dataset;
-use mrcc_counting_tree::{CountingTree, Direction};
+use mrcc_counting_tree::{CellId, CountingTree, Direction, Level};
 use proptest::prelude::*;
 
 /// Strategy: a random dataset with 1–200 points in 1–8 dimensions, all
@@ -13,8 +13,132 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// The largest `f64` below 1: at level `h ≤ 53` it lands in the last grid
+/// cell, `2^h − 1`.
+const LAST_BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// Strategy: a tree shape `(d, H)` with `d ∈ {1, 2..=8, 64}` and
+/// `H ∈ {3, 4..=7, 64}`, drawing each extreme about one time in ten (`d`)
+/// or one in six (`H`).
+fn shape_strategy() -> impl Strategy<Value = (usize, usize)> {
+    (0usize..=9, 0usize..=5).prop_map(|(a, b)| {
+        let d = match a {
+            0 => 64,
+            a => a.min(8),
+        };
+        let h = match b {
+            0 => 3,
+            1 => 64,
+            b => b + 2,
+        };
+        (d, h)
+    })
+}
+
+/// Strategy: one coordinate, mixing the borders of the unit cube, the
+/// centres of an 8-bin grid (which put cells next to each other) and
+/// uniform values.
+fn coordinate_strategy() -> impl Strategy<Value = f64> {
+    (0u8..=9, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => LAST_BELOW_ONE,
+        2..=5 => ((x * 8.0).floor() + 0.5) / 8.0,
+        _ => x,
+    })
+}
+
+/// Strategy: a tree resolution and a dataset for it; wide or tall trees get
+/// fewer points to keep the brute-force reference fast.
+fn tree_case_strategy() -> impl Strategy<Value = (Dataset, usize)> {
+    shape_strategy().prop_flat_map(|(d, h)| {
+        let max_points = if d == 64 || h == 64 { 40 } else { 200 };
+        (
+            proptest::collection::vec(
+                proptest::collection::vec(coordinate_strategy(), d..=d),
+                1..max_points,
+            )
+            .prop_map(|rows| Dataset::from_rows(&rows).unwrap()),
+            Just(h),
+        )
+    })
+}
+
+/// Brute-force lookup: a linear scan over the level's cells.
+fn scan(level: &Level, coords: &[u64]) -> Option<CellId> {
+    level
+        .iter()
+        .find(|(_, cell)| cell.coords() == coords)
+        .map(|(id, _)| id)
+}
+
+/// `find`, `neighbor` (both directions, every axis) and `neighbor_count`
+/// agree with [`scan`] on every cell of every level.
+fn assert_index_matches_scan(tree: &CountingTree) {
+    let d = tree.dims();
+    for level in tree.levels() {
+        let extent = level.grid_extent();
+        for (id, cell) in level.iter() {
+            assert_eq!(level.find(cell.coords()), Some(id), "level {}", level.h());
+            for axis in 0..d {
+                let c = cell.coords()[axis];
+                for (dir, target) in [
+                    (Direction::Lower, c.checked_sub(1)),
+                    (Direction::Upper, Some(c + 1).filter(|&t| t < extent)),
+                ] {
+                    let expected = target.and_then(|t| {
+                        let mut key = cell.coords().to_vec();
+                        key[axis] = t;
+                        let found = scan(level, &key);
+                        assert_eq!(level.find(&key), found, "find {key:?}");
+                        found
+                    });
+                    let context = format!("level {} cell {id} axis {axis} {dir:?}", level.h());
+                    assert_eq!(level.neighbor(id, axis, dir), expected, "{context}");
+                    assert_eq!(
+                        level.neighbor_count(id, axis, dir),
+                        expected.map_or(0, |nid| level.cell(nid).n()),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A 2-d level of 1120 cells grows its index from 16 slots to 4096, eight
+/// times over, keeps ids in first-insertion order and still answers every
+/// lookup like the scan.
+#[test]
+fn index_survives_many_growths() {
+    let rows: Vec<[f64; 2]> = (0..1_120u32)
+        .map(|i| {
+            let (x, y) = (i % 40, i / 40);
+            [(f64::from(x) + 0.5) / 64.0, (f64::from(y) + 0.5) / 64.0]
+        })
+        .collect();
+    let tree = CountingTree::build(&Dataset::from_rows(&rows).unwrap(), 8).unwrap();
+    let level = tree.level(6);
+    assert_eq!(level.n_cells(), 1_120);
+    for (id, (x, y)) in (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40))) {
+        assert_eq!(level.find(&[x, y]), Some(id));
+    }
+    assert_index_matches_scan(&tree);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The level index answers exactly like a linear scan, including at
+    /// `d = 1`, `d = 64`, `H = 3` and `H = 64`, where coordinates reach
+    /// `2^63 − 2^10` and `Upper` stops at the grid border of every level up
+    /// to 53.
+    #[test]
+    fn index_equals_linear_scan((ds, h) in tree_case_strategy()) {
+        let tree = CountingTree::build(&ds, h).unwrap();
+        #[cfg(feature = "strict-invariants")]
+        tree.check_invariants();
+        assert_index_matches_scan(&tree);
+    }
 
     /// Every level counts every point exactly once.
     #[test]
