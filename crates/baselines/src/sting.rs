@@ -199,6 +199,7 @@ impl SubspaceClusterer for Sting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     fn blobs_2d() -> Dataset {
         let mut state = 0x5714u64;
@@ -272,8 +273,8 @@ mod tests {
         s.add(&[0.4, 0.6]);
         assert_eq!(s.count, 2);
         assert!((s.mean(0) - 0.3).abs() < 1e-12);
-        assert_eq!(s.min[1], 0.6);
-        assert_eq!(s.max[1], 0.8);
+        assert!(exactly(s.min[1], 0.6));
+        assert!(exactly(s.max[1], 0.8));
     }
 
     #[test]

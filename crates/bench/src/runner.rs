@@ -212,6 +212,7 @@ pub fn run_method(method: MethodKind, synth: &Synthetic, budget: Duration) -> Ru
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
     use mrcc_datagen::{generate, SyntheticSpec};
 
     fn tiny() -> Synthetic {
@@ -243,7 +244,7 @@ mod tests {
         let r = run_method(MethodKind::Harp, &synth, Duration::from_nanos(1));
         assert!(r.timed_out);
         assert!(r.seconds.is_none());
-        assert_eq!(r.quality, 0.0);
+        assert!(exactly(r.quality, 0.0));
     }
 
     #[test]

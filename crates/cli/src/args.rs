@@ -250,6 +250,7 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -275,7 +276,7 @@ mod tests {
             } => {
                 assert_eq!(input, PathBuf::from("a.csv"));
                 assert_eq!(method, MethodChoice::MrCC);
-                assert_eq!(alpha, 1e-10);
+                assert!(exactly(alpha, 1e-10));
                 assert_eq!(resolutions, 4);
                 assert!(!json);
             }
@@ -312,7 +313,7 @@ mod tests {
             } => {
                 assert_eq!(method, MethodChoice::Lac);
                 assert_eq!(clusters, Some(7));
-                assert_eq!(alpha, 1e-5);
+                assert!(exactly(alpha, 1e-5));
                 assert!(json);
                 assert_eq!(output, Some(PathBuf::from("b.csv")));
             }

@@ -98,7 +98,7 @@ fn info(input: &Path, out: &mut dyn Write) -> CliResult<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one parameter per option")]
 fn generate_cmd(
     dims: usize,
     points: usize,
@@ -189,7 +189,7 @@ fn clustering_from_labels(labels: &[i32], dims: usize) -> CliResult<SubspaceClus
     Ok(SubspaceClustering::from_labels(labels, &masks, dims))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one parameter per option")]
 fn cluster(
     input: &Path,
     output: Option<&Path>,

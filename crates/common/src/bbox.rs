@@ -173,6 +173,7 @@ impl BoundingBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::float::exactly;
 
     #[test]
     fn unit_box_contains_unit_points() {
@@ -215,10 +216,10 @@ mod tests {
         let a = BoundingBox::new(vec![0.0, 0.4], vec![0.2, 0.6]);
         let b = BoundingBox::new(vec![0.1, 0.0], vec![0.5, 0.5]);
         let h = a.hull(&b);
-        assert_eq!(h.lower(0), 0.0);
-        assert_eq!(h.upper(0), 0.5);
-        assert_eq!(h.lower(1), 0.0);
-        assert_eq!(h.upper(1), 0.6);
+        assert!(exactly(h.lower(0), 0.0));
+        assert!(exactly(h.upper(0), 0.5));
+        assert!(exactly(h.lower(1), 0.0));
+        assert!(exactly(h.upper(1), 0.6));
         assert!(h.contains(&[0.0, 0.6]) && h.contains(&[0.5, 0.0]));
     }
 

@@ -89,7 +89,9 @@ impl BoxIndex {
         let mut everywhere: Vec<u32> = Vec::new();
         for (k, b) in boxes.iter().enumerate() {
             assert_eq!(b.dims(), dims, "box {k}: dimensionality mismatch");
+            #[expect(clippy::expect_used, reason = "box count fits in u32 by construction")]
             let id = u32::try_from(k).expect("box count fits in u32 by construction invariant");
+            #[expect(clippy::expect_used, reason = "box extents are finite")]
             let best = (0..dims).min_by(|&i, &j| {
                 b.extent(i)
                     .partial_cmp(&b.extent(j))
@@ -97,6 +99,7 @@ impl BoxIndex {
             });
             match best {
                 Some(j) if b.extent(j) < 1.0 => {
+                    #[expect(clippy::expect_used, reason = "axis index < dims by loop invariant")]
                     let grid = grids
                         .get_mut(j)
                         .expect("axis index < dims by loop invariant")
@@ -134,6 +137,7 @@ impl BoxIndex {
     pub fn containing(&self, point: &[f64], out: &mut Vec<u32>) {
         out.clear();
         for grid in &self.grids {
+            #[expect(clippy::expect_used, reason = "point dims match box dims")]
             let v = *point
                 .get(grid.axis)
                 .expect("point dims match box dims by contains() invariant");

@@ -19,6 +19,7 @@ pub fn read_dataset<R: Read>(reader: R) -> Result<Dataset> {
 
 /// Reads a dataset whose **last** column is an integer cluster label
 /// (`-1` = noise). Returns the feature dataset and the label vector.
+#[expect(clippy::expect_used, reason = "read_rows(labeled=true) returns labels")]
 pub fn read_labeled_dataset<R: Read>(reader: R) -> Result<(Dataset, Vec<i32>)> {
     let (ds, labels) = read_rows(reader, true)?;
     Ok((

@@ -247,6 +247,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::float::exactly;
 
     fn sample() -> Dataset {
         Dataset::from_rows(&[[0.0, 10.0], [5.0, 20.0], [10.0, 40.0]]).unwrap()
@@ -311,7 +312,7 @@ mod tests {
         let info = ds.normalize_unit().unwrap();
         assert!(ds.is_unit_normalized());
         // Minimum maps to 0, maximum strictly below 1.
-        assert_eq!(ds.point(0)[0], 0.0);
+        assert!(exactly(ds.point(0)[0], 0.0));
         assert!(ds.point(2)[0] < 1.0 && ds.point(2)[0] > 0.999);
         // Round trip through the recorded transform.
         let back = info.denormalize(ds.point(1));
@@ -323,8 +324,8 @@ mod tests {
     fn normalize_constant_axis_goes_to_zero() {
         let mut ds = Dataset::from_rows(&[[3.0, 1.0], [3.0, 2.0]]).unwrap();
         ds.normalize_unit().unwrap();
-        assert_eq!(ds.point(0)[0], 0.0);
-        assert_eq!(ds.point(1)[0], 0.0);
+        assert!(exactly(ds.point(0)[0], 0.0));
+        assert!(exactly(ds.point(1)[0], 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Approved floating-point comparison helpers.
 //!
-//! The repository forbids raw `==`/`!=` on floats outside this module (see
-//! the `float-eq` lint in `crates/xtask`). These helpers spell out which
+//! The repository forbids raw `==`/`!=` on floats outside [`exactly`] (clippy's
+//! `float_cmp`, denied workspace-wide). These helpers spell out which
 //! notion of equality a call site means: exact bit-for-bit equality against
 //! a sentinel value, or closeness within a tolerance.
 
@@ -39,6 +39,7 @@ pub fn near_zero(x: f64) -> bool {
 /// values deliberately (e.g. `Binomial::new(n, 0.0)`); this helper exists so
 /// such comparisons are named rather than written as raw `==`.
 #[must_use]
+#[expect(clippy::float_cmp, reason = "the one approved exact comparison")]
 pub fn exactly(x: f64, sentinel: f64) -> bool {
     x == sentinel
 }

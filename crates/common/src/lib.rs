@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! Common dataset substrate for the MrCC reproduction.
 //!

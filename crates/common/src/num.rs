@@ -1,7 +1,7 @@
 //! Documented numeric conversions.
 //!
-//! The counting-tree and stats crates forbid bare `as` casts (see the
-//! `as-cast` lint in `crates/xtask`): a silent `as` hides whether a
+//! The counting-tree and stats crates forbid bare `as` casts (clippy's
+//! `as_conversions`, denied in their `lib.rs`): a silent `as` hides whether a
 //! conversion truncates, saturates, wraps or is exact. Every helper here
 //! names its semantics, asserts its preconditions in debug builds, and is
 //! the approved spelling for that conversion.
@@ -75,6 +75,7 @@ pub fn u32_to_usize(n: u32) -> usize {
 /// a recoverable condition.
 #[inline]
 #[must_use]
+#[expect(clippy::expect_used, reason = "callers bound the value below 2^32")]
 pub fn bounded_to_u32(n: usize) -> u32 {
     u32::try_from(n).expect("value bounded below 2^32 by caller invariant")
 }
@@ -86,6 +87,7 @@ pub fn bounded_to_u32(n: usize) -> u32 {
 /// bounded far below that.
 #[inline]
 #[must_use]
+#[expect(clippy::expect_used, reason = "exponents ≤ MAX_RESOLUTIONS")]
 pub fn powi_exp(h: usize) -> i32 {
     i32::try_from(h).expect("exponent bounded by MAX_RESOLUTIONS invariant")
 }
@@ -93,12 +95,13 @@ pub fn powi_exp(h: usize) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::float::exactly;
 
     #[test]
     fn exact_conversions() {
-        assert_eq!(count_to_f64(0), 0.0);
-        assert_eq!(count_to_f64(12_345), 12_345.0);
-        assert_eq!(len_to_f64(7), 7.0);
+        assert!(exactly(count_to_f64(0), 0.0));
+        assert!(exactly(count_to_f64(12_345), 12_345.0));
+        assert!(exactly(len_to_f64(7), 7.0));
         assert_eq!(usize_to_u64(usize::MAX), usize::MAX as u64);
         assert_eq!(u32_to_usize(u32::MAX), 4_294_967_295);
     }

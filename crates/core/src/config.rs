@@ -279,12 +279,13 @@ impl FromJson for MrCCConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     #[test]
     fn defaults_match_the_paper() {
         // Sec. IV-D: α = 1e−10 and H = 4.
         let c = MrCCConfig::default();
-        assert_eq!(c.alpha, 1e-10);
+        assert!(exactly(c.alpha, 1e-10));
         assert_eq!(c.resolutions, 4);
         assert_eq!(c.mask, MaskKind::FaceOnly);
         assert_eq!(c.axis_selection, AxisSelection::Share(45.0));
@@ -341,9 +342,9 @@ mod tests {
             .with_relevance_floor(0.0);
         assert_eq!(c.mask, MaskKind::Full);
         assert_eq!(c.axis_selection, AxisSelection::Mdl);
-        assert_eq!(c.relevance_floor, 0.0);
+        assert!(exactly(c.relevance_floor, 0.0));
         // Untouched fields keep their defaults.
-        assert_eq!(c.alpha, 1e-10);
+        assert!(exactly(c.alpha, 1e-10));
         assert_eq!(c.resolutions, 4);
         assert!(c.validate().is_ok());
     }

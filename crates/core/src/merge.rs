@@ -314,6 +314,7 @@ pub fn build_correlation_clusters(
             if !beta_i.shares_space(beta_j) {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "β count fits in u32 by construction")]
             let key = (
                 u32::try_from(i).expect("β count fits in u32 by construction invariant"),
                 u32::try_from(j).expect("β count fits in u32 by construction invariant"),
@@ -434,6 +435,7 @@ pub fn build_correlation_clusters_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     fn beta(lo: &[f64], hi: &[f64], axes: &[usize]) -> BetaCluster {
         let d = lo.len();
@@ -559,8 +561,8 @@ mod tests {
         ];
         let (clusters, _, _) = build_checked(&ds, &betas);
         let h = &clusters[0].hull;
-        assert_eq!(h.lower(0), 0.0);
-        assert_eq!(h.upper(1), 0.6);
+        assert!(exactly(h.lower(0), 0.0));
+        assert!(exactly(h.upper(1), 0.6));
     }
 
     #[test]

@@ -157,6 +157,7 @@ impl MrCCResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     #[test]
     fn stats_total_is_sum_of_phases() {
@@ -184,6 +185,6 @@ mod tests {
             },
         };
         assert_eq!(r.n_clusters(), 0);
-        assert_eq!(r.noise_ratio(), 1.0);
+        assert!(exactly(r.noise_ratio(), 1.0));
     }
 }

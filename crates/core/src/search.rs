@@ -163,6 +163,7 @@ fn confirm_beta_cluster(
     let cut = match config.axis_selection {
         AxisSelection::Mdl => {
             let mut ordered: Vec<f64> = stats.iter().map(|s| s.relevance).collect();
+            #[expect(clippy::expect_used, reason = "relevance ratios are finite")]
             ordered.sort_by(|a, b| {
                 a.partial_cmp(b)
                     .expect("relevance ratios are finite by construction invariant")
@@ -343,7 +344,7 @@ mod tests {
 
     /// Everything a β-cluster reports, floats as bit patterns, so `==` means
     /// bit-identical.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "flat tuples compare field by field")]
     fn fingerprint(
         b: &BetaCluster,
     ) -> (
@@ -369,7 +370,7 @@ mod tests {
         )
     }
 
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "flat tuples compare field by field")]
     fn fingerprints(
         betas: &[BetaCluster],
     ) -> Vec<(

@@ -131,6 +131,7 @@ impl MrCCResult {
                     Some((last, best)) if *last == k => {
                         // Same tie behaviour as `Iterator::max_by`: a later
                         // equal value replaces the earlier one.
+                        #[expect(clippy::expect_used, reason = "box densities are finite")]
                         if d.partial_cmp(best)
                             .expect("box densities are finite by construction invariant")
                             .is_ge()
@@ -158,6 +159,7 @@ impl MrCCResult {
             for (_, w) in &mut weights {
                 *w /= total;
             }
+            #[expect(clippy::expect_used, reason = "softmax weights are finite")]
             weights.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("softmax weights are finite and nonnegative invariant")

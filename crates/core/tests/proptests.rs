@@ -1,6 +1,7 @@
 //! Property-based invariants of the full MrCC pipeline.
 
 use mrcc::{MrCC, MrCCConfig};
+use mrcc_common::float::exactly;
 use mrcc_common::{Dataset, NOISE};
 use mrcc_datagen::{generate, SyntheticSpec};
 use proptest::prelude::*;
@@ -63,8 +64,8 @@ proptest! {
                 prop_assert!(beta.bounds.lower(j) <= beta.bounds.upper(j));
                 // Irrelevant axes span everything.
                 if !beta.axes.contains(j) {
-                    prop_assert_eq!(beta.bounds.lower(j), 0.0);
-                    prop_assert_eq!(beta.bounds.upper(j), 1.0);
+                    prop_assert!(exactly(beta.bounds.lower(j), 0.0), "axis {j}");
+                    prop_assert!(exactly(beta.bounds.upper(j), 1.0), "axis {j}");
                 }
             }
         }

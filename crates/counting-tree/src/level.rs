@@ -27,7 +27,9 @@ const AXIS_KEYS: [u64; MAX_DIMS] = {
     let mut keys = [0u64; MAX_DIMS];
     let mut j = 0;
     while j < MAX_DIMS {
-        keys[j] = splitmix64(j as u64) | 1; // xtask-allow: as-cast — j < MAX_DIMS
+        #[expect(clippy::as_conversions, reason = "j < MAX_DIMS; From is not const")]
+        let axis = j as u64;
+        keys[j] = splitmix64(axis) | 1;
         j += 1;
     }
     keys
@@ -240,7 +242,7 @@ impl Level {
     fn probe(&self, key: u64, is_match: impl Fn(&[u64]) -> bool) -> Result<CellId, usize> {
         let hash = splitmix64(key);
         let mask = self.slots.len() - 1;
-        // xtask-allow: as-cast — truncation intended: the low bits pick the slot
+        #[expect(clippy::as_conversions, reason = "truncation: low bits pick the slot")]
         let mut pos = (hash as usize) & mask;
         loop {
             let slot = self.slots[pos]; // xtask-allow: indexing — positions are masked to the slot count
@@ -248,7 +250,7 @@ impl Level {
                 return Err(pos);
             }
             if slot >> 32 == hash >> 32 {
-                // xtask-allow: as-cast — truncation intended: the low half is `id + 1`
+                #[expect(clippy::as_conversions, reason = "truncation: low half is id + 1")]
                 let id = (slot as u32) - 1;
                 let i = u32_to_usize(id);
                 let cand = &self.coords[i * self.d..(i + 1) * self.d]; // xtask-allow: indexing — occupied slots hold ids of stored cells
@@ -283,6 +285,7 @@ fn occupied(key: u64, id: CellId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     fn level_with(coords: &[&[u64]]) -> Level {
         let mut l = Level::new(2, 2);
@@ -374,8 +377,8 @@ mod tests {
 
     #[test]
     fn side_halves_per_level() {
-        assert_eq!(Level::new(1, 1).side(), 0.5);
-        assert_eq!(Level::new(3, 1).side(), 0.125);
+        assert!(exactly(Level::new(1, 1).side(), 0.5));
+        assert!(exactly(Level::new(3, 1).side(), 0.125));
         assert_eq!(Level::new(2, 1).grid_extent(), 4);
     }
 

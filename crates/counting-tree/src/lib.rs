@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::as_conversions)
+)]
 
 //! The **Counting-tree** (MrCC, Section III-A).
 //!
@@ -35,7 +39,6 @@
 
 pub mod cell;
 pub mod level;
-pub mod query;
 pub mod tree;
 
 pub use cell::{Cell, CellId};

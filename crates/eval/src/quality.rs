@@ -180,10 +180,9 @@ fn score_with(
         });
     }
     // Recall side: every real cluster against its dominant found cluster.
-    // (Column-major walk over the contingency table; indexing is the
-    // clearest expression here.)
     let mut recall_matches = Vec::with_capacity(real.len());
-    #[allow(clippy::needless_range_loop)]
+    // A column-major walk over the contingency table reads clearest indexed.
+    #[expect(clippy::needless_range_loop, reason = "column-major walk")]
     for r in 0..real.len() {
         let dominant = (0..found.len()).max_by_key(|&f| table[f][r]);
         let (score, shared) = match dominant {
@@ -229,6 +228,7 @@ fn score_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
     use mrcc_common::{AxisMask, SubspaceCluster};
 
     fn clustering(n: usize, dims: usize, groups: &[(&[usize], &[usize])]) -> SubspaceClustering {
@@ -258,8 +258,8 @@ mod tests {
     fn no_found_clusters_scores_zero() {
         let real = clustering(10, 4, &[(&[0, 1, 2], &[0])]);
         let found = SubspaceClustering::empty(10, 4);
-        assert_eq!(quality(&found, &real).quality, 0.0);
-        assert_eq!(subspace_quality(&found, &real).quality, 0.0);
+        assert!(exactly(quality(&found, &real).quality, 0.0));
+        assert!(exactly(subspace_quality(&found, &real).quality, 0.0));
     }
 
     #[test]

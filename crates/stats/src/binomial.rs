@@ -235,12 +235,12 @@ mod tests {
     #[test]
     fn sf_edge_cases() {
         let b = Binomial::new(10, 0.3);
-        assert_eq!(b.sf(0), 1.0);
-        assert_eq!(b.sf(11), 0.0);
-        assert_eq!(Binomial::new(10, 0.0).sf(1), 0.0);
-        assert_eq!(Binomial::new(10, 1.0).sf(10), 1.0);
-        assert_eq!(Binomial::new(0, 0.5).sf(0), 1.0);
-        assert_eq!(Binomial::new(0, 0.5).sf(1), 0.0);
+        assert!(exactly(b.sf(0), 1.0));
+        assert!(exactly(b.sf(11), 0.0));
+        assert!(exactly(Binomial::new(10, 0.0).sf(1), 0.0));
+        assert!(exactly(Binomial::new(10, 1.0).sf(10), 1.0));
+        assert!(exactly(Binomial::new(0, 0.5).sf(0), 1.0));
+        assert!(exactly(Binomial::new(0, 0.5).sf(1), 0.0));
     }
 
     #[test]

@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::as_conversions)
+)]
 
 //! Statistics substrate for the MrCC reproduction.
 //!
@@ -16,18 +20,14 @@
 //!   **critical value** `θ_j^α` of the paper's null-hypothesis test
 //!   (`cP_j ~ Binomial(nP_j, 1/6)` under uniformity, Section III-B).
 //! * [`poisson`] — Poisson tails for the P3C baseline.
-//! * [`normal`] — standard normal CDF and quantile.
 //! * [`mdl`] — the Minimum Description Length cut over a sorted array of axis
 //!   relevances that tunes MrCC's relevant-axis threshold `cThreshold`.
-//! * [`describe`] — small descriptive-statistics helpers.
 
 pub mod beta;
 pub mod binomial;
-pub mod describe;
 pub mod gamma;
 pub mod gamma_inc;
 pub mod mdl;
-pub mod normal;
 pub mod poisson;
 
 pub use binomial::{binomial_critical_value, binomial_sf, Binomial};

@@ -96,6 +96,7 @@ pub fn mdl_cut(values: &[f64]) -> MdlCut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrcc_common::float::exactly;
 
     #[test]
     fn two_plateaus_cut_at_the_jump() {
@@ -103,7 +104,7 @@ mod tests {
         let o = [15.0, 16.0, 16.5, 17.0, 88.0, 90.0, 92.0];
         let cut = mdl_cut(&o);
         assert_eq!(cut.cut, 4);
-        assert_eq!(cut.threshold, 88.0);
+        assert!(exactly(cut.threshold, 88.0));
     }
 
     #[test]
@@ -118,7 +119,7 @@ mod tests {
     fn single_value() {
         let cut = mdl_cut(&[42.0]);
         assert_eq!(cut.cut, 0);
-        assert_eq!(cut.threshold, 42.0);
+        assert!(exactly(cut.threshold, 42.0));
     }
 
     #[test]
@@ -126,7 +127,7 @@ mod tests {
         let o = [10.0, 11.0, 12.0, 13.0, 99.0];
         let cut = mdl_cut(&o);
         assert_eq!(cut.cut, 4);
-        assert_eq!(cut.threshold, 99.0);
+        assert!(exactly(cut.threshold, 99.0));
     }
 
     #[test]
@@ -146,7 +147,7 @@ mod tests {
         let o: Vec<f64> = (0..10).map(|i| i as f64 * 10.0).collect();
         let cut = mdl_cut(&o);
         assert!(cut.cut < o.len());
-        assert_eq!(cut.threshold, o[cut.cut]);
+        assert!(exactly(cut.threshold, o[cut.cut]));
         assert!(cut.cost.is_finite());
     }
 

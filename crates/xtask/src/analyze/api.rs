@@ -17,10 +17,9 @@
 //! crates expose their modules publicly anyway.
 
 use crate::ast::{TypeKind, Vis};
-use crate::lints::Finding;
 use std::path::Path;
 
-use super::CrateAst;
+use super::{CrateAst, Finding};
 
 /// Repo-relative directory holding the committed snapshots.
 pub const SNAPSHOT_DIR: &str = "api";

@@ -28,11 +28,10 @@
 //! are outside the audit: both exist to panic.
 
 use crate::ast::{Token, Vis};
-use crate::lints::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use super::CrateAst;
+use super::{CrateAst, Finding};
 
 /// The crates whose public surface must not grow new panic paths.
 pub const AUDITED_CRATES: [&str; 4] = ["mrcc-common", "mrcc-stats", "mrcc-counting-tree", "mrcc"];

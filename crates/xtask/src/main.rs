@@ -1,33 +1,28 @@
-//! `xtask` — the repository's static-analysis and verification driver.
+//! `xtask` — the repository's semantic-analysis and verification driver.
 //!
 //! ```text
-//! cargo run -p xtask -- lint             # repo-specific source lints
-//! cargo run -p xtask -- lint <paths>     # same lints over explicit files/dirs
 //! cargo run -p xtask -- analyze          # semantic analyses (see `analyze`)
 //! cargo run -p xtask -- analyze --bless  # accept API/panic baseline changes
-//! cargo run -p xtask -- fmt-check        # cargo fmt --all --check
 //! cargo run -p xtask -- invariants      # per-crate tests with strict-invariants
 //! ```
 //!
-//! `lint` walks the workspace's own source (`crates/*/src`, the facade
-//! `src/`, benches and bins — never `vendor/` or `target/`) and applies the
-//! token-level lints in [`lints`] with per-lint path scopes. `analyze` parses
-//! the library crates into their item structure ([`ast`]) and runs the
-//! cross-file analyses in [`analyze`]: the panic-path audit and the
-//! public-API drift gate. Both
-//! commands accept `--format text|json|github` (JSON records for tooling,
-//! GitHub Actions annotations for CI). Exit status is nonzero when any
-//! finding survives, so CI can gate on it.
+//! `analyze` parses the library crates into their item structure ([`ast`])
+//! and runs the cross-file analyses in [`analyze`]: the panic-path audit and
+//! the public-API drift gate. It also scans every workspace source for float
+//! compares against zero or infinity, which clippy's `float_cmp` skips. It accepts `--format text|json|github` (JSON
+//! records for tooling, GitHub Actions annotations for CI), and its exit
+//! status is nonzero when any finding survives, so CI can gate on it. The
+//! source-level repo rules are clippy lints, configured in the workspace
+//! `Cargo.toml` and the crates' `lib.rs`; `tests/clippy_fixtures.rs` checks
+//! that they fire.
 
 #![forbid(unsafe_code)]
 
 mod analyze;
 mod ast;
-mod lints;
 mod source;
 
-use lints::Finding;
-use source::SourceFile;
+use analyze::Finding;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -42,20 +37,18 @@ enum Format {
     Github,
 }
 
-/// Flags shared by `lint` and `analyze`.
+/// The flags of `analyze`.
 struct Flags {
     format: Format,
     bless: bool,
-    /// Non-flag arguments, in order.
-    positional: Vec<String>,
 }
 
-/// Splits `--format <f>` / `--format=<f>` / `--bless` from positional args.
+/// Parses `--format <f>` / `--format=<f>` / `--bless`; anything else is an
+/// error (`analyze` always runs on the whole workspace).
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         format: Format::Text,
         bless: false,
-        positional: Vec::new(),
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -84,7 +77,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag `{arg}`"));
         } else {
-            flags.positional.push(arg.clone());
+            return Err(format!("unexpected argument `{arg}`"));
         }
     }
     Ok(flags)
@@ -92,27 +85,27 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 
 /// Prints findings in the chosen format and maps them to an exit code. The
 /// summary goes to stderr in machine formats so stdout stays parseable.
-fn emit(label: &str, findings: &[Finding], format: Format) -> ExitCode {
+fn emit(findings: &[Finding], format: Format) -> ExitCode {
     match format {
         Format::Text => {
             for f in findings {
                 println!("{f}");
             }
             if findings.is_empty() {
-                println!("xtask {label}: clean");
+                println!("xtask analyze: clean");
             } else {
-                println!("xtask {label}: {} finding(s)", findings.len());
+                println!("xtask analyze: {} finding(s)", findings.len());
             }
         }
         Format::Json => {
-            println!("{}", lints::to_json(findings));
-            eprintln!("xtask {label}: {} finding(s)", findings.len());
+            println!("{}", analyze::to_json(findings));
+            eprintln!("xtask analyze: {} finding(s)", findings.len());
         }
         Format::Github => {
             for f in findings {
-                println!("{}", lints::github_annotation(f));
+                println!("{}", analyze::github_annotation(f));
             }
-            eprintln!("xtask {label}: {} finding(s)", findings.len());
+            eprintln!("xtask analyze: {} finding(s)", findings.len());
         }
     }
     if findings.is_empty() {
@@ -122,15 +115,6 @@ fn emit(label: &str, findings: &[Finding], format: Format) -> ExitCode {
     }
 }
 
-/// Crates whose library code must be panic-free (`no-unwrap` scope).
-const PANIC_FREE_CRATES: [&str; 4] = ["common", "stats", "counting-tree", "core"];
-
-/// Crates whose arithmetic must avoid bare `as` casts (`as-cast` scope).
-const CAST_STRICT_CRATES: [&str; 2] = ["counting-tree", "stats"];
-
-/// Files allowed to use raw float `==`: the epsilon helpers themselves.
-const FLOAT_EQ_APPROVED: [&str; 1] = ["crates/common/src/float.rs"];
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
@@ -138,149 +122,19 @@ fn main() -> ExitCode {
         None => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint [paths..] | analyze [--bless] | fmt-check | invariants> \
-                 [--format text|json|github]"
+                 <analyze [--bless] [--format text|json|github] | invariants>"
             );
             return ExitCode::FAILURE;
         }
     };
     match cmd {
-        "lint" => run_lint(rest),
         "analyze" => run_analyze(rest),
-        "fmt-check" => run_fmt_check(),
         "invariants" => run_invariants(),
         other => {
-            eprintln!(
-                "unknown subcommand `{other}`; expected lint | analyze | fmt-check | invariants"
-            );
+            eprintln!("unknown subcommand `{other}`; expected analyze | invariants");
             ExitCode::FAILURE
         }
     }
-}
-
-/// Recursively collects `.rs` files under `dir`, skipping `target/`.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name != "target" && name != ".git" {
-                collect_rs(&path, out);
-            }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// The workspace's own lintable source roots (vendored shims excluded:
-/// they mirror external API surfaces and are not held to repo conventions).
-fn workspace_roots(repo: &Path) -> Vec<PathBuf> {
-    let mut roots = vec![repo.join("src"), repo.join("tests"), repo.join("examples")];
-    if let Ok(entries) = std::fs::read_dir(repo.join("crates")) {
-        let mut crate_dirs: Vec<PathBuf> =
-            entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            for sub in ["src", "benches", "bin", "tests", "examples"] {
-                let p = dir.join(sub);
-                if p.is_dir() {
-                    roots.push(p);
-                }
-            }
-        }
-    }
-    roots.into_iter().filter(|p| p.is_dir()).collect()
-}
-
-/// `true` when `rel` (repo-relative, `/`-separated) lies in the library
-/// source of one of `crates` — benches/bins/tests are exempt from the
-/// panic-free and cast-strict scopes.
-fn in_crate_src(rel: &str, crates: &[&str]) -> bool {
-    crates
-        .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-}
-
-/// Applies every lint (respecting path scopes) to one file.
-fn lint_file(rel: &str, file: &SourceFile, scoped: bool, out: &mut Vec<Finding>) {
-    if !scoped || in_crate_src(rel, &PANIC_FREE_CRATES) {
-        lints::no_unwrap(file, out);
-    }
-    if !scoped || !FLOAT_EQ_APPROVED.contains(&rel) {
-        lints::float_eq(file, out);
-    }
-    if !scoped || in_crate_src(rel, &CAST_STRICT_CRATES) {
-        lints::as_cast(file, out);
-    }
-    lints::safety_comment(file, out);
-}
-
-fn lint_paths(repo: &Path, roots: &[PathBuf], scoped: bool) -> Vec<Finding> {
-    let mut files = Vec::new();
-    let mut findings = Vec::new();
-    for root in roots {
-        if root.is_file() {
-            files.push(root.clone());
-        } else if root.is_dir() {
-            collect_rs(root, &mut files);
-        } else {
-            // A typo'd explicit path must fail loudly, not lint zero files.
-            findings.push(Finding {
-                path: root.to_string_lossy().replace('\\', "/"),
-                line: 0,
-                slug: "io",
-                message: "path does not exist".to_string(),
-            });
-        }
-    }
-    for path in files {
-        let rel = path
-            .strip_prefix(repo)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let file = SourceFile::parse(&rel, &text);
-                lint_file(&rel, &file, scoped, &mut findings);
-            }
-            Err(err) => findings.push(Finding {
-                path: rel,
-                line: 0,
-                slug: "io",
-                message: format!("unreadable: {err}"),
-            }),
-        }
-    }
-    findings
-}
-
-fn run_lint(extra: &[String]) -> ExitCode {
-    let flags = match parse_flags(extra) {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!("xtask lint: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if flags.bless {
-        eprintln!("xtask lint: --bless only applies to `analyze`");
-        return ExitCode::FAILURE;
-    }
-    let repo = repo_root();
-    let (roots, scoped) = if flags.positional.is_empty() {
-        (workspace_roots(&repo), true)
-    } else {
-        // Explicit paths (fixtures, ad-hoc checks): every lint applies.
-        (flags.positional.iter().map(PathBuf::from).collect(), false)
-    };
-    let findings = lint_paths(&repo, &roots, scoped);
-    emit("lint", &findings, flags.format)
 }
 
 fn run_analyze(extra: &[String]) -> ExitCode {
@@ -291,23 +145,12 @@ fn run_analyze(extra: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if !flags.positional.is_empty() {
-        eprintln!(
-            "xtask analyze: unexpected argument `{}` (analyze always runs on the workspace)",
-            flags.positional[0]
-        );
-        return ExitCode::FAILURE;
-    }
     let findings = analyze::run(&repo_root(), flags.bless);
     if flags.bless && findings.is_empty() {
         println!("xtask analyze: baselines blessed (panic-baseline.txt, api/*.txt)");
         return ExitCode::SUCCESS;
     }
-    emit("analyze", &findings, flags.format)
-}
-
-fn run_fmt_check() -> ExitCode {
-    run_step("cargo fmt --all --check", &["fmt", "--all", "--check"])
+    emit(&findings, flags.format)
 }
 
 /// Crates that gain runtime checks under `--features strict-invariants`.
@@ -367,66 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn good_fixtures_are_clean() {
-        let repo = repo_root();
-        let findings = lint_paths(&repo, &[fixture("good")], false);
-        assert!(findings.is_empty(), "unexpected findings: {findings:#?}");
-    }
-
-    #[test]
-    fn bad_fixtures_trip_every_lint() {
-        let repo = repo_root();
-        let findings = lint_paths(&repo, &[fixture("bad")], false);
-        for slug in ["no-unwrap", "float-eq", "as-cast", "safety-comment"] {
-            assert!(
-                findings.iter().any(|f| f.slug == slug),
-                "lint `{slug}` did not fire on the bad fixtures; got {findings:#?}"
-            );
-        }
-    }
-
-    #[test]
-    fn scopes_route_lints_to_the_right_crates() {
-        let src = "fn f(x: Option<u32>) -> u64 { x.unwrap() as u64 }\n";
-        let file = SourceFile::parse("crates/eval/src/lib.rs", src);
-        let mut findings = Vec::new();
-        lint_file("crates/eval/src/lib.rs", &file, true, &mut findings);
-        // eval is outside both the panic-free and cast-strict scopes.
-        assert!(findings.is_empty(), "{findings:#?}");
-
-        let file = SourceFile::parse("crates/counting-tree/src/tree.rs", src);
-        let mut findings = Vec::new();
-        lint_file(
-            "crates/counting-tree/src/tree.rs",
-            &file,
-            true,
-            &mut findings,
-        );
-        let slugs: Vec<_> = findings.iter().map(|f| f.slug).collect();
-        assert!(slugs.contains(&"no-unwrap"), "{findings:#?}");
-        assert!(slugs.contains(&"as-cast"), "{findings:#?}");
-    }
-
-    #[test]
-    fn float_eq_approved_paths_are_exempt() {
-        let src = "pub fn approx(a: f64) -> bool { a == 0.0 }\n";
-        let rel = "crates/common/src/float.rs";
-        let file = SourceFile::parse(rel, src);
-        let mut findings = Vec::new();
-        lint_file(rel, &file, true, &mut findings);
-        assert!(
-            findings.iter().all(|f| f.slug != "float-eq"),
-            "{findings:#?}"
-        );
-    }
-
-    #[test]
     fn flag_parsing_covers_formats_and_bless() {
         let args = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let f = parse_flags(&args(&["--format", "json", "a.rs", "--bless"])).unwrap();
+        let f = parse_flags(&args(&["--format", "json", "--bless"])).unwrap();
         assert_eq!(f.format, Format::Json);
         assert!(f.bless);
-        assert_eq!(f.positional, vec!["a.rs".to_string()]);
+        assert!(parse_flags(&args(&["a.rs"])).is_err());
         let f = parse_flags(&args(&["--format=github"])).unwrap();
         assert_eq!(f.format, Format::Github);
         assert!(parse_flags(&args(&["--format", "yaml"])).is_err());
@@ -475,16 +264,5 @@ mod tests {
         // the tree this test runs against — the analyze self-test.
         let findings = analyze::run(&repo_root(), false);
         assert!(findings.is_empty(), "{findings:#?}");
-    }
-
-    #[test]
-    fn workspace_roots_skip_vendor() {
-        let roots = workspace_roots(&repo_root());
-        assert!(roots
-            .iter()
-            .all(|r| !r.to_string_lossy().contains("vendor")));
-        assert!(roots
-            .iter()
-            .any(|r| r.ends_with("crates/counting-tree/src")));
     }
 }

@@ -1,11 +1,11 @@
-//! Source-file model for the lint driver.
+//! Source-file model for the analyses.
 //!
-//! Lints never see raw file text directly. Each file is pre-processed into a
-//! [`SourceFile`]: a *masked* view where string/char-literal contents and
-//! comments are replaced by spaces (so token scans cannot false-positive on
-//! text inside literals), a parallel *comments* view holding only comment
-//! text (for `// SAFETY:` and `xtask-allow` detection), and a per-line flag
-//! marking `#[cfg(test)]` regions (most lints only police non-test code).
+//! The parser never sees raw file text directly. Each file is pre-processed
+//! into a [`SourceFile`]: a *masked* view where string/char-literal contents
+//! and comments are replaced by spaces (so token scans cannot false-positive
+//! on text inside literals), a parallel *comments* view holding only comment
+//! text (for `xtask-allow` detection), and a per-line flag marking
+//! `#[cfg(test)]` regions (the panic audit skips test code).
 //!
 //! The masking pass is a hand-rolled scanner covering the token forms this
 //! repository actually uses: line/block comments (nested), string literals
@@ -76,7 +76,6 @@ impl SourceFile {
 }
 
 /// Splits `text` into (code-only, comments-only) views of identical shape.
-#[allow(clippy::too_many_lines)]
 fn mask(text: &str) -> (String, String) {
     let bytes: Vec<char> = text.chars().collect();
     let mut code = String::with_capacity(text.len());
@@ -336,12 +335,12 @@ mod tests {
 
     #[test]
     fn allow_annotations_match_same_and_previous_line() {
-        let src = "// xtask-allow: no-unwrap\nlet a = x.unwrap();\nlet b = y.unwrap(); // xtask-allow: no-unwrap, float-eq\nlet c = z.unwrap();\n";
+        let src = "// xtask-allow: indexing\nlet a = x[0];\nlet b = y[0]; // xtask-allow: indexing, other\nlet c = z[0];\n";
         let f = SourceFile::parse("t.rs", src);
-        assert!(f.allows(1, "no-unwrap"));
-        assert!(f.allows(2, "no-unwrap"));
-        assert!(f.allows(2, "float-eq"));
-        assert!(!f.allows(3, "no-unwrap"));
-        assert!(!f.allows(1, "float-eq"));
+        assert!(f.allows(1, "indexing"));
+        assert!(f.allows(2, "indexing"));
+        assert!(f.allows(2, "other"));
+        assert!(!f.allows(3, "indexing"));
+        assert!(!f.allows(1, "other"));
     }
 }
