@@ -45,6 +45,11 @@ pub enum Error {
         /// Description of the parse failure.
         message: String,
     },
+    /// More points than a structure can count.
+    TooManyPoints {
+        /// The most points it accepts.
+        max: usize,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -66,6 +71,7 @@ impl fmt::Display for Error {
                 write!(f, "non-finite value at row {row}, column {col}")
             }
             Error::Csv { line, message } => write!(f, "csv parse error at line {line}: {message}"),
+            Error::TooManyPoints { max } => write!(f, "more than {max} points"),
             Error::Io(e) => write!(f, "io error: {e}"),
         }
     }

@@ -63,7 +63,7 @@ pub fn usize_to_u64(n: usize) -> u64 {
 /// `u32` → `usize`, lossless (pointer width ≥ 32 bits).
 #[inline]
 #[must_use]
-pub fn u32_to_usize(n: u32) -> usize {
+pub const fn u32_to_usize(n: u32) -> usize {
     n as usize
 }
 

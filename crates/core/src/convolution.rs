@@ -26,6 +26,18 @@ pub fn convolve_face_only(level: &Level, id: CellId, dims: usize) -> i64 {
     acc
 }
 
+/// Face-only convolved value of every cell of `level`, indexed by
+/// [`CellId`]: exactly [`convolve_face_only`] at each cell, from one
+/// [`Level::face_neighbor_sums`] pass instead of `2d` lookups per cell.
+pub fn convolve_level(level: &Level, dims: usize) -> Vec<i64> {
+    let centre_weight = 2 * dims as i64;
+    level
+        .iter()
+        .zip(level.face_neighbor_sums())
+        .map(|((_, cell), faces)| centre_weight * cell.n() as i64 - faces as i64)
+        .collect()
+}
+
 /// Largest dimensionality [`MrCC::fit`](crate::MrCC::fit) accepts with
 /// [`MaskKind::Full`]: past it the `3^d` offsets per cell make a fit
 /// infeasible, and at `d ≥ 40` the centre weight `3^d − 1` overflows `i64`.
@@ -44,7 +56,8 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
     let mut acc = weight * center;
 
     // Enumerate all 3^d offsets in {−1, 0, +1}^d except the origin.
-    let mut key: Vec<u64> = cell.coords().to_vec();
+    let coords: Vec<u64> = cell.coords().collect();
+    let mut key = coords.clone();
     let extent = level.grid_extent();
     let n_offsets = 3usize.pow(dims as u32);
     'offsets: for code in 0..n_offsets {
@@ -53,11 +66,11 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
         for j in 0..dims {
             let trit = (c % 3) as i64 - 1; // −1, 0, +1
             c /= 3;
-            let base = cell.coords()[j];
+            let base = coords[j];
             let coord = base as i64 + trit;
             if coord < 0 || coord as u64 >= extent {
                 // Off the grid: restore and skip this offset.
-                key[..dims].copy_from_slice(&cell.coords()[..dims]);
+                key.copy_from_slice(&coords);
                 continue 'offsets;
             }
             key[j] = coord as u64;
@@ -70,7 +83,7 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
                 acc -= level.cell(nid).n() as i64;
             }
         }
-        key[..dims].copy_from_slice(&cell.coords()[..dims]);
+        key.copy_from_slice(&coords);
     }
     acc
 }
@@ -162,6 +175,17 @@ mod tests {
     }
 
     #[test]
+    fn level_pass_does_not_carry_across_axes() {
+        // At level 2, (3, 0) stepped up axis 0 without a border check would
+        // be the key of (0, 1). The two cells are not neighbors.
+        let ds = Dataset::from_rows(&[[0.99, 0.01], [0.01, 0.3]]).unwrap();
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let l2 = tree.level(2);
+        assert!(l2.find(&[3, 0]).is_some() && l2.find(&[0, 1]).is_some());
+        assert_eq!(convolve_level(l2, 2), vec![4, 4]);
+    }
+
+    #[test]
     fn border_cells_do_not_wrap() {
         // A cell at coordinate 0: its lower neighbor is off-grid, not the
         // opposite border.
@@ -172,5 +196,91 @@ mod tests {
         // The far cell (3,3) must not leak into (0,0)'s neighborhood.
         assert_eq!(convolve_face_only(l2, low, 2), 4);
         assert_eq!(convolve_full(l2, low, 2), 8);
+    }
+
+    mod level_pass_equals_per_cell {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The largest `f64` below 1: at level `h ≤ 53` it lands in the last
+        /// grid cell, `2^h − 1`.
+        const LAST_BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+        /// The largest `f64` below ½: one cell below ½'s at every level up
+        /// to 54, so the two are face neighbors there.
+        const BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
+
+        /// Strategy: `d ∈ {1, 2..=8, 21, 22, 43, 64}`, which at `H = 4`
+        /// takes one to four key words of 21 fields, and `H ∈ {3..=7, 64}`,
+        /// where the deepest level holds one field per word.
+        fn shape_strategy() -> impl Strategy<Value = (usize, usize)> {
+            (0usize..=11, 2usize..=7).prop_map(|(a, b)| {
+                let d = match a {
+                    0 => 21,
+                    9 => 22,
+                    10 => 43,
+                    11 => 64,
+                    a => a.min(8),
+                };
+                (d, if b == 2 { 64 } else { b })
+            })
+        }
+
+        /// Strategy: one coordinate: the borders of the unit cube, the two
+        /// sides of ½, the centres of an 8-bin grid, or uniform.
+        fn coordinate_strategy() -> impl Strategy<Value = f64> {
+            (0u8..=9, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+                0 => 0.0,
+                1 => LAST_BELOW_ONE,
+                2 => BELOW_HALF,
+                3 => 0.5,
+                4..=7 => ((x * 8.0).floor() + 0.5) / 8.0,
+                _ => x,
+            })
+        }
+
+        /// Strategy: a tree whose points are copies of one template row with
+        /// up to three coordinates redrawn, so cells have face neighbors even
+        /// at `d = 64`.
+        fn tree_strategy() -> impl Strategy<Value = CountingTree> {
+            shape_strategy().prop_flat_map(|(d, h)| {
+                let row = proptest::collection::vec(coordinate_strategy(), d..=d);
+                let edits = proptest::collection::vec(
+                    proptest::collection::vec((0..d, coordinate_strategy()), 0..=3),
+                    1..40,
+                );
+                (row, edits).prop_map(move |(template, edits)| {
+                    let rows: Vec<Vec<f64>> = edits
+                        .into_iter()
+                        .map(|edit| {
+                            let mut row = template.clone();
+                            for (j, v) in edit {
+                                row[j] = v;
+                            }
+                            row
+                        })
+                        .collect();
+                    CountingTree::build(&Dataset::from_rows(&rows).unwrap(), h).unwrap()
+                })
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// On every cell of every level, the sort-merge level pass gives
+            /// the per-cell face-only convolution.
+            #[test]
+            fn on_every_level(tree in tree_strategy()) {
+                let dims = tree.dims();
+                for level in tree.levels() {
+                    let per_cell: Vec<i64> = level
+                        .iter()
+                        .map(|(id, _)| convolve_face_only(level, id, dims))
+                        .collect();
+                    prop_assert_eq!(convolve_level(level, dims), per_cell, "level {}", level.h());
+                }
+            }
+        }
     }
 }

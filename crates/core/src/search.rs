@@ -25,13 +25,14 @@
 
 use std::cmp::Reverse;
 
+use mrcc_common::num::grid_to_f64;
 use mrcc_common::{AxisMask, BoundingBox};
 use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
 use crate::config::{AxisSelection, MaskKind, MrCCConfig};
-use crate::convolution::convolve;
+use crate::convolution::{convolve, convolve_level};
 
 /// Number of consecutive equal-size regions the parent neighborhood is split
 /// into along each axis (Section III-B): the parent's two halves plus the two
@@ -62,7 +63,7 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
             // the winner itself.
             let Some(winner) = cursor.find(|&id| {
                 let cell = level.cell(id);
-                !cell.used() && !shares_space_with_any(cell, side, dims, &betas)
+                !cell.used() && !shares_space_with_any(cell, side, &betas)
             }) else {
                 continue;
             };
@@ -81,9 +82,16 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
 /// order *(convolved value descending, `CellId` ascending)*: the order in
 /// which the restart-scan of Algorithm 2 would pick them as winners.
 fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
-    let mut ranked: Vec<(Reverse<i64>, CellId)> = level
-        .iter()
-        .map(|(id, _)| (Reverse(convolve(level, id, dims, mask)), id))
+    let values = match mask {
+        MaskKind::FaceOnly => convolve_level(level, dims),
+        MaskKind::Full => level
+            .iter()
+            .map(|(id, _)| convolve(level, id, dims, mask))
+            .collect(),
+    };
+    let mut ranked: Vec<(Reverse<i64>, CellId)> = (0..)
+        .zip(values)
+        .map(|(id, value)| (Reverse(value), id))
         .collect();
     ranked.sort_unstable();
     ranked.into_iter().map(|(_, id)| id).collect()
@@ -93,11 +101,11 @@ fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
 /// cell that merely touches a β-box face is outside it and stays eligible —
 /// grid-aligned bounds make touching ubiquitous, see
 /// [`BoundingBox::overlaps_strict`]).
-fn shares_space_with_any(cell: Cell<'_>, side: f64, dims: usize, betas: &[BetaCluster]) -> bool {
+fn shares_space_with_any(cell: Cell<'_>, side: f64, betas: &[BetaCluster]) -> bool {
     betas.iter().any(|beta| {
-        (0..dims).all(|j| {
-            cell.upper_bound(j, side) > beta.bounds.lower(j)
-                && cell.lower_bound(j, side) < beta.bounds.upper(j)
+        cell.coords().enumerate().all(|(j, c)| {
+            grid_to_f64(c + 1) * side > beta.bounds.lower(j)
+                && grid_to_f64(c) * side < beta.bounds.upper(j)
         })
     })
 }
@@ -163,11 +171,9 @@ fn confirm_beta_cluster(
     let cut = match config.axis_selection {
         AxisSelection::Mdl => {
             let mut ordered: Vec<f64> = stats.iter().map(|s| s.relevance).collect();
-            #[expect(clippy::expect_used, reason = "relevance ratios are finite")]
-            ordered.sort_by(|a, b| {
-                a.partial_cmp(b)
-                    .expect("relevance ratios are finite by construction invariant")
-            });
+            // Relevances are finite and never −0.0, so this is their numeric
+            // order.
+            ordered.sort_by(f64::total_cmp);
             mdl_cut(&ordered).threshold.max(config.relevance_floor)
         }
         AxisSelection::Share(t) => t,
@@ -210,7 +216,7 @@ fn confirm_beta_cluster(
         bounds,
         axes,
         level: h,
-        center_coords: cell.coords().to_vec(),
+        center_coords: cell.coords().collect(),
         axis_stats: stats,
         relevance_threshold: cut,
     })
@@ -320,7 +326,7 @@ mod tests {
                 let side = level.side();
                 let mut best: Option<(CellId, i64)> = None;
                 for (id, cell) in level.iter() {
-                    if cell.used() || shares_space_with_any(cell, side, dims, &betas) {
+                    if cell.used() || shares_space_with_any(cell, side, &betas) {
                         continue;
                     }
                     let value = convolve(level, id, dims, config.mask);

@@ -1,7 +1,9 @@
 //! One resolution level of the Counting-tree: a flat array per cell field
 //! and an index over them (see the crate docs).
 
-use crate::cell::{Cell, CellId};
+use std::cmp::Ordering;
+
+use crate::cell::{Cell, CellId, KeyLayout};
 use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, powi_exp, u32_to_usize};
 
@@ -22,54 +24,47 @@ const fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-axis key weights `K_j`: odd, so `c ↦ c·K_j` is a bijection mod 2^64.
-const AXIS_KEYS: [u64; MAX_DIMS] = {
-    let mut keys = [0u64; MAX_DIMS];
-    let mut j = 0;
-    while j < MAX_DIMS {
-        #[expect(clippy::as_conversions, reason = "j < MAX_DIMS; From is not const")]
-        let axis = j as u64;
-        keys[j] = splitmix64(axis) | 1;
-        j += 1;
-    }
-    keys
-};
-
-/// Additive key of a coordinate vector: `Σ_j c_j·K_j`, wrapping.
-fn key_of(coords: &[u64]) -> u64 {
-    coords
-        .iter()
-        .zip(AXIS_KEYS)
-        .fold(0u64, |acc, (&c, k)| acc.wrapping_add(c.wrapping_mul(k)))
+/// Index hash of a packed key, word by word.
+fn hash_key(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0, |acc, w| splitmix64(acc ^ w))
 }
 
 /// A fully materialized resolution level.
 ///
-/// One array per cell field, indexed by [`CellId`] in first-insertion order
-/// (`coords` and the half-space counts `p` with stride `d`; `parents` is 0 at
-/// level 1, under the implicit root), plus `slots`, the index: a power of two
-/// of them, at most half occupied, probed linearly from the mixed key, 0 when
+/// One array per cell field, indexed by [`CellId`] in first-insertion order:
+/// the packed `keys` with stride `W` (see `KeyLayout`), the counts `n`, the
+/// half-space counts `p` with stride `d`, `used`, and `parents` (0 at level
+/// 1, under the implicit root). `slots` is the index: a power of two of
+/// them, at most half occupied, probed linearly from the key's hash, 0 when
 /// empty and `(tag << 32) | (id + 1)` otherwise.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Level {
     h: u32,
     d: usize,
-    coords: Vec<u64>,
-    n: Vec<u64>,
-    p: Vec<u64>,
+    layout: KeyLayout,
+    words: usize,
+    keys: Vec<u64>,
+    n: Vec<u32>,
+    p: Vec<u32>,
     used: Vec<bool>,
     parents: Vec<CellId>,
-    keys: Vec<u64>,
     slots: Vec<u64>,
 }
 
 impl Level {
     pub(crate) fn new(h: u32, d: usize) -> Self {
+        let layout = KeyLayout::new(h);
         Level {
             h,
             d,
+            layout,
+            words: layout.words(d),
+            keys: Vec::new(),
+            n: Vec::new(),
+            p: Vec::new(),
+            used: Vec::new(),
+            parents: Vec::new(),
             slots: vec![0; 16],
-            ..Level::default()
         }
     }
 
@@ -105,10 +100,10 @@ impl Level {
     #[inline]
     pub fn cell(&self, id: CellId) -> Cell<'_> {
         let i = u32_to_usize(id);
-        let stride = i * self.d..(i + 1) * self.d;
         Cell {
-            coords: &self.coords[stride.clone()], // xtask-allow: indexing — documented `# Panics` contract
-            p: &self.p[stride], // xtask-allow: indexing — documented `# Panics` contract
+            key: self.key(id),
+            layout: self.layout,
+            p: &self.p[i * self.d..(i + 1) * self.d], // xtask-allow: indexing — documented `# Panics` contract
             n: self.n[i],       // xtask-allow: indexing — documented `# Panics` contract
             used: self.used[i], // xtask-allow: indexing — documented `# Panics` contract
         }
@@ -116,39 +111,52 @@ impl Level {
 
     /// Iterate over `(id, cell)` pairs in insertion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (CellId, Cell<'_>)> + '_ {
-        // `get_or_insert` hands out ids below 2^32 only.
-        let ids = 0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX);
-        ids.map(|id| (id, self.cell(id)))
+        self.ids().map(|id| (id, self.cell(id)))
     }
 
-    /// Look up the cell at the given absolute coordinates.
-    #[inline]
+    /// Look up the cell at the given absolute coordinates. `None` when no
+    /// such cell is materialized, when `coords` does not have one entry per
+    /// axis, or when a coordinate is outside the level's `2^h` grid.
     pub fn find(&self, coords: &[u64]) -> Option<CellId> {
-        self.probe(key_of(coords), |cand| cand == coords).ok()
+        if coords.len() != self.d || coords.iter().any(|&c| c > self.layout.top()) {
+            return None;
+        }
+        let mut buf = [0u64; MAX_DIMS];
+        let key = buf.get_mut(..self.words)?;
+        self.layout.pack(coords.iter().copied(), key);
+        let key = &*key;
+        self.probe(hash_key(key.iter().copied()), |cand| cand == key)
+            .ok()
     }
 
     /// The face neighbor of `id` along `axis` in `dir`, if that grid position
     /// is materialized (the paper's `N I`/`N E`; a missing external neighbor
-    /// means either the space border or an unrefined empty region).
+    /// means either the space border or an unrefined empty region). `None`
+    /// also for an axis outside `0..d`.
     ///
     /// # Panics
-    /// Panics on an out-of-range id or axis.
+    /// Panics on an out-of-range id.
     pub fn neighbor(&self, id: CellId, axis: usize, dir: Direction) -> Option<CellId> {
-        let i = u32_to_usize(id);
-        let coords = &self.coords[i * self.d..(i + 1) * self.d]; // xtask-allow: indexing — documented `# Panics` contract
-        let key = self.keys[i]; // xtask-allow: indexing — documented `# Panics` contract
-        let c = coords[axis]; // xtask-allow: indexing — documented `# Panics` contract
-        let weight = AXIS_KEYS[axis]; // xtask-allow: indexing — axis < d ≤ MAX_DIMS once `coords[axis]` passed
-        let (nc, nkey) = match dir {
-            Direction::Lower => (c.checked_sub(1)?, key.wrapping_sub(weight)),
-            // Past the grid border no cell exists, so the probe misses.
-            Direction::Upper => (c + 1, key.wrapping_add(weight)),
+        if axis >= self.d {
+            return None;
+        }
+        let key = self.key(id);
+        let (word, shift) = self.layout.locate(axis);
+        let c = self.layout.field(key, axis)?;
+        // A packed field carries into the next axis, so the border is checked
+        // here: past it no cell exists.
+        let target = match dir {
+            Direction::Lower if c > 0 => key.get(word)? - (1 << shift),
+            Direction::Upper if c < self.layout.top() => key.get(word)? + (1 << shift),
+            _ => return None,
         };
-        self.probe(nkey, |cand| {
+        let stepped = |k: usize, w: u64| if k == word { target } else { w };
+        let hash = hash_key(key.iter().enumerate().map(|(k, &w)| stepped(k, w)));
+        self.probe(hash, |cand| {
             cand.iter()
-                .zip(coords)
+                .zip(key)
                 .enumerate()
-                .all(|(k, (&a, &b))| a == if k == axis { nc } else { b })
+                .all(|(k, (&a, &b))| a == stepped(k, b))
         })
         .ok()
     }
@@ -157,11 +165,68 @@ impl Level {
     /// treats empty space).
     ///
     /// # Panics
-    /// Panics on an out-of-range id or axis.
+    /// Panics on an out-of-range id.
     #[inline]
     pub fn neighbor_count(&self, id: CellId, axis: usize, dir: Direction) -> u64 {
         self.neighbor(id, axis, dir)
-            .map_or(0, |nid| self.n[u32_to_usize(nid)]) // xtask-allow: indexing — ids from the index are in range
+            .map_or(0, |nid| u64::from(self.n[u32_to_usize(nid)])) // xtask-allow: indexing — ids from the index are in range
+    }
+
+    /// Per cell, indexed by [`CellId`], the point count summed over its `2d`
+    /// face neighbors: the neighbor term of the face-only convolution, for
+    /// the whole level at once and without an index probe.
+    ///
+    /// The cells are sorted by key once. Adding 1 to a coordinate below
+    /// `2^h − 1` changes one field of one word and carries nowhere, so it
+    /// keeps the key order: per axis `j`, the keys `key + e_j` of the cells
+    /// off the upper border form a sorted sequence, and one two-pointer merge
+    /// against the sorted keys finds every upper neighbor pair. Each pair adds
+    /// each cell's count to the other's sum. `O(cells·(log cells + d·W))` over
+    /// sequential memory; the buffers are allocated once per call.
+    pub fn face_neighbor_sums(&self) -> Vec<u64> {
+        let w = self.words;
+        let mut order: Vec<(u64, CellId)> = self
+            .ids()
+            .map(|id| (self.key(id).first().copied().unwrap_or(0), id))
+            .collect();
+        // The first word decides almost every comparison; the full key
+        // breaks ties when it spans several words.
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| self.key(a.1).cmp(self.key(b.1))));
+        let mut keys = Vec::with_capacity(self.keys.len());
+        for &(_, id) in &order {
+            keys.extend_from_slice(self.key(id));
+        }
+        let counts: Vec<u64> = order.iter().map(|&(_, id)| self.cell(id).n()).collect();
+        let mut sums = vec![0u64; order.len()];
+        let top = self.layout.top();
+        for axis in 0..self.d {
+            let (word, shift) = self.layout.locate(axis);
+            let mut b = 0;
+            for (a, key) in keys.chunks_exact(w).enumerate() {
+                if key.get(word).is_none_or(|&kw| (kw >> shift) & top == top) {
+                    continue;
+                }
+                // Every key before `b` is below the previous target, so below
+                // this one too.
+                b = b.max(a + 1);
+                while let Some(other) = keys.get(b * w..(b + 1) * w) {
+                    match cmp_stepped(other, key, word, 1 << shift) {
+                        Ordering::Less => b += 1,
+                        Ordering::Equal => {
+                            sums[a] += counts[b]; // xtask-allow: indexing — a, b < cells
+                            sums[b] += counts[a]; // xtask-allow: indexing — a, b < cells
+                            break;
+                        }
+                        Ordering::Greater => break,
+                    }
+                }
+            }
+        }
+        let mut by_id = vec![0u64; sums.len()];
+        for (&(_, id), sum) in order.iter().zip(sums) {
+            by_id[u32_to_usize(id)] = sum; // xtask-allow: indexing — `order` holds every id once
+        }
+        by_id
     }
 
     /// Id of the cell's parent one level up, the cell at `coords >> 1`.
@@ -190,57 +255,88 @@ impl Level {
     /// Sum of point counts over all cells (must equal `η`; used by tests and
     /// debug assertions).
     pub fn total_points(&self) -> u64 {
-        self.n.iter().sum()
+        self.n.iter().copied().map(u64::from).sum()
     }
 
     /// Heap footprint in bytes: the level plus its arrays' capacities.
     pub fn memory_bytes(&self) -> usize {
-        let words = [&self.coords, &self.n, &self.p, &self.keys, &self.slots];
         size_of::<Level>()
-            + words.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<u64>()
+            + (self.keys.capacity() + self.slots.capacity()) * size_of::<u64>()
+            + (self.n.capacity() + self.p.capacity()) * size_of::<u32>()
             + self.used.capacity() * size_of::<bool>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
-    /// Fetches the cell at `coords`, materializing it under `parent` if
-    /// absent, and returns its id.
-    pub(crate) fn get_or_insert(&mut self, coords: &[u64], parent: CellId) -> CellId {
+    /// Counts one point into the level: the cell at `fine >> shift` (the
+    /// point's finest-grid coordinates one shift up), materialized under
+    /// `parent` if absent. Returns the cell's id. `key` is scratch space of
+    /// at least `W` words.
+    pub(crate) fn add_point(
+        &mut self,
+        fine: &[u64],
+        shift: u32,
+        parent: CellId,
+        key: &mut [u64],
+    ) -> CellId {
+        let key = key.get_mut(..self.words).unwrap_or_default();
+        self.layout.pack(fine.iter().map(|&f| f >> shift), key);
+        let id = self.get_or_insert(key, parent);
+        // The point is in the lower half of this cell along e_j iff its
+        // coordinate one level finer is even.
+        self.count_point(id, fine, shift - 1);
+        id
+    }
+
+    /// Ids `0..n_cells`.
+    fn ids(&self) -> impl ExactSizeIterator<Item = CellId> {
+        // `get_or_insert` hands out ids below 2^32 only.
+        0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX)
+    }
+
+    /// The packed key of cell `id`.
+    #[inline]
+    fn key(&self, id: CellId) -> &[u64] {
+        let i = u32_to_usize(id);
+        &self.keys[i * self.words..(i + 1) * self.words] // xtask-allow: indexing — callers pass ids of stored cells
+    }
+
+    /// Fetches the cell with packed key `key`, materializing it under
+    /// `parent` if absent, and returns its id.
+    fn get_or_insert(&mut self, key: &[u64], parent: CellId) -> CellId {
         if 2 * (self.n_cells() + 1) > self.slots.len() {
             self.grow_index();
         }
-        let key = key_of(coords);
-        let pos = match self.probe(key, |cand| cand == coords) {
+        let hash = hash_key(key.iter().copied());
+        let pos = match self.probe(hash, |cand| cand == key) {
             Ok(id) => return id,
             Err(pos) => pos,
         };
         // The index stores `id + 1` in 32 bits, so ids stop below 2^32 − 1.
         let id = bounded_to_u32(self.n_cells() + 1) - 1;
-        self.slots[pos] = occupied(key, id); // xtask-allow: indexing — `probe` returns an in-range slot
-        self.coords.extend_from_slice(coords);
+        self.slots[pos] = occupied(hash, id); // xtask-allow: indexing — `probe` returns an in-range slot
+        self.keys.extend_from_slice(key);
         self.p.resize(self.p.len() + self.d, 0);
         self.n.push(0);
         self.used.push(false);
         self.parents.push(parent);
-        self.keys.push(key);
         id
     }
 
     /// Counts one point into cell `id`. The point lies in the lower half of
     /// the cell along axis `e_j` iff bit `bit` of `fine[j]` is clear.
-    pub(crate) fn count_point(&mut self, id: CellId, fine: &[u64], bit: u32) {
+    fn count_point(&mut self, id: CellId, fine: &[u64], bit: u32) {
         let i = u32_to_usize(id);
         self.n[i] += 1; // xtask-allow: indexing — ids come from `get_or_insert`
         let p = &mut self.p[i * self.d..(i + 1) * self.d]; // xtask-allow: indexing — ids come from `get_or_insert`
         for (slot, &f) in p.iter_mut().zip(fine) {
-            *slot += ((f >> bit) & 1) ^ 1;
+            *slot += u32::from((f >> bit) & 1 == 0);
         }
     }
 
-    /// Probes the index for `key`: `Ok(id)` of the cell whose coordinates
-    /// `is_match` accepts, else `Err` with the empty slot ending the probe.
+    /// Probes the index for `hash`: `Ok(id)` of the cell whose key `is_match`
+    /// accepts, else `Err` with the empty slot ending the probe.
     #[inline]
-    fn probe(&self, key: u64, is_match: impl Fn(&[u64]) -> bool) -> Result<CellId, usize> {
-        let hash = splitmix64(key);
+    fn probe(&self, hash: u64, is_match: impl Fn(&[u64]) -> bool) -> Result<CellId, usize> {
         let mask = self.slots.len() - 1;
         #[expect(clippy::as_conversions, reason = "truncation: low bits pick the slot")]
         let mut pos = (hash as usize) & mask;
@@ -252,9 +348,7 @@ impl Level {
             if slot >> 32 == hash >> 32 {
                 #[expect(clippy::as_conversions, reason = "truncation: low half is id + 1")]
                 let id = (slot as u32) - 1;
-                let i = u32_to_usize(id);
-                let cand = &self.coords[i * self.d..(i + 1) * self.d]; // xtask-allow: indexing — occupied slots hold ids of stored cells
-                if is_match(cand) {
+                if is_match(self.key(id)) {
                     return Ok(id);
                 }
             }
@@ -262,24 +356,34 @@ impl Level {
         }
     }
 
-    /// Doubles the slot count and re-places every cell from its stored key.
+    /// Doubles the slot count and re-places every cell from its key.
     fn grow_index(&mut self) {
         self.slots = vec![0; 2 * self.slots.len()];
-        let keys = std::mem::take(&mut self.keys);
-        for (id, &key) in (0..).zip(&keys) {
+        for id in self.ids() {
+            let hash = hash_key(self.key(id).iter().copied());
             // Stored cells are distinct, so the probe always ends at a free slot.
-            if let Err(pos) = self.probe(key, |_| false) {
-                self.slots[pos] = occupied(key, id); // xtask-allow: indexing — `probe` returns an in-range slot
+            if let Err(pos) = self.probe(hash, |_| false) {
+                self.slots[pos] = occupied(hash, id); // xtask-allow: indexing — `probe` returns an in-range slot
             }
         }
-        self.keys = keys;
     }
 }
 
-/// The slot holding `id` under `key`: the mixed key's high half as a tag,
+/// Compares `other` with `key + step` in word `word`, word by word.
+fn cmp_stepped(other: &[u64], key: &[u64], word: usize, step: u64) -> Ordering {
+    other
+        .iter()
+        .zip(key)
+        .enumerate()
+        .map(|(k, (&o, &w))| o.cmp(&if k == word { w + step } else { w }))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// The slot holding `id` under `hash`: the hash's high half as a tag,
 /// `id + 1` below it.
-fn occupied(key: u64, id: CellId) -> u64 {
-    (splitmix64(key) >> 32 << 32) | (u64::from(id) + 1)
+fn occupied(hash: u64, id: CellId) -> u64 {
+    (hash >> 32 << 32) | (u64::from(id) + 1)
 }
 
 #[cfg(test)]
@@ -287,37 +391,64 @@ mod tests {
     use super::*;
     use mrcc_common::float::exactly;
 
-    fn level_with(coords: &[&[u64]]) -> Level {
-        let mut l = Level::new(2, 2);
+    /// Materializes the cell at `coords` under `parent`.
+    fn insert(l: &mut Level, coords: &[u64], parent: CellId) -> CellId {
+        let mut key = vec![0; l.words];
+        l.layout.pack(coords.iter().copied(), &mut key);
+        l.get_or_insert(&key, parent)
+    }
+
+    fn level_with(h: u32, coords: &[&[u64]]) -> Level {
+        let mut l = Level::new(h, coords[0].len());
         for c in coords {
-            let id = l.get_or_insert(c, 0);
-            l.count_point(id, &[0, 0], 0);
+            let id = insert(&mut l, c, 0);
+            l.count_point(id, &vec![0; c.len()], 0);
         }
         l
     }
 
     #[test]
     fn insert_and_find() {
-        let l = level_with(&[&[0, 1], &[3, 2]]);
+        let l = level_with(2, &[&[0, 1], &[3, 2]]);
         assert_eq!(l.n_cells(), 2);
         assert!(l.find(&[0, 1]).is_some());
         assert!(l.find(&[1, 1]).is_none());
-        assert!(l.find(&[0]).is_none(), "a wrong-width key never matches");
+    }
+
+    #[test]
+    fn find_rejects_wrong_width_and_off_grid_coordinates() {
+        // Level 2 packs two bits per axis: (4, 0) would alias (0, 1).
+        let l = level_with(2, &[&[0, 1], &[3, 2]]);
+        assert_eq!(l.find(&[0]), None, "too narrow");
+        assert_eq!(l.find(&[0, 1, 0]), None, "too wide");
+        assert_eq!(l.find(&[4, 0]), None, "2^h on axis 0");
+        assert_eq!(l.find(&[3, 2 + 4]), None, "2^h + c on axis 1");
+        assert_eq!(l.find(&[u64::MAX, 1]), None);
     }
 
     #[test]
     fn get_or_insert_is_idempotent() {
         let mut l = Level::new(3, 2);
-        let a = l.get_or_insert(&[1, 2], 0);
-        let b = l.get_or_insert(&[1, 2], 0);
+        let a = insert(&mut l, &[1, 2], 0);
+        let b = insert(&mut l, &[1, 2], 0);
         assert_eq!(a, b);
         assert_eq!(l.n_cells(), 1);
     }
 
     #[test]
+    fn keys_round_trip_across_a_word_boundary() {
+        // h = 3 packs 21 fields per word: d = 22 takes two words.
+        let coords: Vec<u64> = (0..22).map(|j| j % 8).collect();
+        let l = level_with(3, &[&coords]);
+        assert_eq!(l.words, 2);
+        assert_eq!(l.find(&coords), Some(0));
+        assert_eq!(l.cell(0).coords().collect::<Vec<_>>(), coords);
+    }
+
+    #[test]
     fn counting_updates_half_spaces() {
         let mut l = Level::new(2, 2);
-        let id = l.get_or_insert(&[2, 3], 0);
+        let id = insert(&mut l, &[2, 3], 0);
         // Bit 0 clear → lower half along that axis.
         l.count_point(id, &[0, 1], 0);
         l.count_point(id, &[0, 0], 0);
@@ -332,7 +463,7 @@ mod tests {
     #[test]
     fn neighbors_respect_borders() {
         // Level 2 → coordinates in [0, 4).
-        let l = level_with(&[&[0, 0], &[1, 0], &[3, 0]]);
+        let l = level_with(2, &[&[0, 0], &[1, 0], &[3, 0]]);
         let id0 = l.find(&[0, 0]).unwrap();
         let id3 = l.find(&[3, 0]).unwrap();
         // Lower neighbor of coordinate 0 falls off the space border.
@@ -345,11 +476,66 @@ mod tests {
         assert_eq!(l.neighbor(id0, 1, Direction::Upper), None);
         assert_eq!(l.neighbor_count(id0, 1, Direction::Upper), 0);
         assert_eq!(l.neighbor_count(id0, 0, Direction::Upper), 1);
+        // An axis outside 0..d has no neighbor.
+        assert_eq!(l.neighbor(id0, 2, Direction::Upper), None);
+    }
+
+    #[test]
+    fn a_field_at_the_border_does_not_carry_into_the_next_axis() {
+        // At level 2, (3, 0) + e_0 unchecked is the key of (0, 1): the packed
+        // field carries. Neither lookup nor the level pass may pair them.
+        let l = level_with(2, &[&[3, 0], &[0, 1]]);
+        let edge = l.find(&[3, 0]).unwrap();
+        let next = l.find(&[0, 1]).unwrap();
+        assert_eq!(l.neighbor(edge, 0, Direction::Upper), None);
+        assert_eq!(l.neighbor(next, 0, Direction::Lower), None);
+        assert_eq!(l.face_neighbor_sums(), vec![0, 0]);
+        // The same at the last field of a full word: h = 3, d = 22, axis 20
+        // sits at the top of word 0 and axis 21 at the bottom of word 1.
+        let mut a = vec![0u64; 22];
+        a[20] = 7;
+        let mut b = vec![0u64; 22];
+        b[21] = 1;
+        let l = level_with(3, &[&a, &b]);
+        assert_eq!(l.neighbor(0, 20, Direction::Upper), None);
+        assert_eq!(l.face_neighbor_sums(), vec![0, 0]);
+    }
+
+    #[test]
+    fn face_neighbor_sums_add_both_directions() {
+        // (1,1) has faces (0,1), (2,1), (1,0), (1,2); (2,2) is a corner.
+        let mut l = Level::new(2, 2);
+        for (coords, points) in [
+            ([1, 1], 5),
+            ([2, 1], 2),
+            ([1, 0], 3),
+            ([2, 2], 7),
+            ([0, 1], 1),
+        ] {
+            let id = insert(&mut l, &coords, 0);
+            for _ in 0..points {
+                l.count_point(id, &[0, 0], 0);
+            }
+        }
+        let want: Vec<u64> = l
+            .iter()
+            .map(|(id, _)| {
+                (0..2)
+                    .map(|j| {
+                        l.neighbor_count(id, j, Direction::Lower)
+                            + l.neighbor_count(id, j, Direction::Upper)
+                    })
+                    .sum()
+            })
+            .collect();
+        assert_eq!(want, vec![2 + 3 + 1, 5 + 7, 5, 2, 5]);
+        assert_eq!(l.face_neighbor_sums(), want);
+        assert!(Level::new(2, 2).face_neighbor_sums().is_empty());
     }
 
     #[test]
     fn neighbor_symmetry() {
-        let l = level_with(&[&[1, 1], &[2, 1]]);
+        let l = level_with(2, &[&[1, 1], &[2, 1]]);
         let a = l.find(&[1, 1]).unwrap();
         let b = l.find(&[2, 1]).unwrap();
         assert_eq!(l.neighbor(a, 0, Direction::Upper), Some(b));
@@ -359,15 +545,15 @@ mod tests {
     #[test]
     fn parent_is_recorded() {
         let mut l = Level::new(2, 1);
-        let a = l.get_or_insert(&[0], 4);
-        let b = l.get_or_insert(&[3], 9);
-        assert_eq!(l.get_or_insert(&[0], 4), a);
+        let a = insert(&mut l, &[0], 4);
+        let b = insert(&mut l, &[3], 9);
+        assert_eq!(insert(&mut l, &[0], 4), a);
         assert_eq!((l.parent(a), l.parent(b)), (4, 9));
     }
 
     #[test]
     fn used_flag_round_trips() {
-        let mut l = level_with(&[&[0, 0], &[1, 0]]);
+        let mut l = level_with(2, &[&[0, 0], &[1, 0]]);
         assert!(!l.cell(1).used());
         l.set_used(1, true);
         assert!(l.cell(1).used() && !l.cell(0).used());
@@ -384,23 +570,14 @@ mod tests {
 
     #[test]
     fn total_points_sums_counts() {
-        let l = level_with(&[&[0, 0], &[1, 0], &[3, 0]]);
+        let l = level_with(2, &[&[0, 0], &[1, 0], &[3, 0]]);
         assert_eq!(l.total_points(), 3);
     }
 
     #[test]
     fn memory_estimate_grows_with_cells() {
-        let small = level_with(&[&[0, 0]]);
-        let big = level_with(&[&[0, 0], &[1, 0], &[2, 0], &[3, 0]]);
+        let small = level_with(2, &[&[0, 0]]);
+        let big = level_with(2, &[&[0, 0], &[1, 0], &[2, 0], &[3, 0]]);
         assert!(big.memory_bytes() > small.memory_bytes());
-    }
-
-    #[test]
-    fn axis_keys_are_odd_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for k in AXIS_KEYS {
-            assert_eq!(k & 1, 1);
-            assert!(seen.insert(k));
-        }
     }
 }

@@ -25,17 +25,27 @@
 //! from the root. It then notes that, "intending to make it easier to
 //! understand", nodes can equivalently be treated as arrays of cells. We take
 //! the flat view: each level keeps one array per cell field, addressed by
-//! [`CellId`], plus an open-addressing index keyed by the cell's **absolute
-//! grid coordinates** (one integer per axis, coordinate ∈ `[0, 2^h)`). All
-//! the tree navigation of the paper becomes integer arithmetic —
+//! [`CellId`], plus an open-addressing index keyed by the cell's **packed
+//! grid position** (coordinate ∈ `[0, 2^h)` per axis). All the tree
+//! navigation of the paper becomes integer arithmetic —
 //!
-//! * relative position `loc` bit of axis `j` = low bit of `coords[j]`,
+//! * the key packs `h` bits per coordinate, `⌊64/h⌋` coordinates per `u64`
+//!   word, none crossing a word, so at the default `H = 4` a cell of up to
+//!   21 dimensions is one word; the key is exact, so it *is* the position,
+//!   and a coordinate decodes with a shift and a mask;
+//! * relative position `loc` bit of axis `j` = low bit of coordinate `j`,
 //! * immediate parent = `coords >> 1` one level up, recorded at insertion,
 //! * the *internal* face neighbor of the paper (same parent) and the
-//!   *external* one (different parent) are both `coords[j] ± 1`; keys are
-//!   additive (`Σ_j c_j·K_j`), so the neighbor's key is `key ± K_j`.
+//!   *external* one (different parent) are both `coords[j] ± 1`: one field
+//!   of one word steps by one, after an explicit border check (a field at
+//!   `0` or `2^h − 1` would otherwise borrow from or carry into the next
+//!   axis);
+//! * the face-only convolution of a whole level needs no lookup at all:
+//!   [`Level::face_neighbor_sums`] sorts the keys once and merges them
+//!   against themselves stepped by `+e_j`, one linear pass per axis.
 //!
-//! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's.
+//! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's,
+//! with the counts stored as `u32`: a tree counts at most [`MAX_POINTS`].
 
 pub mod cell;
 pub mod level;
@@ -43,4 +53,4 @@ pub mod tree;
 
 pub use cell::{Cell, CellId};
 pub use level::{Direction, Level};
-pub use tree::{CountingTree, MAX_RESOLUTIONS, MIN_RESOLUTIONS};
+pub use tree::{CountingTree, MAX_POINTS, MAX_RESOLUTIONS, MIN_RESOLUTIONS};

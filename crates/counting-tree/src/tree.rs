@@ -1,7 +1,7 @@
 //! Counting-tree construction (Algorithm 1) and whole-tree queries.
 
 use mrcc_common::dataset::MAX_DIMS;
-use mrcc_common::num::{bounded_to_u32, powi_exp, trunc_to_u64};
+use mrcc_common::num::{bounded_to_u32, powi_exp, trunc_to_u64, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
 use crate::cell::CellId;
@@ -18,6 +18,9 @@ pub const MIN_RESOLUTIONS: usize = 3;
 /// the paper's sensitivity sweep (`H` up to 80 adds nothing past the data's
 /// own resolution — see EXPERIMENTS.md).
 pub const MAX_RESOLUTIONS: usize = 64;
+
+/// Most points a tree counts: cell counts are `u32`.
+pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 
 /// The Counting-tree: levels `h = 1 … H−1` of a multi-resolution hyper-grid.
 ///
@@ -57,6 +60,7 @@ impl CountingTree {
     ///   `[MIN_RESOLUTIONS, MAX_RESOLUTIONS]` or any coordinate is outside
     ///   `[0, 1)` (the dataset must be normalized first — Definition 1).
     /// * [`Error::EmptyDataset`] for a dataset with no points.
+    /// * [`Error::TooManyPoints`] for more than [`MAX_POINTS`] points.
     pub fn build(ds: &Dataset, resolutions: usize) -> Result<CountingTree> {
         let mut tree = CountingTree::empty(ds.dims(), resolutions)?;
         if ds.is_empty() {
@@ -121,6 +125,7 @@ impl CountingTree {
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] on a wrong-width point;
+    /// [`Error::TooManyPoints`] when the tree already holds [`MAX_POINTS`];
     /// [`Error::InvalidParameter`] when a coordinate is outside `[0, 1)`.
     pub fn insert(&mut self, point: &[f64]) -> Result<()> {
         let d = self.dims;
@@ -129,6 +134,10 @@ impl CountingTree {
                 expected: d,
                 got: point.len(),
             });
+        }
+        // Cells count in `u32`; the root holds every point.
+        if self.n_points >= MAX_POINTS {
+            return Err(Error::TooManyPoints { max: MAX_POINTS });
         }
         let h_max = self.resolutions - 1;
         // Finest "virtual" grid: level h_max + 1, used only to derive the
@@ -148,21 +157,13 @@ impl CountingTree {
             *slot = trunc_to_u64(v * fine_scale);
         }
         let fine = &fine[..d]; // xtask-allow: indexing — `empty` bounds d by MAX_DIMS
-        let mut coords = [0u64; MAX_DIMS];
-        let coords = &mut coords[..d]; // xtask-allow: indexing — `empty` bounds d by MAX_DIMS
-                                       // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
-                                       // parent is the implicit root, reported as id 0.
+        let mut key = [0u64; MAX_DIMS];
+        // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
+        // parent is the implicit root, reported as id 0.
         let mut parent: CellId = 0;
         let shifts = (1..=bounded_to_u32(h_max)).rev();
         for (level, shift) in self.levels.iter_mut().zip(shifts) {
-            for (c, f) in coords.iter_mut().zip(fine) {
-                *c = f >> shift;
-            }
-            let id = level.get_or_insert(coords, parent);
-            // The point is in the lower half of this cell along e_j iff its
-            // coordinate one level finer is even.
-            level.count_point(id, fine, shift - 1);
-            parent = id;
+            parent = level.add_point(fine, shift, parent, &mut key);
         }
         self.n_points += 1;
         Ok(())
@@ -232,8 +233,9 @@ impl CountingTree {
     /// * **count conservation** — every materialized level's cell counts sum
     ///   to `η`, the number of inserted points;
     /// * **half-space bounds** — per cell, each axis half-count `P[j]` never
-    ///   exceeds the cell count `n`, and coordinates stay inside the level's
-    ///   `2^h` grid;
+    ///   exceeds the cell count `n`;
+    /// * **exact keys** — the index finds every cell again by the
+    ///   coordinates its key decodes to;
     /// * **parent/child containment** — every cell at level `h + 1` has a
     ///   materialized parent at level `h` (coordinates right-shifted by one)
     ///   holding at least as many points, and [`Level::parent`] records
@@ -254,19 +256,18 @@ impl CountingTree {
                 "invariant violated: level {} does not conserve the point count",
                 level.h()
             );
-            let extent = level.grid_extent();
-            for (_, cell) in level.iter() {
+            for (id, cell) in level.iter() {
+                let coords: Vec<u64> = cell.coords().collect();
                 assert!(
-                    cell.coords().iter().all(|&c| c < extent),
-                    "invariant violated: level {} cell {:?} outside the 2^h grid",
-                    level.h(),
-                    cell.coords()
+                    cell.half_counts().iter().all(|&p| u64::from(p) <= cell.n()),
+                    "invariant violated: level {} cell {coords:?}: some P[j] > n",
+                    level.h()
                 );
-                assert!(
-                    cell.half_counts().iter().all(|&p| p <= cell.n()),
-                    "invariant violated: level {} cell {:?}: some P[j] > n",
-                    level.h(),
-                    cell.coords()
+                assert_eq!(
+                    level.find(&coords),
+                    Some(id),
+                    "invariant violated: level {} cell {coords:?} not found by its coordinates",
+                    level.h()
                 );
             }
         }
@@ -275,19 +276,14 @@ impl CountingTree {
             for (id, cc) in child.iter() {
                 let pc = parent.cell(child.parent(id));
                 assert!(
-                    pc.coords()
-                        .iter()
-                        .zip(cc.coords())
-                        .all(|(&p, &c)| p == c >> 1),
-                    "invariant violated: level {} cell {:?} records the wrong parent",
-                    child.h(),
-                    cc.coords()
+                    pc.coords().zip(cc.coords()).all(|(p, c)| p == c >> 1),
+                    "invariant violated: level {} cell {id} records the wrong parent",
+                    child.h()
                 );
                 assert!(
                     pc.n() >= cc.n(),
-                    "invariant violated: level {} cell {:?} outweighs its parent",
-                    child.h(),
-                    cc.coords()
+                    "invariant violated: level {} cell {id} outweighs its parent",
+                    child.h()
                 );
             }
         }
@@ -379,8 +375,8 @@ mod tests {
                     let expect: u64 = child
                         .iter()
                         .filter(|(_, cc)| {
-                            (0..tree.dims()).all(|k| cc.coords()[k] >> 1 == cell.coords()[k])
-                                && cc.coords()[j] & 1 == 0
+                            (0..tree.dims()).all(|k| cc.coord(k) >> 1 == cell.coord(k))
+                                && cc.coord(j) & 1 == 0
                         })
                         .map(|(_, cc)| cc.n())
                         .sum();
@@ -388,7 +384,7 @@ mod tests {
                         cell.half_count(j),
                         expect,
                         "h={h} cell={:?} axis={j}",
-                        cell.coords()
+                        cell.coords().collect::<Vec<_>>()
                     );
                 }
             }
@@ -405,9 +401,7 @@ mod tests {
             for (_, cell) in level.iter() {
                 let sum: u64 = child
                     .iter()
-                    .filter(|(_, cc)| {
-                        (0..tree.dims()).all(|k| cc.coords()[k] >> 1 == cell.coords()[k])
-                    })
+                    .filter(|(_, cc)| (0..tree.dims()).all(|k| cc.coord(k) >> 1 == cell.coord(k)))
                     .map(|(_, cc)| cc.n())
                     .sum();
                 assert_eq!(cell.n(), sum);
@@ -432,8 +426,8 @@ mod tests {
         let l3 = tree.level(3);
         assert_eq!(l3.n_cells(), 1);
         let (_, cell) = l3.iter().next().unwrap();
-        assert_eq!(cell.coords()[0], 7); // 2^3 − 1
-        assert_eq!(cell.coords()[1], 0);
+        assert_eq!(cell.coord(0), 7); // 2^3 − 1
+        assert_eq!(cell.coord(1), 0);
     }
 
     #[test]
@@ -470,7 +464,8 @@ mod incremental_tests {
             let (bl, il) = (batch.level(h), inc.level(h));
             assert_eq!(bl.n_cells(), il.n_cells(), "level {h}");
             for (_, cell) in bl.iter() {
-                let id = il.find(cell.coords()).expect("cell present");
+                let coords: Vec<u64> = cell.coords().collect();
+                let id = il.find(&coords).expect("cell present");
                 let other = il.cell(id);
                 assert_eq!(cell.n(), other.n());
                 assert_eq!(cell.half_counts(), other.half_counts());
@@ -485,6 +480,26 @@ mod incremental_tests {
         assert!(tree.insert(&[0.1, 0.2, 1.0]).is_err()); // out of range
         assert!(tree.insert(&[0.1, 0.2, 0.3]).is_ok());
         assert_eq!(tree.n_points(), 1);
+    }
+
+    #[test]
+    fn insert_stops_at_the_u32_count_limit() {
+        let mut tree = CountingTree::empty(2, 4).unwrap();
+        tree.insert(&[0.1, 0.2]).unwrap();
+        tree.n_points = MAX_POINTS - 1;
+        assert!(tree.insert(&[0.1, 0.2]).is_ok());
+        assert_eq!(tree.n_points(), MAX_POINTS);
+        let err = tree.insert(&[0.1, 0.2]).unwrap_err();
+        assert!(
+            matches!(err, Error::TooManyPoints { max: MAX_POINTS }),
+            "{err}"
+        );
+        assert_eq!(tree.n_points(), MAX_POINTS);
+        assert_eq!(
+            tree.level(1).total_points(),
+            2,
+            "the refused point is not counted"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation profile and exact memory accounting of the Counting-tree build.
+//! Allocation profile and exact memory accounting of the Counting-tree build,
+//! and the allocation profile of the level pass.
 //!
 //! A test-local counting allocator wraps the system allocator. This binary
 //! holds a single test, so no other test thread allocates while it measures.
@@ -85,13 +86,30 @@ fn build_allocations_and_memory_bytes() {
         "4× points: {small_allocs} → {large_allocs} allocations over {levels} levels"
     );
 
-    // memory_bytes accounts for the live heap the build left behind.
+    // memory_bytes is exactly the live heap the build left behind, plus the
+    // tree's own struct, which lives on the stack.
     for (t, grown) in [(&tree, small_grown), (&big_tree, large_grown)] {
-        let reported = t.memory_bytes();
-        let diff = reported.abs_diff(grown);
-        assert!(
-            diff * 20 <= grown,
-            "memory_bytes {reported} vs live growth {grown} (more than 5 % apart)"
-        );
+        assert_eq!(t.memory_bytes(), grown + size_of::<CountingTree>());
     }
+
+    // The level pass allocates a fixed set of buffers per call, not one per
+    // cell: the same count at 4× the cells.
+    let pass_allocations = |t: &CountingTree| {
+        let level = t.level(H - 1);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let sums = level.face_neighbor_sums();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(sums.len(), level.n_cells());
+        allocations
+    };
+    let (small_pass, large_pass) = (pass_allocations(&tree), pass_allocations(&big_tree));
+    assert!(
+        big_tree.level(H - 1).n_cells() > 3 * tree.level(H - 1).n_cells(),
+        "the larger tree has several times the cells"
+    );
+    assert_eq!(small_pass, large_pass);
+    assert!(
+        small_pass <= 5,
+        "{small_pass} allocations in one level pass"
+    );
 }

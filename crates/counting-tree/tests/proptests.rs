@@ -17,13 +17,17 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 /// cell, `2^h − 1`.
 const LAST_BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
 
-/// Strategy: a tree shape `(d, H)` with `d ∈ {1, 2..=8, 64}` and
-/// `H ∈ {3, 4..=7, 64}`, drawing each extreme about one time in ten (`d`)
-/// or one in six (`H`).
+/// Strategy: a tree shape `(d, H)` with `d ∈ {1, 2..=8, 21, 22, 64}` and
+/// `H ∈ {3, 4..=7, 64}`, drawing each wide `d` about one time in twelve
+/// and each extreme `H` about one in six. At `H = 4` the deepest level packs
+/// 21 coordinates per key word, so `d = 21, 22, 64` take one, two and four
+/// words; at `H = 64` every coordinate of the deepest level takes a word.
 fn shape_strategy() -> impl Strategy<Value = (usize, usize)> {
-    (0usize..=9, 0usize..=5).prop_map(|(a, b)| {
+    (0usize..=11, 0usize..=5).prop_map(|(a, b)| {
         let d = match a {
             0 => 64,
+            10 => 21,
+            11 => 22,
             a => a.min(8),
         };
         let h = match b {
@@ -51,7 +55,7 @@ fn coordinate_strategy() -> impl Strategy<Value = f64> {
 /// fewer points to keep the brute-force reference fast.
 fn tree_case_strategy() -> impl Strategy<Value = (Dataset, usize)> {
     shape_strategy().prop_flat_map(|(d, h)| {
-        let max_points = if d == 64 || h == 64 { 40 } else { 200 };
+        let max_points = if d > 8 || h == 64 { 40 } else { 200 };
         (
             proptest::collection::vec(
                 proptest::collection::vec(coordinate_strategy(), d..=d),
@@ -67,26 +71,37 @@ fn tree_case_strategy() -> impl Strategy<Value = (Dataset, usize)> {
 fn scan(level: &Level, coords: &[u64]) -> Option<CellId> {
     level
         .iter()
-        .find(|(_, cell)| cell.coords() == coords)
+        .find(|(_, cell)| cell.coords().eq(coords.iter().copied()))
         .map(|(id, _)| id)
 }
 
-/// `find`, `neighbor` (both directions, every axis) and `neighbor_count`
-/// agree with [`scan`] on every cell of every level.
+/// `find`, `neighbor` (both directions, every axis), `neighbor_count` and
+/// `face_neighbor_sums` agree with [`scan`] on every cell of every level, and
+/// `find` refuses wrong-width and off-grid coordinates.
 fn assert_index_matches_scan(tree: &CountingTree) {
     let d = tree.dims();
     for level in tree.levels() {
         let extent = level.grid_extent();
+        let mut sums = Vec::new();
         for (id, cell) in level.iter() {
-            assert_eq!(level.find(cell.coords()), Some(id), "level {}", level.h());
+            let coords: Vec<u64> = cell.coords().collect();
+            assert_eq!(coords.len(), d);
+            assert!((0..d).all(|j| cell.coord(j) == coords[j]));
+            assert_eq!(level.find(&coords), Some(id), "level {}", level.h());
+            assert_eq!(level.find(&coords[..d - 1]), None, "narrow key");
+            assert_eq!(level.find(&[&coords[..], &[0]].concat()), None, "wide key");
+            let mut sum = 0;
             for axis in 0..d {
-                let c = cell.coords()[axis];
+                let mut off_grid = coords.clone();
+                off_grid[axis] = extent;
+                assert_eq!(level.find(&off_grid), None, "2^h on axis {axis}");
+                let c = coords[axis];
                 for (dir, target) in [
                     (Direction::Lower, c.checked_sub(1)),
                     (Direction::Upper, Some(c + 1).filter(|&t| t < extent)),
                 ] {
                     let expected = target.and_then(|t| {
-                        let mut key = cell.coords().to_vec();
+                        let mut key = coords.clone();
                         key[axis] = t;
                         let found = scan(level, &key);
                         assert_eq!(level.find(&key), found, "find {key:?}");
@@ -94,13 +109,27 @@ fn assert_index_matches_scan(tree: &CountingTree) {
                     });
                     let context = format!("level {} cell {id} axis {axis} {dir:?}", level.h());
                     assert_eq!(level.neighbor(id, axis, dir), expected, "{context}");
-                    assert_eq!(
-                        level.neighbor_count(id, axis, dir),
-                        expected.map_or(0, |nid| level.cell(nid).n()),
-                        "{context}"
-                    );
+                    let count = expected.map_or(0, |nid| level.cell(nid).n());
+                    assert_eq!(level.neighbor_count(id, axis, dir), count, "{context}");
+                    sum += count;
                 }
             }
+            sums.push(sum);
+        }
+        assert_eq!(level.face_neighbor_sums(), sums, "level {}", level.h());
+    }
+}
+
+/// Every point's cell at every level holds the point: `floor(v·2^h)` per
+/// axis, looked up by `find`, decodes back through `Cell::coord`.
+fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
+    for level in tree.levels() {
+        let scale = (2.0f64).powi(level.h() as i32);
+        for p in ds.iter() {
+            let coords: Vec<u64> = p.iter().map(|&v| (v * scale).floor() as u64).collect();
+            let id = level.find(&coords).expect("every point's cell exists");
+            let cell = level.cell(id);
+            assert!((0..coords.len()).all(|j| cell.coord(j) == coords[j]));
         }
     }
 }
@@ -129,7 +158,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The level index answers exactly like a linear scan, including at
-    /// `d = 1`, `d = 64`, `H = 3` and `H = 64`, where coordinates reach
+    /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where coordinates reach
     /// `2^63 − 2^10` and `Upper` stops at the grid border of every level up
     /// to 53.
     #[test]
@@ -138,6 +167,7 @@ proptest! {
         #[cfg(feature = "strict-invariants")]
         tree.check_invariants();
         assert_index_matches_scan(&tree);
+        assert_points_round_trip(&ds, &tree);
     }
 
     /// Every level counts every point exactly once.
@@ -160,7 +190,7 @@ proptest! {
             prop_assert!(level.n_cells() <= ds.len());
             for (_, cell) in level.iter() {
                 prop_assert!(cell.n() >= 1);
-                for &c in cell.coords() {
+                for c in cell.coords() {
                     prop_assert!(c < level.grid_extent());
                 }
             }
@@ -187,7 +217,6 @@ proptest! {
         let tree = CountingTree::build(&ds, 5).unwrap();
         #[cfg(feature = "strict-invariants")]
         tree.check_invariants();
-        let d = tree.dims();
         for h in 1..tree.deepest_level() {
             let level = tree.level(h);
             let child = tree.level(h + 1);
@@ -195,11 +224,12 @@ proptest! {
             use std::collections::HashMap;
             let mut acc: HashMap<Vec<u64>, u64> = HashMap::new();
             for (_, cc) in child.iter() {
-                let key: Vec<u64> = (0..d).map(|k| cc.coords()[k] >> 1).collect();
+                let key: Vec<u64> = cc.coords().map(|c| c >> 1).collect();
                 *acc.entry(key).or_insert(0) += cc.n();
             }
             for (_, cell) in level.iter() {
-                prop_assert_eq!(acc.get(cell.coords()).copied().unwrap_or(0), cell.n());
+                let key: Vec<u64> = cell.coords().collect();
+                prop_assert_eq!(acc.get(&key).copied().unwrap_or(0), cell.n());
             }
         }
     }
