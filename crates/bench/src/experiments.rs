@@ -13,14 +13,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mrcc::{AxisSelection, MaskKind, MrCC, MrCCConfig};
-use mrcc_common::SubspaceClustering;
 use mrcc_datagen::{
     clusters_group, dims_group, first_group, generate, kdd_cup_2008_surrogate, noise_group,
     points_group, rotated_group, Synthetic, SyntheticSpec, View,
 };
-use mrcc_eval::{measure_peak, quality, run_with_timeout, subspace_quality, Timeout};
 
-use crate::runner::{run_method, MethodKind, RunRecord};
+use crate::runner::{run_clusterer, run_method, MethodKind, MrCCClusterer, RunRecord};
 
 /// Experiment ids, in DESIGN.md order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
@@ -125,52 +123,8 @@ fn run_mrcc_config(
     synth: &Synthetic,
     budget: Duration,
 ) -> RunRecord {
-    let dataset = synth.dataset.clone();
-    let outcome = run_with_timeout(budget, move || {
-        measure_peak(move || MrCC::new(config).fit(&dataset).map(|r| r.clustering))
-    });
-    finish_record(label, synth, outcome)
-}
-
-fn finish_record(
-    label: String,
-    synth: &Synthetic,
-    outcome: Timeout<(
-        mrcc_common::Result<SubspaceClustering>,
-        mrcc_eval::MemoryReport,
-    )>,
-) -> RunRecord {
-    let mut record = RunRecord {
-        dataset: synth.name.clone(),
-        method: label,
-        n_points: synth.dataset.len(),
-        dims: synth.dataset.dims(),
-        quality: 0.0,
-        subspace_quality: None,
-        seconds: None,
-        peak_kb: None,
-        clusters_found: 0,
-        timed_out: false,
-    };
-    match outcome {
-        Timeout::TimedOut { .. } => record.timed_out = true,
-        Timeout::Finished {
-            value: (fit, memory),
-            elapsed,
-        } => {
-            record.seconds = Some(elapsed.as_secs_f64());
-            if memory.tracked {
-                record.peak_kb = Some(memory.peak_kb());
-            }
-            if let Ok(clustering) = fit {
-                record.clusters_found = clustering.len();
-                record.quality = quality(&clustering, &synth.ground_truth).quality;
-                record.subspace_quality =
-                    Some(subspace_quality(&clustering, &synth.ground_truth).quality);
-            }
-        }
-    }
-    record
+    let clusterer = Box::new(MrCCClusterer(MrCC::new(config)));
+    run_clusterer(label, clusterer, true, synth, budget)
 }
 
 /// Fig. 4a–c: MrCC sensitivity to the significance level α.

@@ -104,7 +104,7 @@ impl MethodKind {
 }
 
 /// Adapter exposing MrCC through the baseline trait.
-struct MrCCClusterer(MrCC);
+pub(crate) struct MrCCClusterer(pub(crate) MrCC);
 
 impl SubspaceClusterer for MrCCClusterer {
     fn name(&self) -> &'static str {
@@ -167,6 +167,25 @@ impl ToJson for RunRecord {
 /// Runs one method on one synthetic workload under a budget.
 pub fn run_method(method: MethodKind, synth: &Synthetic, budget: Duration) -> RunRecord {
     let clusterer = method.build(synth.ground_truth.len(), synth.spec.noise_fraction);
+    run_clusterer(
+        method.name().to_string(),
+        clusterer,
+        method.reports_subspaces(),
+        synth,
+        budget,
+    )
+}
+
+/// Runs `clusterer` on one synthetic workload under a budget and scores it
+/// into a record named `label`; Subspaces Quality is reported only when
+/// `reports_subspaces` is set.
+pub(crate) fn run_clusterer(
+    label: String,
+    clusterer: Box<dyn SubspaceClusterer>,
+    reports_subspaces: bool,
+    synth: &Synthetic,
+    budget: Duration,
+) -> RunRecord {
     let dataset = synth.dataset.clone();
     let outcome = run_with_timeout(budget, move || {
         measure_peak(move || clusterer.fit(&dataset))
@@ -174,7 +193,7 @@ pub fn run_method(method: MethodKind, synth: &Synthetic, budget: Duration) -> Ru
 
     let mut record = RunRecord {
         dataset: synth.name.clone(),
-        method: method.name().to_string(),
+        method: label,
         n_points: synth.dataset.len(),
         dims: synth.dataset.dims(),
         quality: 0.0,
@@ -199,7 +218,7 @@ pub fn run_method(method: MethodKind, synth: &Synthetic, budget: Duration) -> Ru
             if let Ok(clustering) = fit {
                 record.clusters_found = clustering.len();
                 record.quality = quality(&clustering, &synth.ground_truth).quality;
-                if method.reports_subspaces() {
+                if reports_subspaces {
                     record.subspace_quality =
                         Some(subspace_quality(&clustering, &synth.ground_truth).quality);
                 }

@@ -26,10 +26,9 @@
 //! consumers (soft memberships) never re-scan either. The pass is a single
 //! serial loop over the points.
 //!
-//! The superseded multi-scan implementation is retained behind
-//! `#[cfg(any(test, feature = "merge-oracle"))]` as
-//! [`build_correlation_clusters_oracle`], the equivalence oracle the test
-//! layer checks the engine against.
+//! The superseded multi-scan implementation lives on only as the
+//! equivalence oracle in `tests/merge_equivalence.rs`, which checks this
+//! engine against it bit for bit.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -361,81 +360,9 @@ pub fn build_correlation_clusters(
     (clusters, clustering, cache)
 }
 
-/// The superseded `O(β²·η·d)` merge/labeling path, kept verbatim as the
-/// equivalence oracle for the single-scan engine: one dataset scan per
-/// β-cluster, one per overlapping pair, and a final labeling pass (every
-/// pass ticks [`dataset_scan_count`]). Compiled only for tests and under
-/// the `merge-oracle` feature (the `merge` bench binary asserts
-/// bit-identity against it on every timed workload).
-#[cfg(any(test, feature = "merge-oracle"))]
-pub fn build_correlation_clusters_oracle(
-    dataset: &Dataset,
-    betas: &[BetaCluster],
-) -> (Vec<CorrelationCluster>, SubspaceClustering) {
-    let dims = dataset.dims();
-    if betas.is_empty() {
-        return (Vec::new(), SubspaceClustering::empty(dataset.len(), dims));
-    }
-
-    note_dataset_scan();
-    let box_counts: Vec<usize> = betas
-        .iter()
-        .map(|b| dataset.iter().filter(|p| b.bounds.contains(p)).count())
-        .collect();
-    let mut uf = UnionFind::new(betas.len());
-    for (i, (beta_i, &count_i)) in betas.iter().zip(&box_counts).enumerate() {
-        let rest = betas.iter().zip(&box_counts).enumerate().skip(i + 1);
-        for (j, (beta_j, &count_j)) in rest {
-            if !beta_i.shares_space(beta_j) {
-                continue;
-            }
-            note_dataset_scan();
-            let bi = &beta_i.bounds;
-            let bj = &beta_j.bounds;
-            let junction = dataset
-                .iter()
-                .filter(|p| bi.contains(p) && bj.contains(p))
-                .count();
-            let needed = (count_i.min(count_j) as f64 * JUNCTION_DENSITY).ceil();
-            if junction as f64 >= needed.max(1.0) {
-                uf.union(i, j);
-            }
-        }
-    }
-
-    let (groups, _) = collect_groups(&mut uf, betas.len());
-    let mut clusters = describe_groups(&groups, betas, dims);
-
-    note_dataset_scan();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
-    for (i, p) in dataset.iter().enumerate() {
-        'point: for (cluster, bucket) in clusters.iter().zip(members.iter_mut()) {
-            for &m in &cluster.beta_indices {
-                // xtask-allow: indexing — `beta_indices` index `betas`
-                if betas[m].bounds.contains(p) {
-                    bucket.push(i);
-                    break 'point;
-                }
-            }
-        }
-    }
-    for (cluster, m) in clusters.iter_mut().zip(&members) {
-        cluster.size = m.len();
-    }
-
-    let subspace_clusters: Vec<SubspaceCluster> = clusters
-        .iter()
-        .zip(members)
-        .map(|(c, pts)| SubspaceCluster::new(pts, c.axes))
-        .collect();
-    let clustering = SubspaceClustering::new(dataset.len(), dims, subspace_clusters);
-    (clusters, clustering)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrcc_common::float::exactly;
 
     fn beta(lo: &[f64], hi: &[f64], axes: &[usize]) -> BetaCluster {
         let d = lo.len();
@@ -459,133 +386,6 @@ mod tests {
         Dataset::from_rows(&rows).unwrap()
     }
 
-    /// Asserts the single-scan engine and the quadratic oracle agree
-    /// exactly on `ds`/`betas`, and returns the engine's output.
-    fn build_checked(
-        ds: &Dataset,
-        betas: &[BetaCluster],
-    ) -> (Vec<CorrelationCluster>, SubspaceClustering, MergeCache) {
-        let (oc, ocl) = build_correlation_clusters_oracle(ds, betas);
-        let (c, cl, cache) = build_correlation_clusters(ds, betas, 1);
-        assert_eq!(cl.labels(), ocl.labels(), "labels diverge");
-        assert_eq!(c.len(), oc.len(), "cluster count diverges");
-        for (k, (a, b)) in c.iter().zip(&oc).enumerate() {
-            assert_eq!(a.axes, b.axes, "γ {k} axes");
-            assert_eq!(a.beta_indices, b.beta_indices, "γ {k} members");
-            assert_eq!(a.size, b.size, "γ {k} size");
-            for j in 0..a.hull.dims() {
-                assert_eq!(a.hull.lower(j).to_bits(), b.hull.lower(j).to_bits());
-                assert_eq!(a.hull.upper(j).to_bits(), b.hull.upper(j).to_bits());
-            }
-        }
-        assert_eq!(cache.n_points(), ds.len());
-        assert_eq!(cache.n_boxes(), betas.len());
-        (c, cl, cache)
-    }
-
-    #[test]
-    fn no_betas_all_noise() {
-        let ds = grid_dataset();
-        let (clusters, clustering, cache) = build_checked(&ds, &[]);
-        assert!(clusters.is_empty());
-        assert_eq!(clustering.noise().len(), ds.len());
-        assert_eq!(cache.n_points(), ds.len());
-        assert!(cache.containing(0).is_empty());
-    }
-
-    #[test]
-    fn overlapping_betas_merge() {
-        let ds = grid_dataset();
-        let betas = vec![
-            beta(&[0.0, 0.0], &[0.3, 0.3], &[0]),
-            beta(&[0.15, 0.15], &[0.5, 0.5], &[0, 1]), // overlaps + shares e1
-            beta(&[0.8, 0.8], &[0.95, 0.95], &[0, 1]), // separate
-        ];
-        let (clusters, clustering, _) = build_checked(&ds, &betas);
-        assert_eq!(clusters.len(), 2);
-        // Merged cluster carries the union of relevant axes.
-        assert_eq!(clusters[0].beta_indices, vec![0, 1]);
-        assert_eq!(clusters[0].axes.count(), 2);
-        assert_eq!(clusters[1].beta_indices, vec![2]);
-        assert_eq!(clustering.len(), 2);
-    }
-
-    #[test]
-    fn transitive_merge_through_a_chain() {
-        let ds = grid_dataset();
-        // a–b overlap, b–c overlap, a–c do not: all three must merge.
-        let betas = vec![
-            beta(&[0.0, 0.0], &[0.2, 0.2], &[0]),
-            beta(&[0.05, 0.05], &[0.45, 0.45], &[0]),
-            beta(&[0.3, 0.3], &[0.6, 0.6], &[0, 1]),
-        ];
-        let (clusters, _, _) = build_checked(&ds, &betas);
-        assert_eq!(clusters.len(), 1);
-        assert_eq!(clusters[0].beta_indices, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn points_label_after_member_boxes() {
-        let ds = grid_dataset();
-        let betas = vec![beta(&[0.0, 0.0], &[0.25, 0.25], &[0, 1])];
-        let (clusters, clustering, cache) = build_checked(&ds, &betas);
-        // Points with both coordinates in {0.0, 0.1, 0.2} → 9 points.
-        assert_eq!(clusters[0].size, 9);
-        assert_eq!(clustering.clusters()[0].len(), 9);
-        assert_eq!(clustering.noise().len(), 100 - 9);
-        assert_eq!(cache.box_count(0), 9);
-    }
-
-    #[test]
-    fn touching_boxes_stay_separate_and_labels_stay_disjoint() {
-        let ds = grid_dataset();
-        // Boxes sharing only a face have zero-volume intersection → two
-        // clusters; the boundary point goes to the first match and is never
-        // double-assigned.
-        let betas = vec![
-            beta(&[0.0, 0.0], &[0.5, 0.5], &[0]),
-            beta(&[0.5, 0.0], &[0.9, 0.5], &[0]),
-        ];
-        let (clusters, clustering, _) = build_checked(&ds, &betas);
-        assert_eq!(clusters.len(), 2);
-        let total: usize = clustering.clusters().iter().map(SubspaceCluster::len).sum();
-        assert_eq!(total + clustering.noise().len(), ds.len());
-    }
-
-    #[test]
-    fn hull_covers_members() {
-        let ds = grid_dataset();
-        let betas = vec![
-            beta(&[0.0, 0.0], &[0.2, 0.2], &[0]),
-            beta(&[0.1, 0.1], &[0.5, 0.6], &[0, 1]),
-        ];
-        let (clusters, _, _) = build_checked(&ds, &betas);
-        let h = &clusters[0].hull;
-        assert!(exactly(h.lower(0), 0.0));
-        assert!(exactly(h.upper(1), 0.6));
-    }
-
-    #[test]
-    fn cache_containment_matches_brute_force() {
-        let ds = grid_dataset();
-        let betas = vec![
-            beta(&[0.0, 0.0], &[0.3, 0.3], &[0]),
-            beta(&[0.2, 0.2], &[0.7, 0.7], &[0, 1]),
-            beta(&[0.0, 0.0], &[1.0, 1.0], &[0]), // everything
-        ];
-        let (_, _, cache) = build_checked(&ds, &betas);
-        for (i, p) in ds.iter().enumerate() {
-            let brute: Vec<u32> = betas
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.bounds.contains(p))
-                .map(|(k, _)| u32::try_from(k).unwrap())
-                .collect();
-            assert_eq!(cache.containing(i), &brute[..], "point {i}");
-        }
-        assert_eq!(cache.box_count(2), 100);
-    }
-
     #[test]
     fn merge_phase_performs_exactly_one_dataset_pass() {
         let ds = grid_dataset();
@@ -596,9 +396,5 @@ mod tests {
         let before = dataset_scan_count();
         let _ = build_correlation_clusters(&ds, &betas, 1);
         assert_eq!(dataset_scan_count() - before, 1, "engine must scan once");
-        // The oracle, by contrast, scans at least thrice on overlapping βs.
-        let before = dataset_scan_count();
-        let _ = build_correlation_clusters_oracle(&ds, &betas);
-        assert!(dataset_scan_count() - before >= 3);
     }
 }

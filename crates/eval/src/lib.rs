@@ -20,4 +20,4 @@ pub mod timing;
 
 pub use memory::{measure_peak, MemoryReport, TrackingAllocator};
 pub use quality::{quality, subspace_quality, ClusterMatch, QualityReport};
-pub use timing::{run_with_timeout, run_with_timeout_cancellable, time, CancelToken, Timeout};
+pub use timing::{run_with_timeout, Timeout};

@@ -14,29 +14,15 @@
 //!    channel; a straggler's late result is sent into that call's (by then
 //!    dropped) channel and discarded. It can never surface as the result of
 //!    a *later* `run_with_timeout` call.
-//! 2. **Cooperative early exit.** [`run_with_timeout_cancellable`] hands the
-//!    workload a [`CancelToken`] which flips to cancelled the moment the
-//!    budget expires. Workloads with a natural loop structure should poll
-//!    [`CancelToken::is_cancelled`] and return early, turning the detached
-//!    thread from a leak into a short postscript.
-//! 3. **Residual CPU interference is possible.** A non-cooperative straggler
-//!    keeps computing until it finishes on its own, and while it does it
-//!    competes for cores with whatever measurement runs next. Callers who
-//!    need pristine timings after a timeout should either use cancellable
-//!    workloads or treat the following measurement with suspicion
-//!    (the paper's authors killed straggler *processes*; in-process we can
-//!    only ask nicely).
+//! 2. **Residual CPU interference is possible.** A straggler keeps
+//!    computing until it finishes on its own, and while it does it competes
+//!    for cores with whatever measurement runs next. Callers who need
+//!    pristine timings after a timeout should treat the following
+//!    measurement with suspicion (the paper's authors killed straggler
+//!    *processes*; in-process that is not possible).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Runs `f` and returns its result together with the elapsed wall time.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
 
 /// Outcome of a budgeted run.
 #[derive(Debug)]
@@ -48,8 +34,8 @@ pub enum Timeout<T> {
         /// Elapsed wall time.
         elapsed: Duration,
     },
-    /// The workload missed the budget; it keeps running detached (with its
-    /// [`CancelToken`] cancelled — see the module docs for the contract).
+    /// The workload missed the budget; it keeps running detached (see the
+    /// module docs for the contract).
     TimedOut {
         /// The budget that was exceeded.
         budget: Duration,
@@ -71,44 +57,14 @@ impl<T> Timeout<T> {
     }
 }
 
-/// Cooperative cancellation handle given to budgeted workloads.
+/// Runs `f` on a helper thread with a wall-clock budget.
 ///
-/// The harness flips the token the moment the budget expires. Long-running
-/// workloads should poll [`CancelToken::is_cancelled`] at convenient
-/// checkpoints (once per outer iteration is plenty) and bail out, so a
-/// timed-out run releases its CPU instead of computing a result nobody will
-/// read.
-#[derive(Debug, Clone)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    fn new() -> Self {
-        CancelToken(Arc::new(AtomicBool::new(false)))
-    }
-
-    /// True once the budget elapsed and the harness moved on.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Runs `f` on a helper thread with a wall-clock budget, handing it a
-/// [`CancelToken`] that is cancelled when the budget expires.
-///
-/// See the module docs for the full timeout contract. Prefer this over
-/// [`run_with_timeout`] for workloads that can check the token — they stop
-/// consuming CPU shortly after a timeout instead of running to completion
-/// in the background.
-pub fn run_with_timeout_cancellable<T: Send + 'static>(
+/// See the module docs for the full timeout contract: on timeout the
+/// workload keeps running detached until it finishes on its own.
+pub fn run_with_timeout<T: Send + 'static>(
     budget: Duration,
-    f: impl FnOnce(&CancelToken) -> T + Send + 'static,
+    f: impl FnOnce() -> T + Send + 'static,
 ) -> Timeout<T> {
-    let token = CancelToken::new();
-    let worker_token = token.clone();
     // One dedicated channel per call: a straggler's late send lands in this
     // call's dropped receiver and is discarded, never in a later call's.
     let (tx, rx) = mpsc::channel();
@@ -116,9 +72,8 @@ pub fn run_with_timeout_cancellable<T: Send + 'static>(
     std::thread::Builder::new()
         .name("budgeted-run".into())
         .spawn(move || {
-            let value = f(&worker_token);
             // Receiver may be gone after a timeout; that is fine.
-            let _ = tx.send(value);
+            let _ = tx.send(f());
         })
         .expect("spawn budgeted worker");
     match rx.recv_timeout(budget) {
@@ -126,38 +81,13 @@ pub fn run_with_timeout_cancellable<T: Send + 'static>(
             value,
             elapsed: start.elapsed(),
         },
-        Err(_) => {
-            token.cancel();
-            Timeout::TimedOut { budget }
-        }
+        Err(_) => Timeout::TimedOut { budget },
     }
-}
-
-/// Runs `f` on a helper thread with a wall-clock budget.
-///
-/// Convenience wrapper over [`run_with_timeout_cancellable`] for workloads
-/// that cannot observe a cancel signal; on timeout such a workload keeps
-/// running detached until it finishes on its own (module docs, point 3).
-pub fn run_with_timeout<T: Send + 'static>(
-    budget: Duration,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> Timeout<T> {
-    run_with_timeout_cancellable(budget, move |_| f())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_measures_and_passes_value() {
-        let (v, d) = time(|| {
-            std::thread::sleep(Duration::from_millis(10));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(d >= Duration::from_millis(10));
-    }
 
     #[test]
     fn fast_run_finishes() {
@@ -195,45 +125,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         let third = run_with_timeout(Duration::from_secs(5), || 3u32);
         assert_eq!(third.finished().expect("should finish").0, 3);
-    }
-
-    /// Contract point 2: the token flips on timeout, and a cooperative
-    /// workload exits early instead of running to natural completion.
-    #[test]
-    fn cancel_token_stops_cooperative_straggler() {
-        let exited = Arc::new(AtomicBool::new(false));
-        let probe = exited.clone();
-        let out = run_with_timeout_cancellable(Duration::from_millis(20), move |token| {
-            // A "week-long" loop that checks the token each iteration.
-            for _ in 0..10_000 {
-                if token.is_cancelled() {
-                    probe.store(true, Ordering::Relaxed);
-                    return 0u32;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            1u32
-        });
-        assert!(out.timed_out());
-        // The straggler should notice the cancel within a few polls, far
-        // sooner than the loop's natural ~50 s runtime.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !exited.load(Ordering::Relaxed) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            exited.load(Ordering::Relaxed),
-            "cancelled workload kept running"
-        );
-    }
-
-    /// A finished run's token is never cancelled.
-    #[test]
-    fn finished_run_is_not_cancelled() {
-        let out = run_with_timeout_cancellable(Duration::from_secs(5), |token| {
-            assert!(!token.is_cancelled());
-            9u32
-        });
-        assert_eq!(out.finished().expect("should finish").0, 9);
     }
 }
