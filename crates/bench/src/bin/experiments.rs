@@ -21,31 +21,38 @@ use mrcc_eval::TrackingAllocator;
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
+const USAGE: &str = "usage: experiments [--scale F] [--timeout SECS] [--out DIR] <id>... | all";
+
+/// Prints `message` and the usage line, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut opts = ExperimentOptions::default();
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                opts.scale = v.parse().expect("--scale needs a float");
-                assert!(opts.scale > 0.0, "--scale must be positive");
-            }
-            "--timeout" => {
-                let v = args.next().expect("--timeout needs a value");
-                opts.budget = Duration::from_secs(v.parse().expect("--timeout needs seconds"));
-            }
-            "--out" => {
-                opts.out_dir = args.next().expect("--out needs a directory").into();
-            }
+            "--scale" => match args.next().map(|v| v.parse::<f64>()) {
+                Some(Ok(scale)) if scale.is_finite() && scale > 0.0 => opts.scale = scale,
+                _ => usage_error("--scale needs a positive number"),
+            },
+            "--timeout" => match args.next().map(|v| v.parse()) {
+                Some(Ok(secs)) => opts.budget = Duration::from_secs(secs),
+                _ => usage_error("--timeout needs whole seconds"),
+            },
+            "--out" => match args.next() {
+                Some(dir) => opts.out_dir = dir.into(),
+                None => usage_error("--out needs a directory"),
+            },
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [--scale F] [--timeout SECS] [--out DIR] <id>... | all"
-                );
+                println!("{USAGE}");
                 println!("experiments: {}", ALL_EXPERIMENTS.join(", "));
                 return;
             }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
             id => ids.push(id.to_string()),
         }
     }

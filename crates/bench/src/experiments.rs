@@ -205,7 +205,7 @@ fn ablations(opts: &ExperimentOptions) -> Vec<RunRecord> {
     let synth = generate_scaled(spec, opts.scale.max(0.25));
     let mut variants: Vec<(String, MrCCConfig)> = vec![
         (
-            "default (face mask, share-50)".into(),
+            "default (face mask, share-45)".into(),
             MrCCConfig::default(),
         ),
         (
@@ -218,15 +218,14 @@ fn ablations(opts: &ExperimentOptions) -> Vec<RunRecord> {
         (
             "MDL cut + floor".into(),
             MrCCConfig {
-                axis_selection: AxisSelection::Mdl,
+                axis_selection: AxisSelection::Mdl { floor: 45.0 },
                 ..Default::default()
             },
         ),
         (
             "paper-pure MDL (no floor)".into(),
             MrCCConfig {
-                axis_selection: AxisSelection::Mdl,
-                relevance_floor: 0.0,
+                axis_selection: AxisSelection::Mdl { floor: 0.0 },
                 ..Default::default()
             },
         ),

@@ -79,15 +79,46 @@ impl MethodKind {
         }
     }
 
+    /// The method named `name`, matched case-insensitively against
+    /// [`MethodKind::name`]; `doc` is an alias for CFPC, which runs the DOC
+    /// core.
+    pub fn parse(name: &str) -> Option<MethodKind> {
+        if name.eq_ignore_ascii_case("doc") {
+            return Some(MethodKind::Cfpc);
+        }
+        MethodKind::extended()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+    }
+
+    /// Whether the method needs the target cluster count.
+    pub fn needs_k(&self) -> bool {
+        matches!(
+            self,
+            MethodKind::Lac
+                | MethodKind::Epch
+                | MethodKind::Cfpc
+                | MethodKind::Harp
+                | MethodKind::Proclus
+        )
+    }
+
     /// Whether the method defines relevant axes (LAC only ranks them, so the
     /// paper excludes it from Subspaces Quality).
     pub fn reports_subspaces(&self) -> bool {
         !matches!(self, MethodKind::Lac)
     }
 
-    /// Builds the method tuned as in the paper for the given workload
-    /// (true cluster count / noise fraction supplied where the paper did).
-    pub fn build(&self, n_clusters: usize, noise_fraction: f64) -> Box<dyn SubspaceClusterer> {
+    /// Builds the method tuned as in the paper for a `dims`-dimensional
+    /// workload (true cluster count / noise fraction supplied where the
+    /// paper did). PROCLUS looks for 2 relevant axes per cluster, or `dims`
+    /// when there are fewer.
+    pub fn build(
+        &self,
+        n_clusters: usize,
+        noise_fraction: f64,
+        dims: usize,
+    ) -> Box<dyn SubspaceClusterer> {
         let k = n_clusters.max(1);
         match self {
             MethodKind::MrCC => Box::new(MrCCClusterer(MrCC::new(MrCCConfig::default()))),
@@ -97,7 +128,7 @@ impl MethodKind {
             MethodKind::P3c => Box::new(P3c::new(P3cConfig::default())),
             MethodKind::Harp => Box::new(Harp::new(HarpConfig::new(k, noise_fraction))),
             MethodKind::Clique => Box::new(Clique::default()),
-            MethodKind::Proclus => Box::new(Proclus::new(ProclusConfig::new(k, 2))),
+            MethodKind::Proclus => Box::new(Proclus::new(ProclusConfig::new(k, 2.min(dims)))),
             MethodKind::Sting => Box::new(Sting::default()),
         }
     }
@@ -166,7 +197,11 @@ impl ToJson for RunRecord {
 
 /// Runs one method on one synthetic workload under a budget.
 pub fn run_method(method: MethodKind, synth: &Synthetic, budget: Duration) -> RunRecord {
-    let clusterer = method.build(synth.ground_truth.len(), synth.spec.noise_fraction);
+    let clusterer = method.build(
+        synth.ground_truth.len(),
+        synth.spec.noise_fraction,
+        synth.dataset.dims(),
+    );
     run_clusterer(
         method.name().to_string(),
         clusterer,

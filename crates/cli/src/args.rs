@@ -6,63 +6,9 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use mrcc_bench::MethodKind;
+
 use crate::CliResult;
-
-/// Which clustering method `mrcc cluster` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodChoice {
-    /// MrCC (default).
-    MrCC,
-    /// LAC (needs `--clusters`).
-    Lac,
-    /// EPCH (needs `--clusters`).
-    Epch,
-    /// CFPC / DOC (needs `--clusters`).
-    Cfpc,
-    /// P3C.
-    P3c,
-    /// HARP (needs `--clusters`; uses `--noise` when given).
-    Harp,
-    /// CLIQUE.
-    Clique,
-    /// PROCLUS (needs `--clusters`).
-    Proclus,
-    /// STING (full-space grid; low-dimensional data only).
-    Sting,
-}
-
-impl MethodChoice {
-    fn parse(s: &str) -> CliResult<Self> {
-        Ok(match s.to_ascii_lowercase().as_str() {
-            "mrcc" => MethodChoice::MrCC,
-            "lac" => MethodChoice::Lac,
-            "epch" => MethodChoice::Epch,
-            "cfpc" | "doc" => MethodChoice::Cfpc,
-            "p3c" => MethodChoice::P3c,
-            "harp" => MethodChoice::Harp,
-            "clique" => MethodChoice::Clique,
-            "proclus" => MethodChoice::Proclus,
-            "sting" => MethodChoice::Sting,
-            other => {
-                return Err(format!(
-                    "unknown method `{other}` (mrcc, lac, epch, cfpc, p3c, harp, clique, proclus, sting)"
-                ))
-            }
-        })
-    }
-
-    /// Whether the method requires the target cluster count.
-    pub fn needs_k(&self) -> bool {
-        matches!(
-            self,
-            MethodChoice::Lac
-                | MethodChoice::Epch
-                | MethodChoice::Cfpc
-                | MethodChoice::Harp
-                | MethodChoice::Proclus
-        )
-    }
-}
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +20,7 @@ pub enum Command {
         /// Output CSV (features + trailing label column); stdout when absent.
         output: Option<PathBuf>,
         /// Clustering method.
-        method: MethodChoice,
+        method: MethodKind,
         /// MrCC significance level α.
         alpha: f64,
         /// MrCC resolution count H.
@@ -178,6 +124,13 @@ fn reject_leftovers(map: BTreeMap<String, String>) -> CliResult<()> {
     Ok(())
 }
 
+/// The `--method` value as a method, MrCC when absent.
+fn parse_method(name: Option<String>) -> CliResult<MethodKind> {
+    name.map_or(Ok(MethodKind::MrCC), |name| {
+        MethodKind::parse(&name).ok_or_else(|| format!("unknown method `{name}`\n{USAGE}"))
+    })
+}
+
 /// Parses a full argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> CliResult<Command> {
     let Some(cmd) = args.first() else {
@@ -191,9 +144,7 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
             let command = Command::Cluster {
                 input: require::<PathBuf>(&mut map, "input")?,
                 output: take::<PathBuf>(&mut map, "output")?,
-                method: MethodChoice::parse(
-                    &take::<String>(&mut map, "method")?.unwrap_or_else(|| "mrcc".into()),
-                )?,
+                method: parse_method(take(&mut map, "method")?)?,
                 alpha: take(&mut map, "alpha")?.unwrap_or(1e-10),
                 resolutions: take(&mut map, "resolutions")?.unwrap_or(4),
                 clusters: take(&mut map, "clusters")?,
@@ -207,6 +158,9 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
             {
                 if method.needs_k() && clusters.is_none() {
                     return Err(format!("method {method:?} requires --clusters K"));
+                }
+                if *clusters == Some(0) {
+                    return Err("--clusters must be at least 1".to_string());
                 }
             }
             Ok(command)
@@ -275,7 +229,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(input, PathBuf::from("a.csv"));
-                assert_eq!(method, MethodChoice::MrCC);
+                assert_eq!(method, MethodKind::MrCC);
                 assert!(exactly(alpha, 1e-10));
                 assert_eq!(resolutions, 4);
                 assert!(!json);
@@ -311,7 +265,7 @@ mod tests {
                 output,
                 ..
             } => {
-                assert_eq!(method, MethodChoice::Lac);
+                assert_eq!(method, MethodKind::Lac);
                 assert_eq!(clusters, Some(7));
                 assert!(exactly(alpha, 1e-5));
                 assert!(json);
@@ -325,6 +279,11 @@ mod tests {
     fn k_requiring_methods_enforce_clusters() {
         let err = parse_args(&v(&["cluster", "--input", "a.csv", "--method", "harp"])).unwrap_err();
         assert!(err.contains("--clusters"));
+        let args: Vec<_> = "cluster --input a.csv --method lac --clusters 0"
+            .split(' ')
+            .collect();
+        let err = parse_args(&v(&args)).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]
@@ -370,8 +329,11 @@ mod tests {
 
     #[test]
     fn method_aliases() {
-        assert_eq!(MethodChoice::parse("doc").unwrap(), MethodChoice::Cfpc);
-        assert_eq!(MethodChoice::parse("MrCC").unwrap(), MethodChoice::MrCC);
-        assert!(MethodChoice::parse("statpc").is_err());
+        let method = |name: &str| parse_method(Some(name.to_string()));
+        assert_eq!(method("doc").unwrap(), MethodKind::Cfpc);
+        assert_eq!(method("MrCC").unwrap(), MethodKind::MrCC);
+        assert!(method("statpc")
+            .unwrap_err()
+            .contains("unknown method `statpc`"));
     }
 }

@@ -7,15 +7,12 @@ use std::io::Write;
 use std::path::Path;
 
 use mrcc::{MrCC, MrCCConfig};
-use mrcc_baselines::{
-    Clique, Doc, DocConfig, Epch, EpchConfig, Harp, HarpConfig, Lac, LacConfig, P3c, Proclus,
-    ProclusConfig, Sting, SubspaceClusterer,
-};
+use mrcc_bench::MethodKind;
 use mrcc_common::{csv, Dataset, SubspaceClustering};
 use mrcc_datagen::{generate, SyntheticSpec};
-use mrcc_eval::{quality, subspace_quality};
+use mrcc_eval::quality;
 
-use crate::args::{Command, MethodChoice};
+use crate::args::Command;
 use crate::CliResult;
 
 /// Runs a parsed command, writing its report to `out`.
@@ -193,7 +190,7 @@ fn clustering_from_labels(labels: &[i32], dims: usize) -> CliResult<SubspaceClus
 fn cluster(
     input: &Path,
     output: Option<&Path>,
-    method: MethodChoice,
+    method: MethodKind,
     alpha: f64,
     resolutions: usize,
     clusters: Option<usize>,
@@ -205,25 +202,17 @@ fn cluster(
     if !ds.is_unit_normalized() {
         ds.normalize_unit().map_err(|e| e.to_string())?;
     }
-    let k = clusters.unwrap_or(1);
     let start = std::time::Instant::now();
-    let clustering: SubspaceClustering = match method {
-        MethodChoice::MrCC => {
-            let config = MrCCConfig::with_params(alpha, resolutions);
-            MrCC::new(config)
-                .fit(&ds)
-                .map_err(|e| e.to_string())?
-                .clustering
-        }
-        MethodChoice::Lac => fit(&Lac::new(LacConfig::new(k)), &ds)?,
-        MethodChoice::Epch => fit(&Epch::new(EpchConfig::new(k)), &ds)?,
-        MethodChoice::Cfpc => fit(&Doc::new(DocConfig::new(k)), &ds)?,
-        MethodChoice::P3c => fit(&P3c::default(), &ds)?,
-        MethodChoice::Harp => fit(&Harp::new(HarpConfig::new(k, noise)), &ds)?,
-        MethodChoice::Clique => fit(&Clique::default(), &ds)?,
-        MethodChoice::Proclus => fit(&Proclus::new(ProclusConfig::new(k, 2.min(ds.dims()))), &ds)?,
-        MethodChoice::Sting => fit(&Sting::default(), &ds)?,
+    let fitted = if method == MethodKind::MrCC {
+        MrCC::new(MrCCConfig::with_params(alpha, resolutions))
+            .fit(&ds)
+            .map(|result| result.clustering)
+    } else {
+        method
+            .build(clusters.unwrap_or(1), noise, ds.dims())
+            .fit(&ds)
     };
+    let clustering = fitted.map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
 
     if json {
@@ -271,15 +260,6 @@ fn cluster(
         writeln!(out, "labels written to {}", path.display()).map_err(|e| e.to_string())?;
     }
     Ok(())
-}
-
-fn fit(method: &dyn SubspaceClusterer, ds: &Dataset) -> CliResult<SubspaceClustering> {
-    method.fit(ds).map_err(|e| e.to_string())
-}
-
-/// Convenience used by tests and the quality gate in `evaluate`.
-pub fn subspace_quality_of(found: &SubspaceClustering, truth: &SubspaceClustering) -> f64 {
-    subspace_quality(found, truth).quality
 }
 
 #[cfg(test)]
@@ -444,6 +424,27 @@ mod tests {
             .unwrap();
             assert!(out.contains("clusters"), "{method}: {out}");
         }
+    }
+
+    #[test]
+    fn proclus_runs_on_one_dimensional_data() {
+        // PROCLUS asks for min(2, d) relevant axes per cluster.
+        let rows: Vec<[f64; 1]> = (0..200)
+            .map(|i| [if i % 2 == 0 { 0.2 } else { 0.7 } + (i % 17) as f64 * 1e-3])
+            .collect();
+        let data = tmp("proclus_1d.csv");
+        csv::write_dataset_file(&data, &Dataset::from_rows(&rows).unwrap(), None).unwrap();
+        let out = run_str(&[
+            "cluster",
+            "--input",
+            data.to_str().unwrap(),
+            "--method",
+            "proclus",
+            "--clusters",
+            "2",
+        ])
+        .unwrap();
+        assert!(out.starts_with("Proclus: "), "{out}");
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl Dataset {
         &self.data[i * self.dims..(i + 1) * self.dims]
     }
 
-    /// The raw row-major buffer.
-    #[inline]
-    pub fn as_flat(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Iterator over all points.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.dims)

@@ -44,14 +44,6 @@ pub fn trunc_to_u64(x: f64) -> u64 {
     x as u64
 }
 
-/// `f64` → `usize` by truncation toward zero, saturating at the type
-/// bounds. NaN maps to 0.
-#[inline]
-#[must_use]
-pub fn trunc_to_usize(x: f64) -> usize {
-    x as usize
-}
-
 /// `usize` → `u64`, lossless on every platform this workspace supports
 /// (pointer width ≤ 64 bits).
 #[inline]
@@ -112,7 +104,6 @@ mod tests {
         assert_eq!(trunc_to_u64(-1.0), 0);
         assert_eq!(trunc_to_u64(f64::NAN), 0);
         assert_eq!(trunc_to_u64(1e300), u64::MAX);
-        assert_eq!(trunc_to_usize(255.999), 255);
     }
 
     #[test]

@@ -31,14 +31,21 @@ pub enum MaskKind {
 /// ≈16.7 % there, so the statistic has an *absolute* scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AxisSelection {
-    /// MDL-tuned threshold over the sorted relevances — the paper's method
-    /// (floored by [`MrCCConfig::relevance_floor`]). The two-partition MDL
-    /// cut isolates the *tightest* high plateau; on tri-modal relevance
-    /// patterns (clean axes ≈95, straddled/rotated-but-concentrated axes
-    /// 50–70, uniform axes ≈17–40) it drops the middle group, leaving boxes
-    /// constrained on one or two axes that swallow foreign clusters — the
-    /// `axis-selection` ablation quantifies this.
-    Mdl,
+    /// MDL-tuned threshold over the sorted relevances — the paper's method —
+    /// raised to at least `floor`. The two-partition MDL cut isolates the
+    /// *tightest* high plateau; on tri-modal relevance patterns (clean axes
+    /// ≈95, straddled/rotated-but-concentrated axes 50–70, uniform axes
+    /// ≈17–40) it drops the middle group, leaving boxes constrained on one
+    /// or two axes that swallow foreign clusters — the `axis-selection`
+    /// ablation quantifies this.
+    Mdl {
+        /// Effect-size floor in `[0, 100)`. At large `η` the binomial test
+        /// rejects for tiny effects (a 20 % share of a 10,000-point
+        /// neighborhood is wildly "significant"), producing diffuse
+        /// β-clusters that chain-merge real ones; 45 demands ≈2.7× the null
+        /// share, 0 is the paper-pure, significance-only cut.
+        floor: f64,
+    },
     /// Absolute share threshold in `(0, 100]`: axis `e_j` is relevant iff
     /// the centre region holds at least this percentage of the neighborhood
     /// mass. The default `Share(45.0)` demands ≈2.7× the null share, which
@@ -62,21 +69,8 @@ pub struct MrCCConfig {
     /// Convolution mask variant (ablation knob; default [`MaskKind::FaceOnly`]).
     pub mask: MaskKind,
     /// Axis-relevance selection rule (ablation knob; default
-    /// [`AxisSelection::Mdl`]).
+    /// `AxisSelection::Share(45.0)`).
     pub axis_selection: AxisSelection,
-    /// Effect-size floor for axis relevance, in `[0, 100)`: an axis only
-    /// counts as relevant (and a β-cluster is only accepted) when its centre
-    /// region holds at least this percentage of the neighborhood's points.
-    ///
-    /// Under the uniform null the centre region holds ≈16.7 %; at large `η`
-    /// the binomial test rejects for tiny effects (a 20 % share of a
-    /// 10,000-point neighborhood is wildly "significant" yet describes no
-    /// usable cluster), producing diffuse β-clusters that chain-merge real
-    /// ones. The default 45 demands the centre sixth carry ≈2.7× its null share
-    /// of the neighborhood mass. Set 0 to disable
-    /// (paper-pure significance-only behaviour; ablation `mdl-vs-fixed`
-    /// exercises this knob too).
-    pub relevance_floor: f64,
     /// Requested worker threads. Ignored: every fit runs serially and its
     /// output never depends on this value. The field stays only because
     /// the `perfbench` benchmark still sets it; [`MrCCConfig::validate`]
@@ -95,7 +89,6 @@ impl Default for MrCCConfig {
             resolutions: 4,
             mask: MaskKind::FaceOnly,
             axis_selection: AxisSelection::Share(45.0),
-            relevance_floor: 45.0,
             threads: 1,
         }
     }
@@ -128,13 +121,6 @@ impl MrCCConfig {
         self
     }
 
-    /// Returns the configuration with the effect-size floor replaced.
-    #[must_use]
-    pub fn with_relevance_floor(mut self, relevance_floor: f64) -> Self {
-        self.relevance_floor = relevance_floor;
-        self
-    }
-
     /// Returns the configuration with [`MrCCConfig::threads`] replaced.
     /// A no-op for the fit, kept only for the `perfbench` benchmark.
     #[must_use]
@@ -163,19 +149,20 @@ impl MrCCConfig {
                 ),
             });
         }
-        if !(0.0..100.0).contains(&self.relevance_floor) {
-            return Err(Error::InvalidParameter {
-                name: "relevance_floor",
-                message: format!("must be in [0,100), got {}", self.relevance_floor),
-            });
-        }
-        if let AxisSelection::Share(t) = self.axis_selection {
-            if !(t > 0.0 && t <= 100.0) {
+        match self.axis_selection {
+            AxisSelection::Mdl { floor } if !(0.0..100.0).contains(&floor) => {
+                return Err(Error::InvalidParameter {
+                    name: "axis_selection",
+                    message: format!("MDL floor must be in [0,100), got {floor}"),
+                });
+            }
+            AxisSelection::Share(t) if !(t > 0.0 && t <= 100.0) => {
                 return Err(Error::InvalidParameter {
                     name: "axis_selection",
                     message: format!("share threshold must be in (0,100], got {t}"),
                 });
             }
+            _ => {}
         }
         if !(1..=MAX_THREADS).contains(&self.threads) {
             return Err(Error::InvalidParameter {
@@ -189,7 +176,8 @@ impl MrCCConfig {
 
 // Hand-written JSON round-trip impls: the offline serde_json stand-in has no
 // derive macros (see vendor/serde_json). Shapes mirror what serde's derive
-// would emit: unit variants as strings, newtype variants as 1-key objects.
+// would emit: unit variants as strings, newtype and struct variants as 1-key
+// objects.
 
 impl ToJson for MaskKind {
     fn to_json(&self) -> Value {
@@ -215,7 +203,10 @@ impl FromJson for MaskKind {
 impl ToJson for AxisSelection {
     fn to_json(&self) -> Value {
         match self {
-            AxisSelection::Mdl => Value::String("Mdl".to_string()),
+            AxisSelection::Mdl { floor } => Value::Object(vec![(
+                "Mdl".to_string(),
+                Value::Object(vec![("floor".to_string(), Value::Number(*floor))]),
+            )]),
             AxisSelection::Share(t) => {
                 Value::Object(vec![("Share".to_string(), Value::Number(*t))])
             }
@@ -225,14 +216,18 @@ impl ToJson for AxisSelection {
 
 impl FromJson for AxisSelection {
     fn from_json(value: &Value) -> std::result::Result<Self, serde_json::Error> {
-        if value.as_str() == Some("Mdl") {
-            return Ok(AxisSelection::Mdl);
+        if let Some(floor) = value
+            .get("Mdl")
+            .and_then(|mdl| mdl.get("floor"))
+            .and_then(Value::as_f64)
+        {
+            return Ok(AxisSelection::Mdl { floor });
         }
         if let Some(share) = value.get("Share").and_then(Value::as_f64) {
             return Ok(AxisSelection::Share(share));
         }
         Err(serde_json::Error::msg(format!(
-            "expected \"Mdl\" or {{\"Share\": t}}, got {value}"
+            "expected {{\"Mdl\": {{\"floor\": f}}}} or {{\"Share\": t}}, got {value}"
         )))
     }
 }
@@ -244,10 +239,6 @@ impl ToJson for MrCCConfig {
             ("resolutions".to_string(), self.resolutions.to_json()),
             ("mask".to_string(), self.mask.to_json()),
             ("axis_selection".to_string(), self.axis_selection.to_json()),
-            (
-                "relevance_floor".to_string(),
-                self.relevance_floor.to_json(),
-            ),
             ("threads".to_string(), self.threads.to_json()),
         ])
     }
@@ -265,7 +256,6 @@ impl FromJson for MrCCConfig {
             resolutions: usize::from_json(field("resolutions")?)?,
             mask: MaskKind::from_json(field("mask")?)?,
             axis_selection: AxisSelection::from_json(field("axis_selection")?)?,
-            relevance_floor: f64::from_json(field("relevance_floor")?)?,
             // Absent in configs serialized before the parallel mode existed;
             // default to the serial pipeline.
             threads: match value.get("threads") {
@@ -307,15 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_relevance_floor() {
-        let mut c = MrCCConfig {
-            relevance_floor: 100.0,
-            ..MrCCConfig::default()
-        };
+    fn rejects_bad_mdl_floor() {
+        let mut c = MrCCConfig::default().with_axis_selection(AxisSelection::Mdl { floor: 100.0 });
         assert!(c.validate().is_err());
-        c.relevance_floor = -1.0;
+        c.axis_selection = AxisSelection::Mdl { floor: -1.0 };
         assert!(c.validate().is_err());
-        c.relevance_floor = 0.0;
+        c.axis_selection = AxisSelection::Mdl { floor: 0.0 };
         assert!(c.validate().is_ok());
     }
 
@@ -330,19 +317,15 @@ mod tests {
         assert!(c.validate().is_err());
         c.axis_selection = AxisSelection::Share(50.0);
         assert!(c.validate().is_ok());
-        c.axis_selection = AxisSelection::Mdl;
-        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn builders_replace_one_field_each() {
         let c = MrCCConfig::default()
             .with_mask(MaskKind::Full)
-            .with_axis_selection(AxisSelection::Mdl)
-            .with_relevance_floor(0.0);
+            .with_axis_selection(AxisSelection::Mdl { floor: 0.0 });
         assert_eq!(c.mask, MaskKind::Full);
-        assert_eq!(c.axis_selection, AxisSelection::Mdl);
-        assert!(exactly(c.relevance_floor, 0.0));
+        assert_eq!(c.axis_selection, AxisSelection::Mdl { floor: 0.0 });
         // Untouched fields keep their defaults.
         assert!(exactly(c.alpha, 1e-10));
         assert_eq!(c.resolutions, 4);
@@ -351,10 +334,19 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let c = MrCCConfig::default().with_threads(4);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: MrCCConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
+        for selection in [
+            AxisSelection::Share(45.0),
+            AxisSelection::Mdl { floor: 12.5 },
+        ] {
+            let c = MrCCConfig::default()
+                .with_threads(4)
+                .with_axis_selection(selection);
+            let json = serde_json::to_string(&c).unwrap();
+            let back: MrCCConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, c);
+        }
+        let mdl = serde_json::to_string(&AxisSelection::Mdl { floor: 12.5 }).unwrap();
+        assert_eq!(mdl, r#"{"Mdl":{"floor":12.5}}"#);
     }
 
     #[test]

@@ -103,12 +103,12 @@ impl MrCC {
             });
         }
         let build_start = std::time::Instant::now();
-        let mut tree = CountingTree::build(dataset, self.config.resolutions)?;
+        let tree = CountingTree::build(dataset, self.config.resolutions)?;
         let tree_build = build_start.elapsed();
         let tree_memory = tree.memory_bytes();
 
         let search_start = std::time::Instant::now();
-        let betas = search::find_beta_clusters(&mut tree, &self.config);
+        let betas = search::find_beta_clusters(&tree, &self.config);
         let beta_search = search_start.elapsed();
 
         let merge_start = std::time::Instant::now();

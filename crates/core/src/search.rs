@@ -1,8 +1,8 @@
 //! Phase two: finding β-clusters (Algorithm 2).
 //!
 //! Starting at the coarsest useful resolution (level 2) and refining, the
-//! search convolves the Laplacian mask over every not-yet-used cell that does
-//! not share space with a previously found β-cluster, takes the cell with the
+//! search convolves the Laplacian mask over every not-yet-tested cell that
+//! does not share space with a previously found β-cluster, takes the cell with the
 //! largest convolved value — the densest region at this resolution outside
 //! known clusters — and checks whether it *stands out in a statistical
 //! sense*: per axis, the points of the centre cell's parent neighborhood are
@@ -16,12 +16,17 @@
 //! sweep finds nothing. Read literally, every sweep re-convolves every cell;
 //! this implementation convolves each cell exactly once instead. A convolved
 //! value depends only on cell counts, which the search never changes, and a
-//! cell's eligibility (not yet used, no strict overlap with a found β-box)
+//! cell's eligibility (not yet tested, no strict overlap with a found β-box)
 //! can only be lost, never regained. So each level is ranked once by the
 //! total order *(convolved value descending, `CellId` ascending)* — a full
 //! scan's "first maximum wins" over ascending ids — and a per-level cursor walks that
 //! ranking: a sweep's winner at a level is the first eligible cell past the
 //! cursor, and every cell the cursor passes stays ineligible for good.
+//!
+//! The cursors therefore hold the paper's `usedCell` state: a tested winner
+//! is never offered again because its cursor has stepped past it. The search
+//! only reads the tree, so repeated searches on one tree return the same
+//! β-clusters.
 
 use std::cmp::Reverse;
 
@@ -43,10 +48,14 @@ pub const NEIGHBORHOOD_REGIONS: u64 = 6;
 /// of the neighborhood mass: `cP_j ~ Binomial(nP_j, 1/6)`.
 pub const NULL_REGION_SHARE: f64 = 1.0 / 6.0;
 
-/// Runs the full β-cluster search over a freshly built Counting-tree.
-///
-/// Marks every tested winner's `usedCell` flag.
-pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
+/// Runs the full β-cluster search over a Counting-tree.
+pub fn find_beta_clusters(tree: &CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
+    search(tree, config).0
+}
+
+/// The β-cluster search. Returns the β-clusters and every tested winner as
+/// `(level, CellId)` in test order: the cells the paper marks `usedCell`.
+fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
     let dims = tree.dims();
     let h_max = tree.deepest_level();
     // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
@@ -54,6 +63,7 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
         .map(|h| ranked_cells(tree.level(h), dims, config.mask).into_iter())
         .collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
+    let mut tested = Vec::new();
     'search: loop {
         // One sweep from the coarsest convolvable level down.
         for (h, cursor) in (2..=h_max).zip(cursors.iter_mut()) {
@@ -61,13 +71,12 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
             let side = level.side();
             // `find` steps the cursor past every cell it rejects and past
             // the winner itself.
-            let Some(winner) = cursor.find(|&id| {
-                let cell = level.cell(id);
-                !cell.used() && !shares_space_with_any(cell, side, &betas)
-            }) else {
+            let Some(winner) =
+                cursor.find(|&id| !shares_space_with_any(level.cell(id), side, &betas))
+            else {
                 continue;
             };
-            tree.level_mut(h).set_used(winner, true);
+            tested.push((h, winner));
             if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
                 betas.push(beta);
                 continue 'search; // restart at level 2 (Algorithm 2, line 2)
@@ -75,7 +84,7 @@ pub fn find_beta_clusters(tree: &mut CountingTree, config: &MrCCConfig) -> Vec<B
         }
         break; // full sweep, no new β-cluster (line 31)
     }
-    betas
+    (betas, tested)
 }
 
 /// Every cell id of `level`, convolved once and ordered by the strict total
@@ -167,14 +176,14 @@ fn confirm_beta_cluster(
 
     // Relevant-axis threshold: an absolute majority-share cut (default) or
     // the paper's MDL cut floored by the effect-size guard (see
-    // AxisSelection and MrCCConfig::relevance_floor).
+    // AxisSelection).
     let cut = match config.axis_selection {
-        AxisSelection::Mdl => {
+        AxisSelection::Mdl { floor } => {
             let mut ordered: Vec<f64> = stats.iter().map(|s| s.relevance).collect();
             // Relevances are finite and never −0.0, so this is their numeric
             // order.
             ordered.sort_by(f64::total_cmp);
-            mdl_cut(&ordered).threshold.max(config.relevance_floor)
+            mdl_cut(&ordered).threshold.max(floor)
         }
         AxisSelection::Share(t) => t,
     };
@@ -226,6 +235,7 @@ fn confirm_beta_cluster(
 mod tests {
     use super::*;
     use mrcc_common::Dataset;
+    use mrcc_datagen::{generate, SyntheticSpec};
 
     #[test]
     fn null_model_matches_the_paper() {
@@ -265,8 +275,8 @@ mod tests {
     #[test]
     fn finds_the_blob_as_a_beta_cluster() {
         let ds = blob_and_noise();
-        let mut tree = CountingTree::build(&ds, 4).unwrap();
-        let betas = find_beta_clusters(&mut tree, &MrCCConfig::default());
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let betas = find_beta_clusters(&tree, &MrCCConfig::default());
         assert!(!betas.is_empty(), "no β-cluster found");
         // The first (densest) β-cluster covers the blob centre.
         let b = &betas[0];
@@ -289,8 +299,8 @@ mod tests {
             }
         }
         let ds = Dataset::from_rows(&rows).unwrap();
-        let mut tree = CountingTree::build(&ds, 4).unwrap();
-        let betas = find_beta_clusters(&mut tree, &MrCCConfig::default());
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let betas = find_beta_clusters(&tree, &MrCCConfig::default());
         assert!(
             betas.is_empty(),
             "found {} spurious β-clusters",
@@ -302,8 +312,8 @@ mod tests {
     fn search_is_deterministic() {
         let ds = blob_and_noise();
         let run = || {
-            let mut tree = CountingTree::build(&ds, 4).unwrap();
-            find_beta_clusters(&mut tree, &MrCCConfig::default())
+            let tree = CountingTree::build(&ds, 4).unwrap();
+            find_beta_clusters(&tree, &MrCCConfig::default())
                 .iter()
                 .map(|b| (b.level, b.center_coords.clone()))
                 .collect::<Vec<_>>()
@@ -313,20 +323,24 @@ mod tests {
 
     /// The restart-scan the cursor search replaced, kept as the reference it
     /// must reproduce: every sweep convolves every eligible cell of a level
-    /// and keeps the first maximum in ascending id order.
-    fn reference_find_beta_clusters(
-        tree: &mut CountingTree,
+    /// and keeps the first maximum in ascending id order. Each level keeps
+    /// its own `usedCell` set; returns the β-clusters and the tested winners
+    /// in test order.
+    fn reference_search(
+        tree: &CountingTree,
         config: &MrCCConfig,
-    ) -> Vec<BetaCluster> {
+    ) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
         let dims = tree.dims();
+        let mut used: Vec<Vec<bool>> = tree.levels().map(|l| vec![false; l.n_cells()]).collect();
         let mut betas: Vec<BetaCluster> = Vec::new();
+        let mut tested = Vec::new();
         'search: loop {
             for h in 2..=tree.deepest_level() {
                 let level = tree.level(h);
                 let side = level.side();
                 let mut best: Option<(CellId, i64)> = None;
                 for (id, cell) in level.iter() {
-                    if cell.used() || shares_space_with_any(cell, side, &betas) {
+                    if used[h - 1][id as usize] || shares_space_with_any(cell, side, &betas) {
                         continue;
                     }
                     let value = convolve(level, id, dims, config.mask);
@@ -337,7 +351,8 @@ mod tests {
                 let Some((winner, _)) = best else {
                     continue;
                 };
-                tree.level_mut(h).set_used(winner, true);
+                used[h - 1][winner as usize] = true;
+                tested.push((h, winner));
                 if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
                     betas.push(beta);
                     continue 'search;
@@ -345,61 +360,17 @@ mod tests {
             }
             break;
         }
-        betas
+        (betas, tested)
     }
 
-    /// Everything a β-cluster reports, floats as bit patterns, so `==` means
-    /// bit-identical.
-    #[expect(clippy::type_complexity, reason = "flat tuples compare field by field")]
-    fn fingerprint(
-        b: &BetaCluster,
-    ) -> (
-        usize,
-        Vec<u64>,
-        Vec<usize>,
-        u64,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64, u64, u64)>,
-    ) {
-        (
-            b.level,
-            b.center_coords.clone(),
-            b.axes.iter().collect(),
-            b.relevance_threshold.to_bits(),
-            (0..b.bounds.dims())
-                .map(|j| (b.bounds.lower(j).to_bits(), b.bounds.upper(j).to_bits()))
-                .collect(),
-            b.axis_stats
-                .iter()
-                .map(|s| (s.neighborhood, s.center, s.critical, s.relevance.to_bits()))
-                .collect(),
-        )
-    }
-
-    #[expect(clippy::type_complexity, reason = "flat tuples compare field by field")]
-    fn fingerprints(
-        betas: &[BetaCluster],
-    ) -> Vec<(
-        usize,
-        Vec<u64>,
-        Vec<usize>,
-        u64,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64, u64, u64)>,
-    )> {
-        betas.iter().map(fingerprint).collect()
-    }
-
-    /// The `usedCell` flags of every level, in arena order.
-    fn used_flags(tree: &CountingTree) -> Vec<Vec<bool>> {
-        tree.levels()
-            .map(|level| level.iter().map(|(_, cell)| cell.used()).collect())
-            .collect()
+    /// Everything each β-cluster reports, as its `Debug` text. An `f64`'s
+    /// `Debug` text round-trips, so equal text means bit-identical values.
+    fn fingerprints(betas: &[BetaCluster]) -> Vec<String> {
+        betas.iter().map(|b| format!("{b:?}")).collect()
     }
 
     mod cursor_equals_restart_scan {
         use super::*;
-        use mrcc_datagen::{generate, SyntheticSpec};
         use proptest::prelude::*;
 
         /// Random blob-plus-noise workload, tree height and configuration.
@@ -417,7 +388,7 @@ mod tests {
                         (MaskKind::FaceOnly, dims)
                     };
                     let axis_selection = if mdl {
-                        AxisSelection::Mdl
+                        AxisSelection::Mdl { floor: 45.0 }
                     } else {
                         AxisSelection::Share(45.0)
                     };
@@ -434,20 +405,29 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The cursor search returns the reference's β-clusters bit for
-            /// bit and leaves the same `usedCell` flags.
+            /// bit and tests the same winners in the same order.
             #[test]
-            fn same_betas_and_used_flags((spec, config) in case_strategy()) {
+            fn same_betas_and_tested_winners((spec, config) in case_strategy()) {
                 let ds = generate(&spec).dataset;
-                let h = config.resolutions;
-                let mut reference_tree = CountingTree::build(&ds, h).unwrap();
-                let reference = reference_find_beta_clusters(&mut reference_tree, &config);
-                let mut tree = CountingTree::build(&ds, h).unwrap();
-                let betas = find_beta_clusters(&mut tree, &config);
+                let tree = CountingTree::build(&ds, config.resolutions).unwrap();
+                let (reference, reference_tested) = reference_search(&tree, &config);
+                let (betas, tested) = search(&tree, &config);
                 let context = format!("{spec:?} {config:?}");
                 prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
-                prop_assert_eq!(used_flags(&tree), used_flags(&reference_tree), "{}", context);
+                prop_assert_eq!(tested, reference_tested, "{}", context);
             }
         }
+    }
+
+    #[test]
+    fn repeated_search_on_one_tree_returns_the_same_betas() {
+        let ds = generate(&SyntheticSpec::new("golden-blobs", 5, 800, 2, 0.15, 5)).dataset;
+        let config = MrCCConfig::default();
+        let tree = CountingTree::build(&ds, config.resolutions).unwrap();
+        let first = find_beta_clusters(&tree, &config);
+        assert!(!first.is_empty());
+        let second = find_beta_clusters(&tree, &config);
+        assert_eq!(fingerprints(&second), fingerprints(&first));
     }
 
     #[test]
@@ -455,8 +435,8 @@ mod tests {
         // Found β-clusters carve space: no later centre cell may fall inside
         // an earlier β-cluster's box.
         let ds = blob_and_noise();
-        let mut tree = CountingTree::build(&ds, 4).unwrap();
-        let betas = find_beta_clusters(&mut tree, &MrCCConfig::default());
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let betas = find_beta_clusters(&tree, &MrCCConfig::default());
         for (i, b) in betas.iter().enumerate() {
             let side = (0.5f64).powi(b.level as i32);
             for earlier in &betas[..i] {
@@ -474,8 +454,8 @@ mod tests {
     fn loose_alpha_finds_more_clusters_than_tight_alpha() {
         let ds = blob_and_noise();
         let count = |alpha: f64| {
-            let mut tree = CountingTree::build(&ds, 4).unwrap();
-            find_beta_clusters(&mut tree, &MrCCConfig::with_params(alpha, 4)).len()
+            let tree = CountingTree::build(&ds, 4).unwrap();
+            find_beta_clusters(&tree, &MrCCConfig::with_params(alpha, 4)).len()
         };
         assert!(count(1e-2) >= count(1e-40));
     }

@@ -35,7 +35,7 @@ fn every_mask_variant_works() {
 fn every_axis_selection_variant_works() {
     let synth = workload();
     for selection in [
-        AxisSelection::Mdl,
+        AxisSelection::Mdl { floor: 45.0 },
         AxisSelection::Share(45.0),
         AxisSelection::Share(60.0),
     ] {
@@ -56,8 +56,7 @@ fn paper_pure_configuration_still_runs() {
     // text. It must produce a valid (if possibly weaker) clustering.
     let synth = workload();
     let config = MrCCConfig {
-        axis_selection: AxisSelection::Mdl,
-        relevance_floor: 0.0,
+        axis_selection: AxisSelection::Mdl { floor: 0.0 },
         ..Default::default()
     };
     let result = MrCC::new(config).fit(&synth.dataset).unwrap();
@@ -92,7 +91,7 @@ fn invalid_configurations_fail_before_any_work() {
         MrCCConfig::with_params(0.0, 4),
         MrCCConfig::with_params(1e-10, 2),
         MrCCConfig {
-            relevance_floor: 120.0,
+            axis_selection: AxisSelection::Mdl { floor: 120.0 },
             ..Default::default()
         },
         MrCCConfig {

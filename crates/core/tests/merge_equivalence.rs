@@ -421,8 +421,8 @@ fn engine_matches_oracle_on_searched_betas_across_prefixes() {
     let synth = generate(&SyntheticSpec::new("merge", 10, 8_000, 4, 0.15, 42));
     let ds = &synth.dataset;
     let config = MrCCConfig::default();
-    let mut tree = CountingTree::build(ds, config.resolutions).unwrap();
-    let betas = search::find_beta_clusters(&mut tree, &config);
+    let tree = CountingTree::build(ds, config.resolutions).unwrap();
+    let betas = search::find_beta_clusters(&tree, &config);
     assert!(betas.len() >= 2, "search found {} β-clusters", betas.len());
     for n in [ds.len() / 8, ds.len() / 4, ds.len() / 2, ds.len()] {
         let mut prefix = Dataset::new(ds.dims()).unwrap();

@@ -2,9 +2,10 @@
 //!
 //! The paper's cell structure is `<loc, n, P[d], usedCell, ptr>`. Here `loc`
 //! and `ptr` are subsumed by the cell's packed grid position, its *key* (see
-//! the crate docs); `n`, `P[d]` and `usedCell` are stored verbatim, each field
-//! in one flat array per level, the counts as `u32`. A [`Cell`] is a `Copy`
-//! view of one cell's entries.
+//! the crate docs); `n` and `P[d]` are stored verbatim, each field in one
+//! flat array per level, the counts as `u32`. `usedCell` is search state, so
+//! the β-cluster search's cursors hold it, not the tree. A [`Cell`] is a
+//! `Copy` view of one cell's entries.
 
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
@@ -74,14 +75,13 @@ impl KeyLayout {
 }
 
 /// A `d`-dimensional hyper-cube cell of side `1/2^h` at tree level `h`: its
-/// grid position, half-space counts `P`, count `n` and `usedCell` flag.
+/// grid position, half-space counts `P` and count `n`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell<'a> {
     pub(crate) key: &'a [u64],
     pub(crate) layout: KeyLayout,
     pub(crate) p: &'a [u32],
     pub(crate) n: u32,
-    pub(crate) used: bool,
 }
 
 impl<'a> Cell<'a> {
@@ -130,13 +130,6 @@ impl<'a> Cell<'a> {
         self.p
     }
 
-    /// The paper's `usedCell` flag — set once the β-cluster search consumed
-    /// this cell as a convolution winner.
-    #[inline]
-    pub fn used(&self) -> bool {
-        self.used
-    }
-
     /// Relative position bit (`loc`) of axis `e_j`: `true` when the cell sits
     /// in the **upper** half of its parent along `e_j`.
     #[inline]
@@ -172,7 +165,6 @@ mod tests {
             layout,
             p,
             n: 3,
-            used: false,
         });
     }
 
@@ -232,7 +224,6 @@ mod tests {
             assert_eq!(c.half_counts(), &[2, 1]);
             assert_eq!(c.coords().collect::<Vec<_>>(), [1, 2]);
             assert_eq!(c.coord(1), 2);
-            assert!(!c.used());
         });
     }
 

@@ -33,10 +33,10 @@ fn hash_key(words: impl IntoIterator<Item = u64>) -> u64 {
 ///
 /// One array per cell field, indexed by [`CellId`] in first-insertion order:
 /// the packed `keys` with stride `W` (see `KeyLayout`), the counts `n`, the
-/// half-space counts `p` with stride `d`, `used`, and `parents` (0 at level
-/// 1, under the implicit root). `slots` is the index: a power of two of
-/// them, at most half occupied, probed linearly from the key's hash, 0 when
-/// empty and `(tag << 32) | (id + 1)` otherwise.
+/// half-space counts `p` with stride `d`, and `parents` (0 at level 1, under
+/// the implicit root). `slots` is the index: a power of two of them, at most
+/// half occupied, probed linearly from the key's hash, 0 when empty and
+/// `(tag << 32) | (id + 1)` otherwise.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -46,7 +46,6 @@ pub struct Level {
     keys: Vec<u64>,
     n: Vec<u32>,
     p: Vec<u32>,
-    used: Vec<bool>,
     parents: Vec<CellId>,
     slots: Vec<u64>,
 }
@@ -62,7 +61,6 @@ impl Level {
             keys: Vec::new(),
             n: Vec::new(),
             p: Vec::new(),
-            used: Vec::new(),
             parents: Vec::new(),
             slots: vec![0; 16],
         }
@@ -104,8 +102,7 @@ impl Level {
             key: self.key(id),
             layout: self.layout,
             p: &self.p[i * self.d..(i + 1) * self.d], // xtask-allow: indexing — documented `# Panics` contract
-            n: self.n[i],       // xtask-allow: indexing — documented `# Panics` contract
-            used: self.used[i], // xtask-allow: indexing — documented `# Panics` contract
+            n: self.n[i], // xtask-allow: indexing — documented `# Panics` contract
         }
     }
 
@@ -239,19 +236,6 @@ impl Level {
         self.parents[u32_to_usize(id)] // xtask-allow: indexing — documented `# Panics` contract
     }
 
-    /// Marks a cell's `usedCell` flag.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range id.
-    pub fn set_used(&mut self, id: CellId, used: bool) {
-        self.used[u32_to_usize(id)] = used; // xtask-allow: indexing — documented `# Panics` contract
-    }
-
-    /// Clears every `usedCell` flag.
-    pub(crate) fn reset_used(&mut self) {
-        self.used.fill(false);
-    }
-
     /// Sum of point counts over all cells (must equal `η`; used by tests and
     /// debug assertions).
     pub fn total_points(&self) -> u64 {
@@ -263,7 +247,6 @@ impl Level {
         size_of::<Level>()
             + (self.keys.capacity() + self.slots.capacity()) * size_of::<u64>()
             + (self.n.capacity() + self.p.capacity()) * size_of::<u32>()
-            + self.used.capacity() * size_of::<bool>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
@@ -317,7 +300,6 @@ impl Level {
         self.keys.extend_from_slice(key);
         self.p.resize(self.p.len() + self.d, 0);
         self.n.push(0);
-        self.used.push(false);
         self.parents.push(parent);
         id
     }
@@ -549,16 +531,6 @@ mod tests {
         let b = insert(&mut l, &[3], 9);
         assert_eq!(insert(&mut l, &[0], 4), a);
         assert_eq!((l.parent(a), l.parent(b)), (4, 9));
-    }
-
-    #[test]
-    fn used_flag_round_trips() {
-        let mut l = level_with(2, &[&[0, 0], &[1, 0]]);
-        assert!(!l.cell(1).used());
-        l.set_used(1, true);
-        assert!(l.cell(1).used() && !l.cell(0).used());
-        l.reset_used();
-        assert!(l.iter().all(|(_, c)| !c.used()));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! A multi-resolution description of a dataset embedded in the unit
 //! hyper-cube `[0,1)^d`. Level `h` covers the space with a hyper-grid of
 //! cells of side `ξ_h = 1/2^h`; each cell knows how many points it contains
-//! (`n`), how many of them sit in its lower half along every axis (the
-//! *half-space counts* `P[j]`), and whether the clustering pass has already
-//! consumed it (`usedCell`). Only non-empty cells are materialized, so each
+//! (`n`) and how many of them sit in its lower half along every axis (the
+//! *half-space counts* `P[j]`). Only non-empty cells are materialized, so each
 //! level stores at most `η` cells and the whole structure is `O(H·η·d)`
 //! space; it is built in a single scan of the data, `O(η·H·d)` time
 //! (Algorithm 1 of the paper).
@@ -44,8 +43,11 @@
 //!   [`Level::face_neighbor_sums`] sorts the keys once and merges them
 //!   against themselves stepped by `+e_j`, one linear pass per axis.
 //!
-//! The per-cell payload (`n`, `P[d]`, `usedCell`) is exactly the paper's,
-//! with the counts stored as `u32`: a tree counts at most [`MAX_POINTS`].
+//! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
+//! as `u32`: a tree counts at most [`MAX_POINTS`]. The paper's third field,
+//! `usedCell`, records which cells the β-cluster search has consumed; that is
+//! search state, so the search's per-level cursors hold it and, once built,
+//! a tree changes only through [`CountingTree::insert`].
 
 pub mod cell;
 pub mod level;

@@ -202,23 +202,9 @@ impl CountingTree {
         &self.levels[h - 1] // xtask-allow: indexing — documented `# Panics` contract
     }
 
-    /// Mutable access to level `h` (the clustering pass flips `usedCell`).
-    ///
-    /// # Panics
-    /// Panics for out-of-range `h`.
-    #[inline]
-    pub fn level_mut(&mut self, h: usize) -> &mut Level {
-        &mut self.levels[h - 1] // xtask-allow: indexing — documented `# Panics` contract
-    }
-
     /// Iterate over all materialized levels, shallow to deep.
     pub fn levels(&self) -> impl Iterator<Item = &Level> {
         self.levels.iter()
-    }
-
-    /// Clears every `usedCell` flag (re-run the search on the same tree).
-    pub fn reset_used(&mut self) {
-        self.levels.iter_mut().for_each(Level::reset_used);
     }
 
     /// Heap footprint in bytes, from the capacity of every array the tree
@@ -407,16 +393,6 @@ mod tests {
                 assert_eq!(cell.n(), sum);
             }
         }
-    }
-
-    #[test]
-    fn reset_used_clears_flags() {
-        let ds = tiny();
-        let mut tree = CountingTree::build(&ds, 4).unwrap();
-        tree.level_mut(2).set_used(0, true);
-        assert!(tree.level(2).cell(0).used());
-        tree.reset_used();
-        assert!(tree.levels().all(|l| l.iter().all(|(_, c)| !c.used())));
     }
 
     #[test]

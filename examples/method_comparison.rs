@@ -7,39 +7,9 @@
 
 use std::time::Duration;
 
+use mrcc_bench::MethodKind;
 use mrcc_repro::datagen::{generate, SyntheticSpec};
 use mrcc_repro::eval::TrackingAllocator;
-
-use mrcc_bench_shim::*;
-
-/// The comparison logic lives in the bench crate; re-declare the tiny shim
-/// here so the example builds from the facade crate alone.
-mod mrcc_bench_shim {
-    pub use mrcc_repro::baselines::SubspaceClusterer;
-    use mrcc_repro::prelude::*;
-
-    /// Builds the six methods with the paper's tuning.
-    pub fn methods(k: usize, noise: f64) -> Vec<(&'static str, Box<dyn SubspaceClusterer>)> {
-        use mrcc_repro::baselines as b;
-        struct M(MrCC);
-        impl SubspaceClusterer for M {
-            fn name(&self) -> &'static str {
-                "MrCC"
-            }
-            fn fit(&self, ds: &Dataset) -> mrcc_repro::common::Result<SubspaceClustering> {
-                Ok(self.0.fit(ds)?.clustering)
-            }
-        }
-        vec![
-            ("P3C", Box::new(b::P3c::default())),
-            ("LAC", Box::new(b::Lac::new(b::LacConfig::new(k)))),
-            ("EPCH", Box::new(b::Epch::new(b::EpchConfig::new(k)))),
-            ("CFPC", Box::new(b::Doc::new(b::DocConfig::new(k)))),
-            ("HARP", Box::new(b::Harp::new(b::HarpConfig::new(k, noise)))),
-            ("MrCC", Box::new(M(MrCC::default()))),
-        ]
-    }
-}
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -58,7 +28,13 @@ fn main() {
         "method", "quality", "subspaceQ", "time", "peak mem", "clusters"
     );
 
-    for (name, method) in methods(synth.ground_truth.len(), spec.noise_fraction) {
+    for kind in MethodKind::all() {
+        let name = kind.name();
+        let method = kind.build(
+            synth.ground_truth.len(),
+            spec.noise_fraction,
+            synth.dataset.dims(),
+        );
         let ds = synth.dataset.clone();
         let outcome = mrcc_repro::eval::run_with_timeout(Duration::from_secs(300), move || {
             mrcc_repro::eval::measure_peak(move || method.fit(&ds))
@@ -72,13 +48,13 @@ fn main() {
             continue;
         };
         let q = mrcc_repro::eval::quality(&clustering, &synth.ground_truth).quality;
-        let sq = if name == "LAC" {
-            "-".to_string() // LAC only ranks axes (paper, Section IV)
-        } else {
+        let sq = if kind.reports_subspaces() {
             format!(
                 "{:.3}",
                 mrcc_repro::eval::subspace_quality(&clustering, &synth.ground_truth).quality
             )
+        } else {
+            "-".to_string() // LAC only ranks axes (paper, Section IV)
         };
         println!(
             "{name:<6} {q:>8.3} {sq:>10} {:>9.2}s {:>10.0}KB {:>8}",

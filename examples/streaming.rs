@@ -29,10 +29,8 @@ fn main() {
         }
         seen = end;
 
-        // Snapshot clustering over everything ingested so far. The search
-        // flips usedCell flags, so reset them for the next snapshot.
-        tree.reset_used();
-        let betas = search::find_beta_clusters(&mut tree, &config);
+        // Snapshot clustering over everything ingested so far.
+        let betas = search::find_beta_clusters(&tree, &config);
         // Labeling needs the points seen so far.
         let mut so_far = Dataset::new(ds.dims()).expect("dims");
         for i in 0..seen {
