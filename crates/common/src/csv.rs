@@ -1,9 +1,22 @@
 //! Minimal CSV import/export for datasets and label vectors.
 //!
-//! Deliberately small: comma-separated `f64` columns, optional trailing
-//! integer label column, `#`-prefixed comment lines. This is all the examples
-//! and the experiment harness need to round-trip data to disk; no external
-//! CSV crate is pulled in.
+//! Deliberately small; no external CSV crate is pulled in. The accepted
+//! dialect:
+//!
+//! - comma-separated `f64` fields, each with optional surrounding
+//!   whitespace; every value must be finite (`NaN` and `inf` are rejected
+//!   with their line number);
+//! - `#` comment lines and blank lines, skipped anywhere;
+//! - LF or CRLF line endings;
+//! - an optional leading UTF-8 byte-order mark;
+//! - no quoting and no header row (put a header behind `#`);
+//! - for the labeled readers, a trailing `i32` label column (`-1` = noise).
+//!
+//! Every row must have as many fields as the first data row. Errors carry
+//! the 1-based line of the file, comment and blank lines included.
+//!
+//! The reader streams: it holds one reused line buffer, never the whole
+//! file, and allocates nothing per line.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -11,88 +24,135 @@ use std::path::Path;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 
+/// The UTF-8 byte-order mark some spreadsheet exports put first.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
 /// Reads a dataset (no label column) from a reader.
+///
+/// # Errors
+/// [`Error::Csv`] with the offending line for a malformed or non-finite
+/// field, a ragged row or invalid UTF-8; [`Error::EmptyDataset`] without a
+/// data row; [`Error::Io`] when the reader fails; and whatever
+/// [`Dataset::from_flat`] rejects (e.g. more than [`MAX_DIMS`](crate::dataset::MAX_DIMS)
+/// columns).
 pub fn read_dataset<R: Read>(reader: R) -> Result<Dataset> {
-    let (ds, _labels) = read_rows(reader, false)?;
-    Ok(ds)
+    read_rows(reader, None)
 }
 
 /// Reads a dataset whose **last** column is an integer cluster label
 /// (`-1` = noise). Returns the feature dataset and the label vector.
-#[expect(clippy::expect_used, reason = "read_rows(labeled=true) returns labels")]
+///
+/// # Errors
+/// As [`read_dataset`], plus [`Error::Csv`] for a label that is not an
+/// `i32`. A row of one field has a label and no feature columns.
 pub fn read_labeled_dataset<R: Read>(reader: R) -> Result<(Dataset, Vec<i32>)> {
-    let (ds, labels) = read_rows(reader, true)?;
-    Ok((
-        ds,
-        labels.expect("read_rows(labeled=true) returns labels invariant"),
-    ))
+    let mut labels = Vec::new();
+    let ds = read_rows(reader, Some(&mut labels))?;
+    Ok((ds, labels))
 }
 
-fn read_rows<R: Read>(reader: R, labeled: bool) -> Result<(Dataset, Option<Vec<i32>>)> {
-    let reader = BufReader::new(reader);
+fn csv_error(line: usize, message: impl Into<String>) -> Error {
+    Error::Csv {
+        line,
+        message: message.into(),
+    }
+}
+
+/// The one reader behind both entry points: the label column is split off
+/// and parsed into `labels` when it is given.
+fn read_rows<R: Read>(reader: R, mut labels: Option<&mut Vec<i32>>) -> Result<Dataset> {
+    let mut reader = BufReader::new(reader);
+    let mut buf: Vec<u8> = Vec::new();
     let mut data: Vec<f64> = Vec::new();
-    let mut labels: Vec<i32> = Vec::new();
     let mut dims: Option<usize> = None;
-    for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+    let mut line_no = 0;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        line_no += 1;
+        let bytes = match buf.strip_prefix(BOM) {
+            Some(rest) if line_no == 1 => rest,
+            _ => &buf,
+        };
+        let line = std::str::from_utf8(bytes)
+            .map_err(|_| csv_error(line_no, "invalid UTF-8"))?
+            .trim();
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-        let n_features = if labeled {
-            fields.len().checked_sub(1).ok_or(Error::Csv {
-                line: line_no + 1,
-                message: "labeled row needs at least 2 columns".into(),
-            })?
-        } else {
-            fields.len()
+        let (features, label) = match (labels.is_some(), line.rsplit_once(',')) {
+            (false, _) => (Some(line), None),
+            (true, Some((features, label))) => (Some(features), Some(label.trim())),
+            // A lone field is the label: the row has no feature column.
+            (true, None) => (None, Some(line)),
         };
-        match dims {
-            None => dims = Some(n_features),
-            Some(d) if d != n_features => {
-                return Err(Error::Csv {
-                    line: line_no + 1,
-                    message: format!("expected {d} feature columns, got {n_features}"),
-                })
-            }
-            _ => {}
+        let fields = || features.into_iter().flat_map(|f| f.split(','));
+        // A ragged row is reported before any bad field in it, so the
+        // width is checked on the error path as well as after the row.
+        let ragged = |n_features: usize| match dims {
+            Some(d) if d != n_features => Some(csv_error(
+                line_no,
+                format!("expected {d} feature columns, got {n_features}"),
+            )),
+            _ => None,
+        };
+        let row_start = data.len();
+        for field in fields().map(str::trim) {
+            let message = match field.parse::<f64>() {
+                Ok(v) if v.is_finite() => {
+                    data.push(v);
+                    continue;
+                }
+                Ok(_) => format!("non-finite value `{field}`"),
+                Err(_) => format!("bad float `{field}`"),
+            };
+            return Err(ragged(fields().count()).unwrap_or_else(|| csv_error(line_no, message)));
         }
-        for field in &fields[..n_features] {
-            let v: f64 = field.parse().map_err(|_| Error::Csv {
-                line: line_no + 1,
-                message: format!("bad float `{field}`"),
-            })?;
-            data.push(v);
+        let n_features = data.len() - row_start;
+        if let Some(e) = ragged(n_features) {
+            return Err(e);
         }
-        if labeled {
-            let l: i32 = fields[n_features].parse().map_err(|_| Error::Csv {
-                line: line_no + 1,
-                message: format!("bad label `{}`", fields[n_features]),
-            })?;
+        dims = Some(n_features);
+        if let (Some(labels), Some(label)) = (labels.as_deref_mut(), label) {
+            let l = label
+                .parse()
+                .map_err(|_| csv_error(line_no, format!("bad label `{label}`")))?;
             labels.push(l);
         }
     }
     let dims = dims.ok_or(Error::EmptyDataset)?;
-    let ds = Dataset::from_flat(dims, data)?;
-    Ok((ds, labeled.then_some(labels)))
+    Dataset::from_flat(dims, data)
 }
 
-/// Writes a dataset, optionally with a trailing label column.
+/// Writes a dataset, optionally with a trailing label column. Each value is
+/// written in its shortest round-trip form, so reading the file back gives
+/// bit-identical values.
+///
+/// # Errors
+/// [`Error::DimensionMismatch`] when `labels` does not hold one label per
+/// point; [`Error::Io`] when the writer fails.
 pub fn write_dataset<W: Write>(writer: W, ds: &Dataset, labels: Option<&[i32]>) -> Result<()> {
     if let Some(l) = labels {
-        assert_eq!(l.len(), ds.len(), "labels length mismatch");
+        if l.len() != ds.len() {
+            return Err(Error::DimensionMismatch {
+                expected: ds.len(),
+                got: l.len(),
+            });
+        }
     }
     let mut w = BufWriter::new(writer);
-    for (i, p) in ds.iter().enumerate() {
+    let mut labels = labels.map(<[i32]>::iter);
+    for p in ds.iter() {
         for (j, v) in p.iter().enumerate() {
             if j > 0 {
                 write!(w, ",")?;
             }
             write!(w, "{v}")?;
         }
-        if let Some(l) = labels {
-            write!(w, ",{}", l[i])?;
+        if let Some(l) = labels.as_mut().and_then(Iterator::next) {
+            write!(w, ",{l}")?;
         }
         writeln!(w)?;
     }
@@ -162,6 +222,27 @@ mod tests {
         let text = "0.1,oops\n";
         let err = read_dataset(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("oops"));
+    }
+
+    #[test]
+    fn labels_length_mismatch_is_an_error() {
+        let ds = Dataset::from_rows(&[[0.1], [0.2]]).unwrap();
+        let err = write_dataset(Vec::new(), &ds, Some(&[0])).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::DimensionMismatch {
+                expected: 2,
+                got: 1
+            }
+        ));
+    }
+
+    #[test]
+    fn ragged_row_reported_before_its_bad_field() {
+        let err = read_dataset("0.1,0.2\n0.3,x,0.5\n".as_bytes()).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("expected 2 feature columns, got 3"));
     }
 
     #[test]
