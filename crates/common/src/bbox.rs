@@ -28,13 +28,8 @@ impl BoundingBox {
     /// code only ever produces well-formed boxes, so this is a bug guard.
     pub fn new(lower: Vec<f64>, upper: Vec<f64>) -> Self {
         assert_eq!(lower.len(), upper.len(), "bounds length mismatch");
-        for j in 0..lower.len() {
-            assert!(
-                lower[j] <= upper[j],
-                "axis {j}: lower {} > upper {}",
-                lower[j],
-                upper[j]
-            );
+        for (j, (l, u)) in lower.iter().zip(&upper).enumerate() {
+            assert!(l <= u, "axis {j}: lower {l} > upper {u}");
         }
         BoundingBox { lower, upper }
     }
@@ -46,25 +41,41 @@ impl BoundingBox {
     }
 
     /// Lower bound on axis `j` (`L[k][j]`).
+    ///
+    /// # Panics
+    /// Panics when `j >= self.dims()`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn lower(&self, j: usize) -> f64 {
         self.lower[j]
     }
 
     /// Upper bound on axis `j` (`U[k][j]`).
+    ///
+    /// # Panics
+    /// Panics when `j >= self.dims()`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn upper(&self, j: usize) -> f64 {
         self.upper[j]
     }
 
     /// Mutable lower bound (used while refining β-cluster bounds).
+    ///
+    /// # Panics
+    /// Panics when `j >= self.dims()`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn set_lower(&mut self, j: usize, v: f64) {
         self.lower[j] = v;
     }
 
     /// Mutable upper bound.
+    ///
+    /// # Panics
+    /// Panics when `j >= self.dims()`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn set_upper(&mut self, j: usize, v: f64) {
         self.upper[j] = v;
     }
@@ -130,8 +141,8 @@ impl BoundingBox {
         );
         point
             .iter()
-            .enumerate()
-            .all(|(j, &v)| v >= self.lower[j] && v <= self.upper[j])
+            .zip(self.lower.iter().zip(&self.upper))
+            .all(|(&v, (&l, &u))| v >= l && v <= u)
     }
 
     /// Smallest box containing both inputs (the "space of a correlation
@@ -164,9 +175,12 @@ impl BoundingBox {
     }
 
     /// Side length on axis `j`.
+    ///
+    /// # Panics
+    /// Panics when `j >= self.dims()`.
     #[inline]
     pub fn extent(&self, j: usize) -> f64 {
-        self.upper[j] - self.lower[j]
+        self.upper(j) - self.lower(j)
     }
 }
 

@@ -106,7 +106,7 @@ impl BoxIndex {
                         .get_or_insert_with(|| AxisGrid::new(j, n_bins));
                     let lo = grid.bin(b.lower(j));
                     let hi = grid.bin(b.upper(j));
-                    // xtask-allow: indexing — bin() clamps, and lower ≤ upper
+                    #[expect(clippy::indexing_slicing, reason = "bin() clamps, and lower ≤ upper")]
                     for bin in &mut grid.bins[lo..=hi] {
                         bin.push(id);
                     }
@@ -134,6 +134,10 @@ impl BoxIndex {
     /// # Panics
     /// Panics when `point` has fewer coordinates than the indexed boxes
     /// (via [`BoundingBox::contains`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bin() clamps into range, and every id was minted from an index of `boxes`"
+    )]
     pub fn containing(&self, point: &[f64], out: &mut Vec<u32>) {
         out.clear();
         for grid in &self.grids {
@@ -141,17 +145,14 @@ impl BoxIndex {
             let v = *point
                 .get(grid.axis)
                 .expect("point dims match box dims by contains() invariant");
-            let bin = &grid.bins[grid.bin(v)]; // xtask-allow: indexing — bin() clamps into range
-            for &id in bin {
+            for &id in &grid.bins[grid.bin(v)] {
                 if self.boxes[id as usize].contains(point) {
-                    // xtask-allow: indexing — ids were minted from boxes' indices
                     out.push(id);
                 }
             }
         }
         for &id in &self.everywhere {
             if self.boxes[id as usize].contains(point) {
-                // xtask-allow: indexing — ids were minted from boxes' indices
                 out.push(id);
             }
         }

@@ -73,6 +73,10 @@ impl SubspaceClustering {
         let mut seen = vec![false; n_points];
         for (k, c) in clusters.iter().enumerate() {
             assert_eq!(c.axes.dims(), dims, "cluster {k}: axis mask dims mismatch");
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`p < seen.len()` is asserted first"
+            )]
             for &p in &c.points {
                 assert!(p < n_points, "cluster {k}: point {p} out of range");
                 assert!(!seen[p], "point {p} assigned to two clusters");
@@ -88,6 +92,10 @@ impl SubspaceClustering {
 
     /// Builds a clustering from a per-point label vector (`NOISE` = noise) and
     /// per-label axis masks. Labels must be `0..masks.len()` or `NOISE`.
+    ///
+    /// # Panics
+    /// Panics on a label outside `0..masks.len()` other than `NOISE`.
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn from_labels(labels: &[i32], masks: &[AxisMask], dims: usize) -> Self {
         let mut points: Vec<Vec<usize>> = vec![Vec::new(); masks.len()];
         for (i, &l) in labels.iter().enumerate() {
@@ -130,6 +138,10 @@ impl SubspaceClustering {
     }
 
     /// Per-point labels: cluster index, or [`NOISE`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`new` checks every member < n_points"
+    )]
     pub fn labels(&self) -> Vec<i32> {
         let mut labels = vec![NOISE; self.n_points];
         for (k, c) in self.clusters.iter().enumerate() {
@@ -141,6 +153,7 @@ impl SubspaceClustering {
     }
 
     /// Indices of noise points (assigned to no cluster).
+    #[expect(clippy::indexing_slicing, reason = "`labels()` has n_points entries")]
     pub fn noise(&self) -> Vec<usize> {
         let labels = self.labels();
         (0..self.n_points).filter(|&i| labels[i] == NOISE).collect()
@@ -172,9 +185,13 @@ impl SubspaceClustering {
                 "invariant violated: cluster {k} axis mask has wrong dimensionality"
             );
             assert!(
-                c.points.windows(2).all(|w| w[0] < w[1]),
+                c.points.is_sorted_by(|a, b| a < b),
                 "invariant violated: cluster {k} member list not sorted-unique"
             );
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`p < seen.len()` is asserted first"
+            )]
             for &p in &c.points {
                 assert!(
                     p < self.n_points,

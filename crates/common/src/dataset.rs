@@ -168,6 +168,7 @@ impl Dataset {
     /// # Panics
     /// Panics if `i >= self.len()`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn point(&self, i: usize) -> &[f64] {
         &self.data[i * self.dims..(i + 1) * self.dims]
     }
@@ -179,18 +180,16 @@ impl Dataset {
 
     /// Per-axis minima and maxima, or `None` for an empty dataset.
     pub fn bounds(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut min = self.point(0).to_vec();
+        let mut points = self.iter();
+        let mut min = points.next()?.to_vec();
         let mut max = min.clone();
-        for p in self.iter().skip(1) {
-            for j in 0..self.dims {
-                if p[j] < min[j] {
-                    min[j] = p[j];
+        for p in points {
+            for ((&v, lo), hi) in p.iter().zip(&mut min).zip(&mut max) {
+                if v < *lo {
+                    *lo = v;
                 }
-                if p[j] > max[j] {
-                    max[j] = p[j];
+                if v > *hi {
+                    *hi = v;
                 }
             }
         }
@@ -221,16 +220,15 @@ impl Dataset {
                 }
             })
             .collect();
-        let dims = self.dims;
-        for p in self.data.chunks_exact_mut(dims) {
-            for j in 0..dims {
-                p[j] = (p[j] - min[j]) / scale[j];
+        for p in self.data.chunks_exact_mut(self.dims) {
+            for ((v, &mn), &s) in p.iter_mut().zip(&min).zip(&scale) {
+                *v = (*v - mn) / s;
                 // Guard against floating rounding pushing a maximum to 1.0.
-                if p[j] >= 1.0 {
-                    p[j] = UNIT_SHRINK;
+                if *v >= 1.0 {
+                    *v = UNIT_SHRINK;
                 }
-                if p[j] < 0.0 {
-                    p[j] = 0.0;
+                if *v < 0.0 {
+                    *v = 0.0;
                 }
             }
         }

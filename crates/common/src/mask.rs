@@ -39,6 +39,9 @@ impl AxisMask {
     }
 
     /// The full axis set `{e_1, …, e_d}`.
+    ///
+    /// # Panics
+    /// Panics if `dims` is 0 or exceeds [`MAX_DIMS`] (see [`AxisMask::empty`]).
     pub fn full(dims: usize) -> Self {
         let mut m = AxisMask::empty(dims);
         m.bits = if dims == 64 {
@@ -50,6 +53,10 @@ impl AxisMask {
     }
 
     /// Builds a mask from an iterator of axis indices.
+    ///
+    /// # Panics
+    /// Panics if `dims` is out of range (see [`AxisMask::empty`]) or an axis
+    /// is `>= dims`.
     pub fn from_axes(dims: usize, axes: impl IntoIterator<Item = usize>) -> Self {
         let mut m = AxisMask::empty(dims);
         for a in axes {
@@ -59,6 +66,10 @@ impl AxisMask {
     }
 
     /// Builds a mask from a boolean per-axis slice (`V[k]` in the paper).
+    ///
+    /// # Panics
+    /// Panics if `flags` is empty or longer than [`MAX_DIMS`] (see
+    /// [`AxisMask::empty`]).
     pub fn from_bools(flags: &[bool]) -> Self {
         let mut m = AxisMask::empty(flags.len());
         for (j, &f) in flags.iter().enumerate() {
@@ -86,6 +97,9 @@ impl AxisMask {
     }
 
     /// Removes axis `j` from the set.
+    ///
+    /// # Panics
+    /// Panics if `j >= dims`.
     #[inline]
     pub fn remove(&mut self, j: usize) {
         assert!(j < self.dims(), "axis {j} out of range");

@@ -61,19 +61,18 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
     let extent = level.grid_extent();
     let n_offsets = 3usize.pow(dims as u32);
     'offsets: for code in 0..n_offsets {
+        key.copy_from_slice(&coords);
         let mut c = code;
         let mut all_zero = true;
-        for j in 0..dims {
+        for (slot, &base) in key.iter_mut().zip(&coords).take(dims) {
             let trit = (c % 3) as i64 - 1; // −1, 0, +1
             c /= 3;
-            let base = coords[j];
             let coord = base as i64 + trit;
             if coord < 0 || coord as u64 >= extent {
-                // Off the grid: restore and skip this offset.
-                key.copy_from_slice(&coords);
+                // Off the grid: skip this offset.
                 continue 'offsets;
             }
-            key[j] = coord as u64;
+            *slot = coord as u64;
             if trit != 0 {
                 all_zero = false;
             }
@@ -83,7 +82,6 @@ pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
                 acc -= level.cell(nid).n() as i64;
             }
         }
-        key.copy_from_slice(&coords);
     }
     acc
 }

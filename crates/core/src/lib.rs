@@ -1,6 +1,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::missing_panics_doc
+    )
+)]
 
 //! **MrCC — Multi-resolution Correlation Clustering** (Cordeiro, Traina,
 //! Faloutsos, Traina Jr., ICDE 2010).

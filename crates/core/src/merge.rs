@@ -123,8 +123,9 @@ impl MergeCache {
     /// # Panics
     /// Panics when `k` is not a valid β-cluster index.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn box_count(&self, k: usize) -> usize {
-        self.box_counts[k] // xtask-allow: indexing — documented `# Panics` contract
+        self.box_counts[k]
     }
 
     /// The β-clusters whose boxes contain point `i`, ascending.
@@ -132,8 +133,8 @@ impl MergeCache {
     /// # Panics
     /// Panics when `i` is not a valid point index.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn containing(&self, i: usize) -> &[u32] {
-        // xtask-allow: indexing — documented `# Panics` contract
         &self.ids[self.offsets[i]..self.offsets[i + 1]]
     }
 }
@@ -163,8 +164,11 @@ fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster]) -> ScanResult {
     let mut buf: Vec<u32> = Vec::new();
     for point in dataset.iter() {
         index.containing(point, &mut buf);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ids are minted from β indices < betas.len(), and pos < buf.len()"
+        )]
         for (pos, &a) in buf.iter().enumerate() {
-            // xtask-allow: indexing — ids are minted from β indices < betas.len()
             cache.box_counts[a as usize] += 1;
             for &b in &buf[pos + 1..] {
                 // `buf` is ascending, so (a, b) is already ordered.
@@ -196,27 +200,26 @@ impl UnionFind {
     // entries are always indices `< n` (`new` seeds them that way and `union`
     // only stores roots returned by `find`), so element access cannot go out
     // of bounds for any `x < n`.
+    #[expect(clippy::indexing_slicing, reason = "parent entries are indices < n")]
     fn find(&mut self, mut x: usize) -> usize {
-        // xtask-allow: indexing — see invariant above
         while self.parent[x] != x {
-            // xtask-allow: indexing — see invariant above
             self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x]; // xtask-allow: indexing — see invariant above
+            x = self.parent[x];
         }
         x
     }
 
+    #[expect(clippy::indexing_slicing, reason = "`find` returns roots < n")]
     fn union(&mut self, a: usize, b: usize) {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
-        // xtask-allow: indexing — see invariant above
         if self.size[ra] < self.size[rb] {
             std::mem::swap(&mut ra, &mut rb);
         }
-        self.parent[rb] = ra; // xtask-allow: indexing — see invariant above
-        self.size[ra] += self.size[rb]; // xtask-allow: indexing — see invariant above
+        self.parent[rb] = ra;
+        self.size[ra] += self.size[rb];
     }
 }
 
@@ -226,19 +229,20 @@ fn collect_groups(uf: &mut UnionFind, n: usize) -> (Vec<Vec<usize>>, Vec<usize>)
     let mut root_to_group: Vec<Option<usize>> = vec![None; n];
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_of: Vec<usize> = Vec::with_capacity(n);
-    // `find` returns an index < n and group ids are only handed out by the
-    // push below, so every lookup in this loop stays in bounds.
     for i in 0..n {
         let root = uf.find(i);
-        // xtask-allow: indexing — see invariant above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`find` returns an index < n, and group ids are only handed out by the push below"
+        )]
         let g = match root_to_group[root] {
             Some(g) => {
-                groups[g].push(i); // xtask-allow: indexing — see invariant above
+                groups[g].push(i);
                 g
             }
             None => {
                 let g = groups.len();
-                root_to_group[root] = Some(g); // xtask-allow: indexing — see invariant above
+                root_to_group[root] = Some(g);
                 groups.push(vec![i]);
                 g
             }
@@ -249,7 +253,10 @@ fn collect_groups(uf: &mut UnionFind, n: usize) -> (Vec<Vec<usize>>, Vec<usize>)
 }
 
 /// Builds the cluster descriptions (axis unions and hulls) from the groups.
-/// Every group is non-empty and its members are indices into `betas`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every group is non-empty and its members are indices into `betas`"
+)]
 fn describe_groups(
     groups: &[Vec<usize>],
     betas: &[BetaCluster],
@@ -259,11 +266,10 @@ fn describe_groups(
         .iter()
         .map(|members| {
             let mut axes = AxisMask::empty(dims);
-            // xtask-allow: indexing — see invariant above
             let mut hull = betas[members[0]].bounds.clone();
             for &m in members {
-                axes = axes.union(&betas[m].axes); // xtask-allow: indexing
-                hull = hull.hull(&betas[m].bounds); // xtask-allow: indexing
+                axes = axes.union(&betas[m].axes);
+                hull = hull.hull(&betas[m].bounds);
             }
             CorrelationCluster {
                 axes,
@@ -307,18 +313,15 @@ pub fn build_correlation_clusters(
     // space (a coarse-level box spans `[0,1]` on its irrelevant axes, so
     // such crossings are unavoidable). See DESIGN.md. The junction counts
     // come from the recorded pass; no β-pair ever re-reads the dataset.
+    // The box index numbers the β-clusters in `u32` (`BoxIndex::new` checks
+    // that they fit), so zipping with `0u32..` pairs each β with its id.
     let mut uf = UnionFind::new(betas.len());
-    for (i, beta_i) in betas.iter().enumerate() {
-        for (j, beta_j) in betas.iter().enumerate().skip(i + 1) {
+    for ((i, beta_i), a) in betas.iter().enumerate().zip(0u32..) {
+        for ((j, beta_j), b) in betas.iter().enumerate().zip(0u32..).skip(i + 1) {
             if !beta_i.shares_space(beta_j) {
                 continue;
             }
-            #[expect(clippy::expect_used, reason = "β count fits in u32 by construction")]
-            let key = (
-                u32::try_from(i).expect("β count fits in u32 by construction invariant"),
-                u32::try_from(j).expect("β count fits in u32 by construction invariant"),
-            );
-            let junction = pair_counts.get(&key).copied().unwrap_or(0);
+            let junction = pair_counts.get(&(a, b)).copied().unwrap_or(0);
             let needed =
                 (cache.box_count(i).min(cache.box_count(j)) as f64 * JUNCTION_DENSITY).ceil();
             if junction as f64 >= needed.max(1.0) {
@@ -337,14 +340,17 @@ pub fn build_correlation_clusters(
     // containing-box set — no containment is re-evaluated.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
     for i in 0..dataset.len() {
-        // xtask-allow: indexing — containment ids index `betas`, groups index `members`
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "containment ids index `betas`, groups index `members`"
+        )]
         if let Some(&g) = cache
             .containing(i)
             .iter()
             .map(|&b| &group_of[b as usize])
             .min()
         {
-            members[g].push(i); // xtask-allow: indexing — see above
+            members[g].push(i);
         }
     }
     for (cluster, m) in clusters.iter_mut().zip(&members) {

@@ -110,7 +110,7 @@ impl MrCCResult {
         }
         for (k, c) in self.clusters.iter().enumerate() {
             assert!(
-                c.beta_indices.windows(2).all(|w| w[0] < w[1]),
+                c.beta_indices.is_sorted_by(|a, b| a < b),
                 "invariant violated: correlation cluster {k} member list not sorted-unique"
             );
             assert_eq!(
@@ -123,6 +123,7 @@ impl MrCCResult {
                     bi < self.beta_clusters.len(),
                     "invariant violated: correlation cluster {k} references β-cluster {bi}"
                 );
+                #[expect(clippy::indexing_slicing, reason = "`bi < len` is asserted first")]
                 let member = &self.beta_clusters[bi];
                 assert!(
                     member.axes.iter().all(|j| c.axes.contains(j)),
@@ -143,7 +144,7 @@ impl MrCCResult {
         for i in 0..self.merge_cache.n_points() {
             let ids = self.merge_cache.containing(i);
             assert!(
-                ids.windows(2).all(|w| w[0] < w[1]),
+                ids.is_sorted_by(|a, b| a < b),
                 "invariant violated: point {i} containment list not sorted-unique"
             );
             assert!(

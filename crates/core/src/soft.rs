@@ -27,8 +27,9 @@ impl SoftClustering {
     ///
     /// # Panics
     /// Panics when `i` is not a valid point index.
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn memberships(&self, i: usize) -> &[(usize, f64)] {
-        &self.memberships[i] // xtask-allow: indexing — documented `# Panics` contract
+        &self.memberships[i]
     }
 
     /// Number of points.
@@ -106,8 +107,9 @@ impl MrCCResult {
         // grouping below (every β belongs to exactly one cluster).
         let mut cluster_of: Vec<usize> = vec![0; self.beta_clusters.len()];
         for (k, cluster) in self.clusters.iter().enumerate() {
+            #[expect(clippy::indexing_slicing, reason = "members index β-clusters")]
             for &m in &cluster.beta_indices {
-                cluster_of[m] = k; // xtask-allow: indexing — members index β-clusters
+                cluster_of[m] = k;
             }
         }
 
@@ -117,11 +119,11 @@ impl MrCCResult {
             // stable sort by cluster reproduces the old path exactly: per
             // cluster, densities are folded in member (β-index) order, and
             // candidate clusters emerge in ascending cluster order.
+            #[expect(clippy::indexing_slicing, reason = "containment ids index β-clusters")]
             let mut hits: Vec<(usize, f64)> = self
                 .merge_cache
                 .containing(i)
                 .iter()
-                // xtask-allow: indexing — containment ids index β-clusters
                 .map(|&m| (cluster_of[m as usize], box_density[m as usize]))
                 .collect();
             hits.sort_by_key(|&(k, _)| k);

@@ -92,7 +92,8 @@ impl<'a> Cell<'a> {
     #[inline]
     pub fn coord(&self, j: usize) -> u64 {
         // `p` holds one entry per axis, so it bounds-checks `j`.
-        let _ = self.p[j]; // xtask-allow: indexing — documented `# Panics` contract
+        #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
+        let _ = self.p[j];
         self.layout.field(self.key, j).unwrap_or(0)
     }
 
@@ -120,6 +121,7 @@ impl<'a> Cell<'a> {
     /// # Panics
     /// Panics when `j` is out of range.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn half_count(&self, j: usize) -> u64 {
         u64::from(self.p[j])
     }

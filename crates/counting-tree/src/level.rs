@@ -96,13 +96,14 @@ impl Level {
     /// # Panics
     /// Panics on an out-of-range id.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn cell(&self, id: CellId) -> Cell<'_> {
         let i = u32_to_usize(id);
         Cell {
             key: self.key(id),
             layout: self.layout,
-            p: &self.p[i * self.d..(i + 1) * self.d], // xtask-allow: indexing — documented `# Panics` contract
-            n: self.n[i], // xtask-allow: indexing — documented `# Panics` contract
+            p: &self.p[i * self.d..(i + 1) * self.d],
+            n: self.n[i],
         }
     }
 
@@ -164,9 +165,10 @@ impl Level {
     /// # Panics
     /// Panics on an out-of-range id.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "ids from the index are in range")]
     pub fn neighbor_count(&self, id: CellId, axis: usize, dir: Direction) -> u64 {
         self.neighbor(id, axis, dir)
-            .map_or(0, |nid| u64::from(self.n[u32_to_usize(nid)])) // xtask-allow: indexing — ids from the index are in range
+            .map_or(0, |nid| u64::from(self.n[u32_to_usize(nid)]))
     }
 
     /// Per cell, indexed by [`CellId`], the point count summed over its `2d`
@@ -206,12 +208,13 @@ impl Level {
                 // Every key before `b` is below the previous target, so below
                 // this one too.
                 b = b.max(a + 1);
+                #[expect(clippy::indexing_slicing, reason = "a, b < cells")]
                 while let Some(other) = keys.get(b * w..(b + 1) * w) {
                     match cmp_stepped(other, key, word, 1 << shift) {
                         Ordering::Less => b += 1,
                         Ordering::Equal => {
-                            sums[a] += counts[b]; // xtask-allow: indexing — a, b < cells
-                            sums[b] += counts[a]; // xtask-allow: indexing — a, b < cells
+                            sums[a] += counts[b];
+                            sums[b] += counts[a];
                             break;
                         }
                         Ordering::Greater => break,
@@ -220,8 +223,9 @@ impl Level {
             }
         }
         let mut by_id = vec![0u64; sums.len()];
+        #[expect(clippy::indexing_slicing, reason = "`order` holds every id once")]
         for (&(_, id), sum) in order.iter().zip(sums) {
-            by_id[u32_to_usize(id)] = sum; // xtask-allow: indexing — `order` holds every id once
+            by_id[u32_to_usize(id)] = sum;
         }
         by_id
     }
@@ -232,8 +236,9 @@ impl Level {
     /// # Panics
     /// Panics on an out-of-range id.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn parent(&self, id: CellId) -> CellId {
-        self.parents[u32_to_usize(id)] // xtask-allow: indexing — documented `# Panics` contract
+        self.parents[u32_to_usize(id)]
     }
 
     /// Sum of point counts over all cells (must equal `η`; used by tests and
@@ -278,13 +283,15 @@ impl Level {
 
     /// The packed key of cell `id`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "callers pass ids of stored cells")]
     fn key(&self, id: CellId) -> &[u64] {
         let i = u32_to_usize(id);
-        &self.keys[i * self.words..(i + 1) * self.words] // xtask-allow: indexing — callers pass ids of stored cells
+        &self.keys[i * self.words..(i + 1) * self.words]
     }
 
     /// Fetches the cell with packed key `key`, materializing it under
     /// `parent` if absent, and returns its id.
+    #[expect(clippy::indexing_slicing, reason = "`probe` returns an in-range slot")]
     fn get_or_insert(&mut self, key: &[u64], parent: CellId) -> CellId {
         if 2 * (self.n_cells() + 1) > self.slots.len() {
             self.grow_index();
@@ -296,7 +303,7 @@ impl Level {
         };
         // The index stores `id + 1` in 32 bits, so ids stop below 2^32 − 1.
         let id = bounded_to_u32(self.n_cells() + 1) - 1;
-        self.slots[pos] = occupied(hash, id); // xtask-allow: indexing — `probe` returns an in-range slot
+        self.slots[pos] = occupied(hash, id);
         self.keys.extend_from_slice(key);
         self.p.resize(self.p.len() + self.d, 0);
         self.n.push(0);
@@ -306,10 +313,11 @@ impl Level {
 
     /// Counts one point into cell `id`. The point lies in the lower half of
     /// the cell along axis `e_j` iff bit `bit` of `fine[j]` is clear.
+    #[expect(clippy::indexing_slicing, reason = "ids come from `get_or_insert`")]
     fn count_point(&mut self, id: CellId, fine: &[u64], bit: u32) {
         let i = u32_to_usize(id);
-        self.n[i] += 1; // xtask-allow: indexing — ids come from `get_or_insert`
-        let p = &mut self.p[i * self.d..(i + 1) * self.d]; // xtask-allow: indexing — ids come from `get_or_insert`
+        self.n[i] += 1;
+        let p = &mut self.p[i * self.d..(i + 1) * self.d];
         for (slot, &f) in p.iter_mut().zip(fine) {
             *slot += u32::from((f >> bit) & 1 == 0);
         }
@@ -323,7 +331,11 @@ impl Level {
         #[expect(clippy::as_conversions, reason = "truncation: low bits pick the slot")]
         let mut pos = (hash as usize) & mask;
         loop {
-            let slot = self.slots[pos]; // xtask-allow: indexing — positions are masked to the slot count
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "positions are masked to the slot count"
+            )]
+            let slot = self.slots[pos];
             if slot == 0 {
                 return Err(pos);
             }
@@ -344,8 +356,9 @@ impl Level {
         for id in self.ids() {
             let hash = hash_key(self.key(id).iter().copied());
             // Stored cells are distinct, so the probe always ends at a free slot.
+            #[expect(clippy::indexing_slicing, reason = "`probe` returns an in-range slot")]
             if let Err(pos) = self.probe(hash, |_| false) {
-                self.slots[pos] = occupied(hash, id); // xtask-allow: indexing — `probe` returns an in-range slot
+                self.slots[pos] = occupied(hash, id);
             }
         }
     }

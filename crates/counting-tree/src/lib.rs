@@ -2,7 +2,17 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::as_conversions)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::as_conversions,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::missing_panics_doc
+    )
 )]
 
 //! The **Counting-tree** (MrCC, Section III-A).

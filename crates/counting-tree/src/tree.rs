@@ -156,7 +156,8 @@ impl CountingTree {
             }
             *slot = trunc_to_u64(v * fine_scale);
         }
-        let fine = &fine[..d]; // xtask-allow: indexing — `empty` bounds d by MAX_DIMS
+        #[expect(clippy::indexing_slicing, reason = "`empty` bounds d by MAX_DIMS")]
+        let fine = &fine[..d];
         let mut key = [0u64; MAX_DIMS];
         // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
         // parent is the implicit root, reported as id 0.
@@ -198,8 +199,9 @@ impl CountingTree {
     /// # Panics
     /// Panics for out-of-range `h`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn level(&self, h: usize) -> &Level {
-        &self.levels[h - 1] // xtask-allow: indexing — documented `# Panics` contract
+        &self.levels[h - 1]
     }
 
     /// Iterate over all materialized levels, shallow to deep.
@@ -257,8 +259,7 @@ impl CountingTree {
                 );
             }
         }
-        for pair in self.levels.windows(2) {
-            let (parent, child) = (&pair[0], &pair[1]);
+        for (parent, child) in self.levels.iter().zip(self.levels.iter().skip(1)) {
             for (id, cc) in child.iter() {
                 let pc = parent.cell(child.parent(id));
                 assert!(

@@ -63,10 +63,10 @@ pub fn ln_factorial(n: u64) -> f64 {
         }
         t
     });
-    match usize::try_from(n) {
-        Ok(i) if i < TABLE_LEN => table[i],
-        _ => ln_gamma(count_to_f64(n) + 1.0),
-    }
+    usize::try_from(n)
+        .ok()
+        .and_then(|i| table.get(i))
+        .map_or_else(|| ln_gamma(count_to_f64(n) + 1.0), |&v| v)
 }
 
 /// `ln C(n, k)`; zero when `k == 0` or `k == n`.

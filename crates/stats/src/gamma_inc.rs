@@ -73,6 +73,9 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
+///
+/// # Panics
+/// Panics when `a <= 0` or `x < 0`.
 pub fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_q requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_q requires x >= 0, got {x}");

@@ -69,23 +69,22 @@ fn partition_cost(values: &[f64]) -> f64 {
 /// Panics on an empty slice or an unsorted slice (debug only for the latter).
 pub fn mdl_cut(values: &[f64]) -> MdlCut {
     assert!(!values.is_empty(), "mdl_cut needs at least one value");
-    debug_assert!(
-        values.windows(2).all(|w| w[0] <= w[1]),
-        "mdl_cut input must be sorted ascending"
-    );
+    debug_assert!(values.is_sorted(), "mdl_cut input must be sorted ascending");
+    #[expect(clippy::indexing_slicing, reason = "`values` is asserted non-empty")]
     let mut best = MdlCut {
         cut: 0,
         threshold: values[0],
         cost: partition_cost(values),
     };
-    for c in 1..values.len() {
-        let cost = partition_cost(&values[..c]) + partition_cost(&values[c..]);
+    for (c, &threshold) in values.iter().enumerate().skip(1) {
+        let (low, high) = values.split_at(c);
+        let cost = partition_cost(low) + partition_cost(high);
         // Strictly-and-meaningfully smaller: near-ties (absolute or
         // relative, so large cost magnitudes behave) keep the earlier cut.
         if cost < best.cost && !mrcc_common::float::approx_eq(cost, best.cost) {
             best = MdlCut {
                 cut: c,
-                threshold: values[c],
+                threshold,
                 cost,
             };
         }

@@ -28,8 +28,8 @@ pub const SNAPSHOT_DIR: &str = "api";
 pub fn render(krate: &CrateAst) -> String {
     let mut lines = vec![format!("# public API surface of `{}`", krate.name)];
     let mut body = Vec::new();
-    for src in &krate.files {
-        for f in &src.parsed.fns {
+    for file in &krate.files {
+        for f in &file.fns {
             if f.vis != Vis::Pub || f.is_test || f.in_trait_impl {
                 continue;
             }
@@ -40,7 +40,7 @@ pub fn render(krate: &CrateAst) -> String {
                 .unwrap_or(&f.signature);
             body.push(format!("{}fn {}{tail}", prefix(&f.module), f.key()));
         }
-        for t in &src.parsed.types {
+        for t in &file.types {
             if t.vis != Vis::Pub || t.is_test {
                 continue;
             }
@@ -174,23 +174,26 @@ fn io_finding(path: &str, message: &str) -> Finding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::parse_file;
+    use crate::source::SourceFile;
 
     fn demo_crate() -> CrateAst {
-        CrateAst::from_sources(
-            "mrcc-demo",
-            &[(
+        let src = "pub struct Pt { pub x: f64, y: f64 }\n\
+                   impl Pt {\n\
+                   \x20   pub fn x(&self) -> f64 { self.x }\n\
+                   \x20   fn hidden(&self) {}\n\
+                   }\n\
+                   impl Clone for Pt { fn clone(&self) -> Pt { Pt { x: self.x, y: self.y } } }\n\
+                   pub fn free(a: u32) -> u32 { a }\n\
+                   pub const MAX: usize = 64;\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn t() {}\n}\n";
+        CrateAst {
+            name: "mrcc-demo".to_string(),
+            files: vec![parse_file(&SourceFile::parse(
                 "crates/demo/src/lib.rs",
-                "pub struct Pt { pub x: f64, y: f64 }\n\
-                 impl Pt {\n\
-                 \x20   pub fn x(&self) -> f64 { self.x }\n\
-                 \x20   fn hidden(&self) {}\n\
-                 }\n\
-                 impl Clone for Pt { fn clone(&self) -> Pt { Pt { x: self.x, y: self.y } } }\n\
-                 pub fn free(a: u32) -> u32 { a }\n\
-                 pub const MAX: usize = 64;\n\
-                 #[cfg(test)]\nmod tests {\n    pub fn t() {}\n}\n",
-            )],
-        )
+                src,
+            ))],
+        }
     }
 
     #[test]

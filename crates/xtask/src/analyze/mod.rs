@@ -1,28 +1,23 @@
-//! The semantic (cross-file) analysis layer: `cargo run -p xtask -- analyze`.
+//! The analysis layer: `cargo run -p xtask -- analyze`.
 //!
-//! Two analyses run over the parsed item structure of the workspace's
+//! One analysis runs over the parsed item structure of the workspace's
 //! library crates (see [`crate::ast`]), and one token scan over all of the
 //! workspace's own sources:
 //!
 //! | slug             | analysis                                                |
 //! |------------------|---------------------------------------------------------|
-//! | `panic-path`     | call-graph panic audit: no *new* public function of the |
-//! |                  | four core crates may transitively reach a panic source  |
-//! |                  | (`panic!`, `unwrap`/`expect`, `assert*`, unchecked `[]` |
-//! |                  | indexing); known paths live in the committed baseline   |
-//! |                  | `crates/xtask/panic-baseline.txt`                       |
 //! | `api-drift`      | each crate's `pub` surface vs the committed snapshot in |
 //! |                  | `api/<crate>.txt`; changes require `analyze --bless`    |
 //! | `float-eq`       | raw `==`/`!=` against a float zero or infinity, the     |
 //! |                  | compares clippy's `float_cmp` does not report           |
 //!
-//! `--bless` rewrites the panic baseline and the API snapshots from current
-//! state. The paper's exact constants are pinned by unit tests in the crates
-//! that own them.
+//! `--bless` rewrites the API snapshots from current state. Panic freedom
+//! is a set of clippy lints, not an analysis here (see the `lib.rs` of the
+//! four core crates). The paper's exact constants are pinned by unit tests
+//! in the crates that own them.
 
 pub mod api;
 pub mod float_eq;
-pub mod panics;
 
 use crate::ast::{self, ParsedFile};
 use crate::source::SourceFile;
@@ -35,7 +30,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Analysis slug (`panic-path`, `api-drift`, `io`).
+    /// Analysis slug (`api-drift`, `float-eq`, `io`).
     pub slug: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -118,42 +113,13 @@ pub fn github_annotation(f: &Finding) -> String {
     )
 }
 
-/// One parsed source file of a crate.
-#[derive(Debug)]
-pub struct ParsedSource {
-    /// The masked source views (path is repo-relative).
-    pub file: SourceFile,
-    /// The parsed item structure.
-    pub parsed: ParsedFile,
-}
-
 /// One workspace crate, parsed.
 #[derive(Debug)]
 pub struct CrateAst {
     /// Package name from `Cargo.toml` (e.g. `mrcc-counting-tree`).
     pub name: String,
     /// Library sources (`src/**/*.rs`, excluding `src/bin/`), sorted by path.
-    pub files: Vec<ParsedSource>,
-}
-
-impl CrateAst {
-    /// Builds a crate AST directly from `(path, text)` pairs — the unit the
-    /// fixture tests use.
-    #[cfg(test)]
-    pub fn from_sources(name: &str, sources: &[(&str, &str)]) -> CrateAst {
-        let files = sources
-            .iter()
-            .map(|(path, text)| {
-                let file = SourceFile::parse(path, text);
-                let parsed = ast::parse_file(&file);
-                ParsedSource { file, parsed }
-            })
-            .collect();
-        CrateAst {
-            name: name.to_string(),
-            files,
-        }
-    }
+    pub files: Vec<ParsedFile>,
 }
 
 /// Loads and parses every library crate under `crates/` (the vendored shims
@@ -192,9 +158,7 @@ pub fn load_workspace(repo: &Path) -> Result<Vec<CrateAst>, String> {
                 .replace('\\', "/");
             let text =
                 std::fs::read_to_string(&path).map_err(|e| format!("{rel}: unreadable: {e}"))?;
-            let file = SourceFile::parse(&rel, &text);
-            let parsed = ast::parse_file(&file);
-            files.push(ParsedSource { file, parsed });
+            files.push(ast::parse_file(&SourceFile::parse(&rel, &text)));
         }
         crates.push(CrateAst { name, files });
     }
@@ -240,8 +204,8 @@ fn collect_rs(dir: &Path, with_bins: bool, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Runs the three analyses over the repository. With `bless`, rewrites the
-/// panic baseline and API snapshots instead of failing on drift.
+/// Runs the two analyses over the repository. With `bless`, rewrites the
+/// API snapshots instead of failing on drift.
 pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
     let crates = match load_workspace(repo) {
         Ok(crates) => crates,
@@ -255,7 +219,6 @@ pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
         }
     };
     let mut findings = Vec::new();
-    findings.extend(panics::audit_repo(repo, &crates, bless));
     findings.extend(api::check_repo(repo, &crates, bless));
     findings.extend(float_eq::check_repo(repo));
     findings
@@ -271,7 +234,7 @@ mod tests {
         let findings = vec![Finding {
             path: "crates/core/src/lib.rs".to_string(),
             line: 7,
-            slug: "panic-path",
+            slug: "api-drift",
             message: "uses `.unwrap()` with \"quotes\"\nand a newline".to_string(),
         }];
         let json = to_json(&findings);

@@ -1,14 +1,11 @@
 //! A lightweight recursive-descent parser for Rust's *item* structure.
 //!
-//! The token-level lints in [`crate::lints`] see one line at a time; the
-//! semantic analyses in [`crate::analyze`] need to see across statements and
-//! files: which functions exist, what their visibility and signatures are,
-//! which impl block they belong to, and what their bodies call. This module
-//! provides exactly that — no more. It parses the *masked* code view built by
-//! [`crate::source`] (string/comment contents already blanked), so it never
-//! has to reason about literals, and it deliberately does not build a full
-//! expression tree: function bodies are kept as flat token slices that the
-//! analyses scan for call and panic-source patterns.
+//! The API-drift gate in [`crate::analyze::api`] needs each crate's items:
+//! which functions exist, what their visibility and signatures are, and which
+//! impl block they belong to. This module provides exactly that — no more.
+//! It parses the *masked* code view built by [`crate::source`]
+//! (string/comment contents already blanked), so it never has to reason
+//! about literals, and it skips function bodies without looking inside.
 //!
 //! Coverage is the item grammar this workspace actually uses: `fn`, `struct`,
 //! `enum`, `trait`, `impl` (inherent and trait), `mod` (inline and
@@ -95,21 +92,15 @@ pub struct FnItem {
     pub vis: Vis,
     /// Whitespace-normalized signature, `fn name (…) -> …`.
     pub signature: String,
-    /// 0-based line of the `fn` keyword.
-    pub line: usize,
     /// `true` when the function sits in a `#[cfg(test)]` region.
     pub is_test: bool,
-    /// `true` when gated behind `#[cfg(feature = "strict-invariants")]`.
-    pub strict_invariants: bool,
     /// `true` for methods of `impl Trait for Type` blocks.
     pub in_trait_impl: bool,
-    /// Body tokens (between the outer braces; empty for bodyless items).
-    pub body: Vec<Token>,
 }
 
 impl FnItem {
-    /// Stable key used by the call graph and baselines: `Type::name` for
-    /// associated functions, `name` for free functions.
+    /// Stable key used by the API snapshot: `Type::name` for associated
+    /// functions, `name` for free functions.
     pub fn key(&self) -> String {
         match &self.self_ty {
             Some(t) => format!("{t}::{}", self.name),
@@ -178,7 +169,7 @@ pub fn parse_file(file: &SourceFile) -> ParsedFile {
 }
 
 /// Joins token texts with single spaces — the canonical normalized form used
-/// for signatures, declarations and baselines (stable under reformatting).
+/// for signatures, declarations and snapshots (stable under reformatting).
 fn join(toks: &[Token]) -> String {
     toks.iter()
         .map(|t| t.text.as_str())
@@ -251,13 +242,9 @@ impl Parser<'_> {
         }
     }
 
-    /// Consumes the run of `#[…]` / `#![…]` attributes at the cursor and
-    /// returns their *raw* line text (the masked view blanks string contents,
-    /// so `feature = "…"` values are only visible in the raw lines).
-    fn parse_attrs(&mut self) -> String {
-        let mut raw = String::new();
+    /// Skips the run of `#[…]` / `#![…]` attributes at the cursor.
+    fn skip_attrs(&mut self) {
         while self.peek_is("#") {
-            let line_from = self.peek().map_or(0, |t| t.line);
             self.bump(); // '#'
             if self.peek_is("!") {
                 self.bump();
@@ -265,16 +252,7 @@ impl Parser<'_> {
             if self.peek_is("[") {
                 let _ = self.skip_balanced("[", "]");
             }
-            let line_to = self
-                .toks
-                .get(self.pos.saturating_sub(1))
-                .map_or(line_from, |t| t.line);
-            for l in line_from..=line_to.min(self.file.lines.len().saturating_sub(1)) {
-                raw.push_str(&self.file.lines[l]);
-                raw.push('\n');
-            }
         }
-        raw
     }
 
     fn parse_vis(&mut self) -> Vis {
@@ -304,7 +282,7 @@ impl Parser<'_> {
             if tok.is("}") {
                 return;
             }
-            let attrs = self.parse_attrs();
+            self.skip_attrs();
             let declared = self.parse_vis();
             let vis = if declared == Vis::Private && default_pub {
                 Vis::Pub
@@ -318,10 +296,10 @@ impl Parser<'_> {
                 // qualifiers: skip the qualifier and loop back around only
                 // when a `fn` actually follows.
                 "const" if self.peek_at(1).is_some_and(|t| !t.is("fn")) => {
-                    self.parse_const_or_static(module, vis, &attrs, TypeKind::Const);
+                    self.parse_const_or_static(module, vis, TypeKind::Const);
                 }
                 "static" => {
-                    self.parse_const_or_static(module, vis, &attrs, TypeKind::Static);
+                    self.parse_const_or_static(module, vis, TypeKind::Static);
                 }
                 "const" | "unsafe" | "async" | "extern" | "default" => {
                     self.bump();
@@ -330,18 +308,18 @@ impl Parser<'_> {
                         self.bump();
                     }
                     if self.peek_is("fn") {
-                        self.parse_fn(module, self_ty, in_trait_impl, vis, &attrs);
+                        self.parse_fn(module, self_ty, in_trait_impl, vis);
                     }
                 }
-                "fn" => self.parse_fn(module, self_ty, in_trait_impl, vis, &attrs),
-                "struct" => self.parse_struct(module, vis, &attrs),
-                "enum" => self.parse_enum_or_trait(module, vis, &attrs, TypeKind::Enum),
-                "trait" => self.parse_enum_or_trait(module, vis, &attrs, TypeKind::Trait),
-                "union" => self.parse_enum_or_trait(module, vis, &attrs, TypeKind::Struct),
+                "fn" => self.parse_fn(module, self_ty, in_trait_impl, vis),
+                "struct" => self.parse_struct(module, vis),
+                "enum" => self.parse_enum_or_trait(module, vis, TypeKind::Enum),
+                "trait" => self.parse_enum_or_trait(module, vis, TypeKind::Trait),
+                "union" => self.parse_enum_or_trait(module, vis, TypeKind::Struct),
                 "impl" => self.parse_impl(module),
                 "mod" => self.parse_mod(module),
                 "use" => self.parse_use(module, vis),
-                "type" => self.parse_type_alias(module, vis, &attrs),
+                "type" => self.parse_type_alias(module, vis),
                 "macro_rules" => {
                     self.bump();
                     if self.peek_is("!") {
@@ -365,7 +343,6 @@ impl Parser<'_> {
         self_ty: Option<&str>,
         in_trait_impl: bool,
         vis: Vis,
-        attrs: &str,
     ) {
         let fn_line = self.peek().map_or(0, |t| t.line);
         self.bump(); // `fn`
@@ -396,11 +373,8 @@ impl Parser<'_> {
             name_tok.text,
             join(&self.toks[sig_start..self.pos])
         );
-        let mut body = Vec::new();
         if has_body {
-            let (from, to) = self.skip_balanced("{", "}");
-            // Contents between the outer braces.
-            body = self.toks[from + 1..to.saturating_sub(1)].to_vec();
+            let _ = self.skip_balanced("{", "}");
         } else {
             self.bump(); // `;`
         }
@@ -410,15 +384,12 @@ impl Parser<'_> {
             name: name_tok.text,
             vis,
             signature: signature.trim().to_string(),
-            line: fn_line,
             is_test: self.file.in_test.get(fn_line).copied().unwrap_or(false),
-            strict_invariants: attrs.contains("strict-invariants"),
             in_trait_impl,
-            body,
         });
     }
 
-    fn parse_struct(&mut self, module: &[String], vis: Vis, _attrs: &str) {
+    fn parse_struct(&mut self, module: &[String], vis: Vis) {
         let line = self.peek().map_or(0, |t| t.line);
         self.bump(); // `struct`
         let Some(name_tok) = self.bump() else { return };
@@ -463,9 +434,9 @@ impl Parser<'_> {
     }
 
     /// Enums and traits: the whole body is captured verbatim — every enum
-    /// variant is public API, and trait items are parsed separately below for
-    /// the call graph.
-    fn parse_enum_or_trait(&mut self, module: &[String], vis: Vis, _attrs: &str, kind: TypeKind) {
+    /// variant is public API, and trait items are parsed separately below as
+    /// functions.
+    fn parse_enum_or_trait(&mut self, module: &[String], vis: Vis, kind: TypeKind) {
         let line = self.peek().map_or(0, |t| t.line);
         self.bump(); // keyword
         let Some(name_tok) = self.bump() else { return };
@@ -606,7 +577,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_const_or_static(&mut self, module: &[String], vis: Vis, _attrs: &str, kind: TypeKind) {
+    fn parse_const_or_static(&mut self, module: &[String], vis: Vis, kind: TypeKind) {
         let line = self.peek().map_or(0, |t| t.line);
         let keyword = self.bump().map(|t| t.text).unwrap_or_default();
         if self.peek_is("mut") {
@@ -649,7 +620,7 @@ impl Parser<'_> {
         });
     }
 
-    fn parse_type_alias(&mut self, module: &[String], vis: Vis, _attrs: &str) {
+    fn parse_type_alias(&mut self, module: &[String], vis: Vis) {
         let line = self.peek().map_or(0, |t| t.line);
         let start = self.pos;
         self.bump(); // `type`
@@ -787,12 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_and_feature_gates_are_detected() {
+    fn cfg_test_regions_are_detected() {
         let src = "#[cfg(feature = \"strict-invariants\")]\n\
                    pub fn check(&self) {}\n\
                    #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
         let p = parse(src);
-        assert!(p.fns[0].strict_invariants);
         assert!(!p.fns[0].is_test);
         assert!(p.fns[1].is_test);
         assert_eq!(p.fns[1].module, vec!["tests".to_string()]);
@@ -831,15 +801,6 @@ mod tests {
             vec![TypeKind::Const, TypeKind::Reexport, TypeKind::TypeAlias]
         );
         assert!(p.types[0].decl.contains("const MAX : usize"));
-    }
-
-    #[test]
-    fn bodies_are_token_slices() {
-        let src = "fn f() { let v = vec![1]; v.len() }\n";
-        let p = parse(src);
-        let texts: Vec<&str> = p.fns[0].body.iter().map(|t| t.text.as_str()).collect();
-        assert!(texts.contains(&"len"));
-        assert!(texts.contains(&"vec"));
     }
 
     #[test]

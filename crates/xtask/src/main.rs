@@ -1,20 +1,20 @@
-//! `xtask` — the repository's semantic-analysis and verification driver.
+//! `xtask` — the repository's analysis and verification driver.
 //!
 //! ```text
-//! cargo run -p xtask -- analyze          # semantic analyses (see `analyze`)
-//! cargo run -p xtask -- analyze --bless  # accept API/panic baseline changes
+//! cargo run -p xtask -- analyze          # API snapshot and float-eq scan (see `analyze`)
+//! cargo run -p xtask -- analyze --bless  # accept API snapshot changes
 //! cargo run -p xtask -- invariants      # per-crate tests with strict-invariants
 //! ```
 //!
 //! `analyze` parses the library crates into their item structure ([`ast`])
-//! and runs the cross-file analyses in [`analyze`]: the panic-path audit and
-//! the public-API drift gate. It also scans every workspace source for float
-//! compares against zero or infinity, which clippy's `float_cmp` skips. It accepts `--format text|json|github` (JSON
+//! and runs the public-API drift gate in [`analyze`]. It also scans every
+//! workspace source for float compares against zero or infinity, which
+//! clippy's `float_cmp` skips. It accepts `--format text|json|github` (JSON
 //! records for tooling, GitHub Actions annotations for CI), and its exit
 //! status is nonzero when any finding survives, so CI can gate on it. The
-//! source-level repo rules are clippy lints, configured in the workspace
-//! `Cargo.toml` and the crates' `lib.rs`; `tests/clippy_fixtures.rs` checks
-//! that they fire.
+//! source-level repo rules, panic freedom included, are clippy lints,
+//! configured in the workspace `Cargo.toml`, the root `clippy.toml` and the
+//! crates' `lib.rs`; `tests/clippy_fixtures.rs` checks that they fire.
 
 #![forbid(unsafe_code)]
 
@@ -147,7 +147,7 @@ fn run_analyze(extra: &[String]) -> ExitCode {
     };
     let findings = analyze::run(&repo_root(), flags.bless);
     if flags.bless && findings.is_empty() {
-        println!("xtask analyze: baselines blessed (panic-baseline.txt, api/*.txt)");
+        println!("xtask analyze: API snapshots blessed (api/*.txt)");
         return ExitCode::SUCCESS;
     }
     emit(&findings, flags.format)
@@ -205,10 +205,6 @@ fn repo_root() -> PathBuf {
 mod tests {
     use super::*;
 
-    fn fixture(name: &str) -> PathBuf {
-        repo_root().join("crates/xtask/fixtures").join(name)
-    }
-
     #[test]
     fn flag_parsing_covers_formats_and_bless() {
         let args = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
@@ -224,44 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn analyze_good_fixture_is_clean() {
-        let text = std::fs::read_to_string(fixture("analyze/good.rs")).unwrap();
-        let crates = vec![analyze::CrateAst::from_sources(
-            "mrcc-common",
-            &[("crates/common/src/lib.rs", text.as_str())],
-        )];
-        let audit = analyze::panics::audit(&crates, "");
-        assert!(audit.findings.is_empty(), "{:#?}", audit.findings);
-    }
-
-    #[test]
-    fn analyze_bad_fixture_trips_the_panic_audit() {
-        let text = std::fs::read_to_string(fixture("analyze/bad.rs")).unwrap();
-        let crates = vec![analyze::CrateAst::from_sources(
-            "mrcc-common",
-            &[("crates/common/src/lib.rs", text.as_str())],
-        )];
-        let audit = analyze::panics::audit(&crates, "");
-        for key in [
-            "mrcc-common boom",
-            "mrcc-common outer",
-            "mrcc-common index",
-            "mrcc-common checked",
-        ] {
-            assert!(
-                audit.current.contains_key(key),
-                "`{key}` missing from {:#?}",
-                audit.current
-            );
-        }
-        // The private helper is a source but not itself a gated entry.
-        assert!(!audit.current.contains_key("mrcc-common helper"));
-    }
-
-    #[test]
     fn workspace_analyze_is_clean() {
-        // The committed baselines (panic-baseline.txt, api/*.txt) must match
-        // the tree this test runs against — the analyze self-test.
+        // The committed API snapshots (api/*.txt) must match the tree this
+        // test runs against — the analyze self-test.
         let findings = analyze::run(&repo_root(), false);
         assert!(findings.is_empty(), "{findings:#?}");
     }

@@ -3,9 +3,8 @@
 //! The parser never sees raw file text directly. Each file is pre-processed
 //! into a [`SourceFile`]: a *masked* view where string/char-literal contents
 //! and comments are replaced by spaces (so token scans cannot false-positive
-//! on text inside literals), a parallel *comments* view holding only comment
-//! text (for `xtask-allow` detection), and a per-line flag marking
-//! `#[cfg(test)]` regions (the panic audit skips test code).
+//! on text inside literals), and a per-line flag marking `#[cfg(test)]`
+//! regions (the API snapshot skips test code).
 //!
 //! The masking pass is a hand-rolled scanner covering the token forms this
 //! repository actually uses: line/block comments (nested), string literals
@@ -18,13 +17,9 @@
 pub struct SourceFile {
     /// Path as shown in findings.
     pub path: String,
-    /// Original text, split into lines.
-    pub lines: Vec<String>,
     /// Code with comments and literal *contents* blanked to spaces
     /// (delimiters like `"` are preserved), one entry per line.
     pub code: Vec<String>,
-    /// Comment text only (everything else blanked), one entry per line.
-    pub comments: Vec<String>,
     /// `true` for lines inside a `#[cfg(test)]`-gated item.
     pub in_test: Vec<bool>,
 }
@@ -43,59 +38,28 @@ enum State {
 impl SourceFile {
     /// Analyzes `text` (typically read from `path`).
     pub fn parse(path: &str, text: &str) -> SourceFile {
-        let (code_text, comment_text) = mask(text);
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let code: Vec<String> = code_text.lines().map(str::to_string).collect();
-        let comments: Vec<String> = comment_text.lines().map(str::to_string).collect();
+        let code: Vec<String> = mask(text).lines().map(str::to_string).collect();
         let in_test = test_regions(&code);
         SourceFile {
             path: path.to_string(),
-            lines,
             code,
-            comments,
             in_test,
         }
     }
-
-    /// `true` when a finding of `slug` at `line` (0-based) is suppressed by
-    /// an `// xtask-allow: slug` annotation on the same line, or on the
-    /// previous line when that line is a standalone comment (a trailing
-    /// annotation only covers its own line).
-    pub fn allows(&self, line: usize, slug: &str) -> bool {
-        let annotated = |idx: usize| -> bool {
-            self.comments.get(idx).is_some_and(|c| {
-                c.split("xtask-allow:")
-                    .skip(1)
-                    .any(|rest| rest.split(&[',', ' '][..]).any(|w| w.trim() == slug))
-            })
-        };
-        let comment_only =
-            |idx: usize| -> bool { self.code.get(idx).is_some_and(|c| c.trim().is_empty()) };
-        annotated(line) || (line > 0 && comment_only(line - 1) && annotated(line - 1))
-    }
 }
 
-/// Splits `text` into (code-only, comments-only) views of identical shape.
-fn mask(text: &str) -> (String, String) {
+/// The code-only view of `text`: comments and literal contents blanked,
+/// line structure kept.
+fn mask(text: &str) -> String {
     let bytes: Vec<char> = text.chars().collect();
     let mut code = String::with_capacity(text.len());
-    let mut comments = String::with_capacity(text.len());
     let mut state = State::Normal;
     let mut i = 0usize;
 
-    // Pushes to one stream and a blank to the other; newlines go to both so
-    // the line structure stays aligned.
-    let push = |code: &mut String, comments: &mut String, c: char, is_code: bool| {
-        if c == '\n' {
-            code.push('\n');
-            comments.push('\n');
-        } else if is_code {
-            code.push(c);
-            comments.push(' ');
-        } else {
-            code.push(' ');
-            comments.push(c);
-        }
+    // Pushes code as is and a comment character as a blank; newlines always
+    // survive so the line structure stays aligned.
+    let push = |code: &mut String, c: char, is_code: bool| {
+        code.push(if is_code || c == '\n' { c } else { ' ' });
     };
 
     while i < bytes.len() {
@@ -105,15 +69,15 @@ fn mask(text: &str) -> (String, String) {
             State::Normal => match c {
                 '/' if next == Some('/') => {
                     state = State::LineComment;
-                    push(&mut code, &mut comments, c, false);
+                    push(&mut code, c, false);
                 }
                 '/' if next == Some('*') => {
                     state = State::BlockComment(1);
-                    push(&mut code, &mut comments, c, false);
+                    push(&mut code, c, false);
                 }
                 '"' => {
                     state = State::Str;
-                    push(&mut code, &mut comments, c, true);
+                    push(&mut code, c, true);
                 }
                 'r' if next == Some('"') || next == Some('#') => {
                     // Possible raw string: r"..." or r#"..."#.
@@ -125,17 +89,17 @@ fn mask(text: &str) -> (String, String) {
                     }
                     if bytes.get(j) == Some(&'"') {
                         for &opener in bytes.iter().take(j + 1).skip(i) {
-                            push(&mut code, &mut comments, opener, true);
+                            push(&mut code, opener, true);
                         }
                         i = j;
                         state = State::RawStr(hashes);
                     } else {
-                        push(&mut code, &mut comments, c, true);
+                        push(&mut code, c, true);
                     }
                 }
                 'b' if next == Some('"') => {
-                    push(&mut code, &mut comments, c, true);
-                    push(&mut code, &mut comments, '"', true);
+                    push(&mut code, c, true);
+                    push(&mut code, '"', true);
                     i += 1;
                     state = State::ByteStr;
                 }
@@ -144,23 +108,23 @@ fn mask(text: &str) -> (String, String) {
                     // `'ident` NOT followed by a closing quote.
                     let is_lifetime = next.is_some_and(|n| n.is_alphanumeric() || n == '_')
                         && bytes.get(i + 2) != Some(&'\'');
-                    push(&mut code, &mut comments, c, true);
+                    push(&mut code, c, true);
                     if !is_lifetime {
                         state = State::Char;
                     }
                 }
-                _ => push(&mut code, &mut comments, c, true),
+                _ => push(&mut code, c, true),
             },
             State::LineComment => {
                 if c == '\n' {
                     state = State::Normal;
                 }
-                push(&mut code, &mut comments, c, false);
+                push(&mut code, c, false);
             }
             State::BlockComment(depth) => {
                 if c == '*' && next == Some('/') {
-                    push(&mut code, &mut comments, c, false);
-                    push(&mut code, &mut comments, '/', false);
+                    push(&mut code, c, false);
+                    push(&mut code, '/', false);
                     i += 1;
                     state = if depth == 1 {
                         State::Normal
@@ -168,37 +132,27 @@ fn mask(text: &str) -> (String, String) {
                         State::BlockComment(depth - 1)
                     };
                 } else if c == '/' && next == Some('*') {
-                    push(&mut code, &mut comments, c, false);
-                    push(&mut code, &mut comments, '*', false);
+                    push(&mut code, c, false);
+                    push(&mut code, '*', false);
                     i += 1;
                     state = State::BlockComment(depth + 1);
                 } else {
-                    push(&mut code, &mut comments, c, false);
+                    push(&mut code, c, false);
                 }
             }
             State::Str | State::ByteStr => {
                 if c == '\\' {
                     // Skip the escaped character entirely.
-                    push(&mut code, &mut comments, ' ', true);
+                    push(&mut code, ' ', true);
                     if let Some(n) = next {
-                        push(
-                            &mut code,
-                            &mut comments,
-                            if n == '\n' { '\n' } else { ' ' },
-                            true,
-                        );
+                        push(&mut code, if n == '\n' { '\n' } else { ' ' }, true);
                         i += 1;
                     }
                 } else if c == '"' {
-                    push(&mut code, &mut comments, c, true);
+                    push(&mut code, c, true);
                     state = State::Normal;
                 } else {
-                    push(
-                        &mut code,
-                        &mut comments,
-                        if c == '\n' { '\n' } else { ' ' },
-                        true,
-                    );
+                    push(&mut code, if c == '\n' { '\n' } else { ' ' }, true);
                 }
             }
             State::RawStr(hashes) => {
@@ -211,42 +165,37 @@ fn mask(text: &str) -> (String, String) {
                         }
                     }
                     if ok {
-                        push(&mut code, &mut comments, c, true);
+                        push(&mut code, c, true);
                         for _ in 0..hashes {
-                            push(&mut code, &mut comments, '#', true);
+                            push(&mut code, '#', true);
                             i += 1;
                         }
                         state = State::Normal;
                     } else {
-                        push(&mut code, &mut comments, ' ', true);
+                        push(&mut code, ' ', true);
                     }
                 } else {
-                    push(
-                        &mut code,
-                        &mut comments,
-                        if c == '\n' { '\n' } else { ' ' },
-                        true,
-                    );
+                    push(&mut code, if c == '\n' { '\n' } else { ' ' }, true);
                 }
             }
             State::Char => {
                 if c == '\\' {
-                    push(&mut code, &mut comments, ' ', true);
+                    push(&mut code, ' ', true);
                     if next.is_some() {
-                        push(&mut code, &mut comments, ' ', true);
+                        push(&mut code, ' ', true);
                         i += 1;
                     }
                 } else if c == '\'' {
-                    push(&mut code, &mut comments, c, true);
+                    push(&mut code, c, true);
                     state = State::Normal;
                 } else {
-                    push(&mut code, &mut comments, ' ', true);
+                    push(&mut code, ' ', true);
                 }
             }
         }
         i += 1;
     }
-    (code, comments)
+    code
 }
 
 /// Marks every line covered by a `#[cfg(test)]`-gated item (attribute line
@@ -305,7 +254,7 @@ mod tests {
         let src = "let x = \"a == b\"; // trailing == note\nlet y = 1;\n";
         let f = SourceFile::parse("t.rs", src);
         assert!(!f.code[0].contains("=="), "{}", f.code[0]);
-        assert!(f.comments[0].contains("trailing == note"));
+        assert!(!f.code[0].contains("note"), "{}", f.code[0]);
         assert_eq!(f.code[1], "let y = 1;");
     }
 
@@ -331,16 +280,5 @@ mod tests {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n";
         let f = SourceFile::parse("t.rs", src);
         assert_eq!(f.in_test, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn allow_annotations_match_same_and_previous_line() {
-        let src = "// xtask-allow: indexing\nlet a = x[0];\nlet b = y[0]; // xtask-allow: indexing, other\nlet c = z[0];\n";
-        let f = SourceFile::parse("t.rs", src);
-        assert!(f.allows(1, "indexing"));
-        assert!(f.allows(2, "indexing"));
-        assert!(f.allows(2, "other"));
-        assert!(!f.allows(3, "indexing"));
-        assert!(!f.allows(1, "other"));
     }
 }

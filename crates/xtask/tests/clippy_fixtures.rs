@@ -2,8 +2,9 @@
 //!
 //! It builds two throwaway crates from `fixtures/clippy/{bad,good}.rs`
 //! under the live lint configuration: the `[workspace.lints]` tables of the
-//! root `Cargo.toml` and the clippy attributes at the top of every library
-//! crate's `lib.rs`, copied onto one module per crate. It runs clippy on
+//! root `Cargo.toml`, the root `clippy.toml`, and the clippy attributes at
+//! the top of every library crate's `lib.rs`, copied onto one module per
+//! crate. It runs clippy on
 //! each as CI does. Every rule must fire in the bad fixture exactly where its
 //! scope says, and the good fixture must pass, so deleting a rule from
 //! either place fails this test. A member that stops opting into the
@@ -23,7 +24,8 @@ const EVERYWHERE: [&str; 4] = [
     "clippy::allow_attributes_without_reason",
 ];
 
-/// Crates whose library code may not unwrap or expect.
+/// Crates whose library code may not unwrap, expect, index, panic or leave
+/// a panic undocumented.
 const PANIC_FREE_CRATES: [&str; 4] = ["common", "stats", "counting_tree", "core"];
 
 /// Crates whose library code may not use bare `as` casts.
@@ -93,6 +95,7 @@ fn generate(repo: &Path, kind: &str) -> PathBuf {
         toml_table(&root, "[workspace.lints.clippy]"),
     );
     fs::write(dir.join("Cargo.toml"), manifest).unwrap();
+    fs::copy(repo.join("clippy.toml"), dir.join("clippy.toml")).unwrap();
     let fixture = repo.join(format!("crates/xtask/fixtures/clippy/{kind}.rs"));
     let fixture = fs::read_to_string(fixture).unwrap();
     let mut lib = String::from("//! One fixture module per workspace library crate.\n");
@@ -152,7 +155,16 @@ fn bad_fixture_trips_each_rule_where_it_is_in_scope() {
     for (module, _) in library_crates(&repo_root()) {
         let mut expected = BTreeSet::from(EVERYWHERE);
         if PANIC_FREE_CRATES.contains(&module.as_str()) {
-            expected.extend(["clippy::unwrap_used", "clippy::expect_used"]);
+            expected.extend([
+                "clippy::unwrap_used",
+                "clippy::expect_used",
+                "clippy::indexing_slicing",
+                "clippy::panic",
+                "clippy::unreachable",
+                "clippy::todo",
+                "clippy::unimplemented",
+                "clippy::missing_panics_doc",
+            ]);
         }
         if CAST_STRICT_CRATES.contains(&module.as_str()) {
             expected.insert("clippy::as_conversions");
