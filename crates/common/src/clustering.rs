@@ -171,11 +171,10 @@ impl SubspaceClustering {
     /// [`SubspaceClustering::new`] establishes these properties at
     /// construction; this method re-checks them after the fact so property
     /// tests can catch any code path that mutates a clustering into an
-    /// inconsistent state. Compiled only with the `strict-invariants` feature.
+    /// inconsistent state.
     ///
     /// # Panics
     /// Panics on the first violated invariant.
-    #[cfg(feature = "strict-invariants")]
     pub fn check_invariants(&self) {
         let mut seen = vec![false; self.n_points];
         for (k, c) in self.clusters.iter().enumerate() {

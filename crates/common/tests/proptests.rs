@@ -96,7 +96,6 @@ proptest! {
             AxisMask::from_axes(d, [k % d])
         }).collect();
         let c = SubspaceClustering::from_labels(&labels, &masks, d);
-        #[cfg(feature = "strict-invariants")]
         c.check_invariants();
         prop_assert_eq!(c.n_points(), labels.len());
         prop_assert!(c.n_clustered() + c.noise().len() == labels.len());

@@ -66,7 +66,7 @@ pub mod soft;
 
 pub use beta::BetaCluster;
 pub use config::{AxisSelection, MaskKind, MrCCConfig, MAX_THREADS};
-pub use merge::{dataset_scan_count, CorrelationCluster, MergeCache};
+pub use merge::{CorrelationCluster, MergeCache};
 pub use result::{FitStats, MrCCResult};
 pub use soft::SoftClustering;
 

@@ -30,6 +30,7 @@
 //! equivalence oracle in `tests/merge_equivalence.rs`, which checks this
 //! engine against it bit for bit.
 
+#[cfg(test)]
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -41,23 +42,26 @@ use crate::beta::BetaCluster;
 /// for two β-clusters to merge (see `build_correlation_clusters`).
 const JUNCTION_DENSITY: f64 = 0.20;
 
+#[cfg(test)]
 thread_local! {
-    /// Debug scan counter, see [`dataset_scan_count`].
+    /// Test scan counter, see [`dataset_scan_count`].
     static DATASET_SCANS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Debug instrumentation: how many full-dataset counting passes the merge /
+/// Test instrumentation: how many full-dataset counting passes the merge /
 /// soft-labeling layer has performed **on the calling thread** since it
 /// started. The single-scan contract says one fit increments this by
-/// exactly 1 during phase three and `soft_memberships` by 0; regression
-/// tests pin both. Thread-local so concurrently running tests cannot
-/// observe each other's passes.
+/// exactly 1 during phase three and `soft_memberships` by 0; unit tests
+/// here and in `soft.rs` pin both. Thread-local so concurrently running
+/// tests cannot observe each other's passes.
+#[cfg(test)]
 #[must_use]
-pub fn dataset_scan_count() -> u64 {
+pub(crate) fn dataset_scan_count() -> u64 {
     DATASET_SCANS.with(Cell::get)
 }
 
 /// Records one full-dataset counting pass (see [`dataset_scan_count`]).
+#[cfg(test)]
 fn note_dataset_scan() {
     DATASET_SCANS.with(|c| c.set(c.get() + 1));
 }
@@ -151,6 +155,7 @@ struct ScanResult {
 /// exactly once, recording its containing-box set and counting every box
 /// and every co-containing pair.
 fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster]) -> ScanResult {
+    #[cfg(test)]
     note_dataset_scan();
     let boxes: Vec<BoundingBox> = betas.iter().map(|b| b.bounds.clone()).collect();
     let index = BoxIndex::new(&boxes);

@@ -77,12 +77,10 @@ impl MrCCResult {
     /// * the merge cache covers every point and every β-cluster, and each
     ///   cached containing-box list is sorted-unique with in-range ids.
     ///
-    /// Compiled only with the `strict-invariants` feature; call from tests
-    /// after `fit`.
+    /// Call from tests after `fit`.
     ///
     /// # Panics
     /// Panics on the first violated invariant.
-    #[cfg(feature = "strict-invariants")]
     pub fn check_invariants(&self) {
         self.clustering.check_invariants();
         let d = self.clustering.dims();

@@ -71,8 +71,8 @@ impl MrCCResult {
     /// Cost: `O(η · c)` where `c` is the mean containing-box count per
     /// point — both the per-β populations and each point's containing-box
     /// set come from the fit's [`crate::MergeCache`], so this performs
-    /// **zero** dataset scans (a regression test pins
-    /// [`crate::dataset_scan_count`] at +0 across this call).
+    /// **zero** dataset scans (a unit test pins the test-only
+    /// `merge::dataset_scan_count` at +0 across this call).
     ///
     /// # Panics
     /// Panics when `dataset` is not the dataset this result was fitted on

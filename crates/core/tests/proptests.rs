@@ -22,7 +22,6 @@ proptest! {
     fn output_is_a_partition(spec in spec_strategy()) {
         let synth = generate(&spec);
         let result = MrCC::default().fit(&synth.dataset).unwrap();
-        #[cfg(feature = "strict-invariants")]
         result.check_invariants();
         let labels = result.clustering.labels();
         prop_assert_eq!(labels.len(), synth.dataset.len());

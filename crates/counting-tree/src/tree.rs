@@ -214,67 +214,6 @@ impl CountingTree {
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
     }
-
-    /// Re-verifies the structural invariants Algorithm 1 is supposed to
-    /// maintain:
-    ///
-    /// * **count conservation** — every materialized level's cell counts sum
-    ///   to `η`, the number of inserted points;
-    /// * **half-space bounds** — per cell, each axis half-count `P[j]` never
-    ///   exceeds the cell count `n`;
-    /// * **exact keys** — the index finds every cell again by the
-    ///   coordinates its key decodes to;
-    /// * **parent/child containment** — every cell at level `h + 1` has a
-    ///   materialized parent at level `h` (coordinates right-shifted by one)
-    ///   holding at least as many points, and [`Level::parent`] records
-    ///   exactly that cell.
-    ///
-    /// Compiled only with the `strict-invariants` feature; call from tests
-    /// after building or mutating a tree. `O(H · cells · d)`.
-    ///
-    /// # Panics
-    /// Panics on the first violated invariant.
-    #[cfg(feature = "strict-invariants")]
-    pub fn check_invariants(&self) {
-        let n = mrcc_common::num::usize_to_u64(self.n_points);
-        for level in &self.levels {
-            assert_eq!(
-                level.total_points(),
-                n,
-                "invariant violated: level {} does not conserve the point count",
-                level.h()
-            );
-            for (id, cell) in level.iter() {
-                let coords: Vec<u64> = cell.coords().collect();
-                assert!(
-                    cell.half_counts().iter().all(|&p| u64::from(p) <= cell.n()),
-                    "invariant violated: level {} cell {coords:?}: some P[j] > n",
-                    level.h()
-                );
-                assert_eq!(
-                    level.find(&coords),
-                    Some(id),
-                    "invariant violated: level {} cell {coords:?} not found by its coordinates",
-                    level.h()
-                );
-            }
-        }
-        for (parent, child) in self.levels.iter().zip(self.levels.iter().skip(1)) {
-            for (id, cc) in child.iter() {
-                let pc = parent.cell(child.parent(id));
-                assert!(
-                    pc.coords().zip(cc.coords()).all(|(p, c)| p == c >> 1),
-                    "invariant violated: level {} cell {id} records the wrong parent",
-                    child.h()
-                );
-                assert!(
-                    pc.n() >= cc.n(),
-                    "invariant violated: level {} cell {id} outweighs its parent",
-                    child.h()
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -164,20 +164,20 @@ proptest! {
     #[test]
     fn index_equals_linear_scan((ds, h) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, h).unwrap();
-        #[cfg(feature = "strict-invariants")]
-        tree.check_invariants();
         assert_index_matches_scan(&tree);
         assert_points_round_trip(&ds, &tree);
     }
 
-    /// Every level counts every point exactly once.
+    /// Every level counts every point exactly once, and no half-space
+    /// count exceeds its cell's count, on the wide and tall shapes too.
     #[test]
-    fn levels_conserve_mass(ds in dataset_strategy(), h in 3usize..=7) {
+    fn levels_conserve_mass((ds, h) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, h).unwrap();
-        #[cfg(feature = "strict-invariants")]
-        tree.check_invariants();
         for level in tree.levels() {
             prop_assert_eq!(level.total_points(), ds.len() as u64);
+            for (_, cell) in level.iter() {
+                prop_assert!(cell.half_counts().iter().all(|&p| u64::from(p) <= cell.n()));
+            }
         }
     }
 
@@ -211,20 +211,23 @@ proptest! {
         }
     }
 
-    /// Each cell's count equals the sum of its children's counts.
+    /// Each cell's count equals the sum of its children's counts, and
+    /// every child records as its parent the cell at `coords >> 1`, which
+    /// holds at least as many points.
     #[test]
-    fn parent_child_mass(ds in dataset_strategy()) {
-        let tree = CountingTree::build(&ds, 5).unwrap();
-        #[cfg(feature = "strict-invariants")]
-        tree.check_invariants();
+    fn parent_child_mass((ds, resolutions) in tree_case_strategy()) {
+        let tree = CountingTree::build(&ds, resolutions).unwrap();
         for h in 1..tree.deepest_level() {
             let level = tree.level(h);
             let child = tree.level(h + 1);
             // Accumulate child masses into parent keys.
             use std::collections::HashMap;
             let mut acc: HashMap<Vec<u64>, u64> = HashMap::new();
-            for (_, cc) in child.iter() {
+            for (id, cc) in child.iter() {
                 let key: Vec<u64> = cc.coords().map(|c| c >> 1).collect();
+                let parent = level.cell(child.parent(id));
+                prop_assert!(parent.coords().eq(key.iter().copied()), "level {} cell {id}", h + 1);
+                prop_assert!(parent.n() >= cc.n());
                 *acc.entry(key).or_insert(0) += cc.n();
             }
             for (_, cell) in level.iter() {

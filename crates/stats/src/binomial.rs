@@ -129,55 +129,6 @@ impl Binomial {
         }
         hi
     }
-
-    /// Re-verifies the tail-probability invariants the critical-value binary
-    /// search relies on: `sf(0) = 1`, `sf(n + 1) = 0`, `sf` nonincreasing in
-    /// `k`, every tail probability inside `[0, 1]`, and `cdf(k) + sf(k + 1)`
-    /// summing to one. `O(n)` evaluations of the incomplete beta function —
-    /// keep `n` modest in property tests.
-    ///
-    /// Compiled only with the `strict-invariants` feature.
-    ///
-    /// # Panics
-    /// Panics on the first violated invariant.
-    #[cfg(feature = "strict-invariants")]
-    pub fn check_tail_invariants(&self) {
-        const TOL: f64 = 1e-9;
-        let mut prev = self.sf(0);
-        assert!(
-            exactly(prev, 1.0),
-            "invariant violated: sf(0) = {prev}, expected 1"
-        );
-        for k in 1..=self.n + 1 {
-            let s = self.sf(k);
-            assert!(
-                (-TOL..=1.0 + TOL).contains(&s),
-                "invariant violated: sf({k}) = {s} outside [0, 1]"
-            );
-            assert!(
-                s <= prev + TOL,
-                "invariant violated: sf not nonincreasing at k = {k} ({prev} -> {s})"
-            );
-            prev = s;
-        }
-        assert!(
-            exactly(self.sf(self.n + 1), 0.0),
-            "invariant violated: sf(n + 1) must be 0"
-        );
-        for k in 0..=self.n {
-            let total = self.cdf(k) + self.sf(k + 1);
-            assert!(
-                (total - 1.0).abs() < TOL,
-                "invariant violated: cdf({k}) + sf({}) = {total}, expected 1",
-                k + 1
-            );
-            let mass = self.pmf(k);
-            assert!(
-                (-TOL..=1.0 + TOL).contains(&mass),
-                "invariant violated: pmf({k}) = {mass} outside [0, 1]"
-            );
-        }
-    }
 }
 
 /// Convenience wrapper: `P(X ≥ k)` for `X ~ Binomial(n, p)`.

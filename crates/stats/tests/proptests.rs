@@ -12,18 +12,27 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The binomial survival function is nonincreasing in k and bounded.
+    /// The binomial survival function falls from `sf(0) = 1` to
+    /// `sf(n + 1) = 0`, nonincreasing and bounded in between, and
+    /// complements the CDF: `cdf(k) + sf(k + 1) = 1`, with `pmf(k) ∈ [0, 1]`.
+    /// The critical-value binary search relies on all of it.
     #[test]
     fn binomial_sf_monotone(n in 0u64..500, p in 0.0f64..=1.0) {
         let b = Binomial::new(n, p);
-        #[cfg(feature = "strict-invariants")]
-        b.check_tail_invariants();
+        prop_assert!(exactly(b.sf(0), 1.0), "sf(0) = {}", b.sf(0));
+        prop_assert!(exactly(b.sf(n + 1), 0.0), "sf(n + 1) = {}", b.sf(n + 1));
         let mut prev = 1.0f64;
         for k in 0..=n + 1 {
             let s = b.sf(k);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&s), "sf({k}) = {s}");
             prop_assert!(s <= prev + 1e-9, "sf not monotone at k={k}");
             prev = s;
+        }
+        for k in 0..=n {
+            let total = b.cdf(k) + b.sf(k + 1);
+            prop_assert!((total - 1.0).abs() < 1e-9, "cdf({k}) + sf({}) = {total}", k + 1);
+            let mass = b.pmf(k);
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&mass), "pmf({k}) = {mass}");
         }
     }
 

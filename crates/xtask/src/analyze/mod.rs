@@ -46,47 +46,6 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Renders findings as a JSON array of `{file, line, lint, message}` records
-/// (hand-rolled: the xtask binary stays dependency-free).
-pub fn to_json(findings: &[Finding]) -> String {
-    let records: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"file\":{},\"line\":{},\"lint\":{},\"message\":{}}}",
-                json_string(&f.path),
-                f.line,
-                json_string(f.slug),
-                json_string(&f.message)
-            )
-        })
-        .collect();
-    if records.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", records.join(",\n  "))
-    }
-}
-
-/// Escapes and quotes a JSON string value.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders one finding as a GitHub Actions workflow annotation
 /// (`::error file=…,line=…::…`), which the Actions runner turns into an
 /// inline PR comment.
@@ -227,24 +186,6 @@ pub fn run(repo: &Path, bless: bool) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_output_escapes_and_shapes_records() {
-        assert_eq!(to_json(&[]), "[]");
-        let findings = vec![Finding {
-            path: "crates/core/src/lib.rs".to_string(),
-            line: 7,
-            slug: "api-drift",
-            message: "uses `.unwrap()` with \"quotes\"\nand a newline".to_string(),
-        }];
-        let json = to_json(&findings);
-        assert!(
-            json.contains("\"file\":\"crates/core/src/lib.rs\""),
-            "{json}"
-        );
-        assert!(json.contains("\"line\":7"), "{json}");
-        assert!(json.contains("\\\"quotes\\\"\\nand"), "{json}");
-    }
 
     #[test]
     fn github_annotations_escape_command_syntax() {

@@ -9,9 +9,11 @@
 //!
 //! Coverage is the item grammar this workspace actually uses: `fn`, `struct`,
 //! `enum`, `trait`, `impl` (inherent and trait), `mod` (inline and
-//! out-of-line), `use`, `const`, `static`, `type` and `macro_rules!`.
-//! Anything unrecognized is skipped one token at a time, so a new construct
-//! degrades to "not analyzed", never to a parse abort.
+//! out-of-line), `use`, `const`, `static`, `type` and `macro_rules!`. An
+//! item-level macro invocation (`name! { … }`, `name! ( … );`,
+//! `name! [ … ];`) is skipped as one balanced unit. Anything unrecognized is
+//! skipped one token at a time, so a new construct degrades to "not
+//! analyzed", never to a parse abort.
 
 use crate::source::SourceFile;
 
@@ -330,10 +332,29 @@ impl Parser<'_> {
                         let _ = self.skip_balanced("{", "}");
                     }
                 }
+                _ if self.peek_at(1).is_some_and(|t| t.is("!")) => self.skip_macro_call(),
                 _ => {
                     self.bump();
                 }
             }
+        }
+    }
+
+    /// Skips an item-level macro invocation `name ! <group> [;]`, where the
+    /// group is a balanced `{…}`, `(…)` or `[…]`: its tokens are not items,
+    /// and a closing `}` inside must not end the enclosing item list.
+    fn skip_macro_call(&mut self) {
+        self.bump(); // macro name
+        self.bump(); // `!`
+        let (open, close) = match self.peek().map(|t| t.text.as_str()) {
+            Some("{") => ("{", "}"),
+            Some("(") => ("(", ")"),
+            Some("[") => ("[", "]"),
+            _ => return,
+        };
+        let _ = self.skip_balanced(open, close);
+        if self.peek_is(";") {
+            self.bump();
         }
     }
 
@@ -665,6 +686,8 @@ fn normalize_ws(s: &str) -> String {
 }
 
 /// Extracts `pub name : Type` fields from a named-struct body token slice.
+/// Only bare `pub` counts: `pub(crate)` and `pub(super)` fields are not
+/// public API.
 fn pub_named_fields(toks: &[Token]) -> String {
     let mut fields = Vec::new();
     let mut i = 0usize;
@@ -696,7 +719,9 @@ fn pub_named_fields(toks: &[Token]) -> String {
                 }
             }
             let field = &field[j..];
-            if field.first().is_some_and(|t| t.is("pub")) {
+            if field.first().is_some_and(|t| t.is("pub"))
+                && !field.get(1).is_some_and(|t| t.is("("))
+            {
                 fields.push(join(field));
             }
             field_start = i + 1;
@@ -759,7 +784,7 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_detected() {
-        let src = "#[cfg(feature = \"strict-invariants\")]\n\
+        let src = "#[cfg(feature = \"extra\")]\n\
                    pub fn check(&self) {}\n\
                    #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
         let p = parse(src);
@@ -770,11 +795,28 @@ mod tests {
 
     #[test]
     fn struct_decl_keeps_only_pub_fields() {
-        let src = "pub struct Mixed {\n    pub shown: u32,\n    hidden: Vec<u8>,\n}\n";
+        let src = "pub struct Mixed {\n    pub shown: u32,\n    hidden: Vec<u8>,\n    \
+                   pub(crate) scoped: u8,\n}\n";
         let p = parse(src);
         assert_eq!(p.types.len(), 1);
         assert!(p.types[0].decl.contains("pub shown : u32"));
         assert!(!p.types[0].decl.contains("hidden"));
+        assert!(!p.types[0].decl.contains("scoped"), "{}", p.types[0].decl);
+    }
+
+    #[test]
+    fn item_macros_are_skipped_as_one_unit() {
+        let src = "thread_local! {\n    static N: Cell<u64> = const { Cell::new(0) };\n}\n\
+                   pub fn after_braces() {}\n\
+                   vec_like!(a, { b });\n\
+                   pub struct AfterParens;\n\
+                   list![x, y];\n\
+                   pub fn after_brackets() {}\n";
+        let p = parse(src);
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after_braces", "after_brackets"]);
+        assert_eq!(p.types.len(), 1, "{:?}", p.types);
+        assert!(p.types[0].decl.starts_with("struct AfterParens"));
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! `xtask` — the repository's analysis and verification driver.
+//! `xtask` — the repository's analysis driver.
 //!
 //! ```text
 //! cargo run -p xtask -- analyze          # API snapshot and float-eq scan (see `analyze`)
 //! cargo run -p xtask -- analyze --bless  # accept API snapshot changes
-//! cargo run -p xtask -- invariants      # per-crate tests with strict-invariants
 //! ```
 //!
 //! `analyze` parses the library crates into their item structure ([`ast`])
 //! and runs the public-API drift gate in [`analyze`]. It also scans every
 //! workspace source for float compares against zero or infinity, which
-//! clippy's `float_cmp` skips. It accepts `--format text|json|github` (JSON
-//! records for tooling, GitHub Actions annotations for CI), and its exit
-//! status is nonzero when any finding survives, so CI can gate on it. The
-//! source-level repo rules, panic freedom included, are clippy lints,
-//! configured in the workspace `Cargo.toml`, the root `clippy.toml` and the
-//! crates' `lib.rs`; `tests/clippy_fixtures.rs` checks that they fire.
+//! clippy's `float_cmp` skips. It accepts `--format text|github` (GitHub
+//! Actions annotations for CI), and its exit status is nonzero when any
+//! finding survives, so CI can gate on it. The source-level repo rules,
+//! panic freedom included, are clippy lints, configured in the workspace
+//! `Cargo.toml`, the root `clippy.toml` and the crates' `lib.rs`;
+//! `tests/clippy_fixtures.rs` checks that they fire.
 
 #![forbid(unsafe_code)]
 
@@ -24,15 +23,13 @@ mod source;
 
 use analyze::Finding;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 /// Output format for findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     /// Human-readable `path:line: [slug] message` lines (default).
     Text,
-    /// JSON array of `{file, line, lint, message}` records.
-    Json,
     /// GitHub Actions `::error …` workflow annotations.
     Github,
 }
@@ -64,13 +61,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         if let Some(value) = format_value {
             flags.format = match value.as_str() {
                 "text" => Format::Text,
-                "json" => Format::Json,
                 "github" => Format::Github,
-                other => {
-                    return Err(format!(
-                        "unknown format `{other}`; expected text|json|github"
-                    ))
-                }
+                other => return Err(format!("unknown format `{other}`; expected text|github")),
             };
         } else if arg == "--bless" {
             flags.bless = true;
@@ -84,7 +76,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 /// Prints findings in the chosen format and maps them to an exit code. The
-/// summary goes to stderr in machine formats so stdout stays parseable.
+/// summary goes to stderr in the GitHub format so stdout holds only
+/// annotations.
 fn emit(findings: &[Finding], format: Format) -> ExitCode {
     match format {
         Format::Text => {
@@ -96,10 +89,6 @@ fn emit(findings: &[Finding], format: Format) -> ExitCode {
             } else {
                 println!("xtask analyze: {} finding(s)", findings.len());
             }
-        }
-        Format::Json => {
-            println!("{}", analyze::to_json(findings));
-            eprintln!("xtask analyze: {} finding(s)", findings.len());
         }
         Format::Github => {
             for f in findings {
@@ -117,21 +106,14 @@ fn emit(findings: &[Finding], format: Format) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((cmd, rest)) => (cmd.as_str(), rest),
-        None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <analyze [--bless] [--format text|json|github] | invariants>"
-            );
-            return ExitCode::FAILURE;
+    match args.split_first() {
+        Some((cmd, rest)) if cmd == "analyze" => run_analyze(rest),
+        Some((other, _)) => {
+            eprintln!("unknown subcommand `{other}`; expected analyze");
+            ExitCode::FAILURE
         }
-    };
-    match cmd {
-        "analyze" => run_analyze(rest),
-        "invariants" => run_invariants(),
-        other => {
-            eprintln!("unknown subcommand `{other}`; expected analyze | invariants");
+        None => {
+            eprintln!("usage: cargo run -p xtask -- analyze [--bless] [--format text|github]");
             ExitCode::FAILURE
         }
     }
@@ -153,45 +135,6 @@ fn run_analyze(extra: &[String]) -> ExitCode {
     emit(&findings, flags.format)
 }
 
-/// Crates that gain runtime checks under `--features strict-invariants`.
-const INVARIANT_CRATES: [&str; 5] = [
-    "mrcc-common",
-    "mrcc-counting-tree",
-    "mrcc-stats",
-    "mrcc",
-    "mrcc-repro",
-];
-
-fn run_invariants() -> ExitCode {
-    for pkg in INVARIANT_CRATES {
-        let label = format!("cargo test -p {pkg} --features strict-invariants");
-        let status = run_step(
-            &label,
-            &["test", "-q", "-p", pkg, "--features", "strict-invariants"],
-        );
-        if status != ExitCode::SUCCESS {
-            return status;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_step(label: &str, args: &[&str]) -> ExitCode {
-    println!("xtask: {label}");
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    match Command::new(cargo).args(args).status() {
-        Ok(status) if status.success() => ExitCode::SUCCESS,
-        Ok(status) => {
-            eprintln!("xtask: `{label}` failed with {status}");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask: could not spawn `{label}`: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// The workspace root: `CARGO_MANIFEST_DIR` is `crates/xtask`.
 fn repo_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -208,13 +151,13 @@ mod tests {
     #[test]
     fn flag_parsing_covers_formats_and_bless() {
         let args = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let f = parse_flags(&args(&["--format", "json", "--bless"])).unwrap();
-        assert_eq!(f.format, Format::Json);
+        let f = parse_flags(&args(&["--format", "github", "--bless"])).unwrap();
+        assert_eq!(f.format, Format::Github);
         assert!(f.bless);
         assert!(parse_flags(&args(&["a.rs"])).is_err());
-        let f = parse_flags(&args(&["--format=github"])).unwrap();
-        assert_eq!(f.format, Format::Github);
-        assert!(parse_flags(&args(&["--format", "yaml"])).is_err());
+        let f = parse_flags(&args(&["--format=text"])).unwrap();
+        assert_eq!(f.format, Format::Text);
+        assert!(parse_flags(&args(&["--format", "json"])).is_err());
         assert!(parse_flags(&args(&["--format"])).is_err());
         assert!(parse_flags(&args(&["--frobnicate"])).is_err());
     }

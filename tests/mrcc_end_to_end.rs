@@ -15,7 +15,6 @@ fn small_spec(name: &str, dims: usize, points: usize, clusters: usize, seed: u64
 fn recovers_subspace_clusters_with_high_quality() {
     let synth = generate(&small_spec("it-8d", 8, 8_000, 4, 11));
     let result = MrCC::default().fit(&synth.dataset).unwrap();
-    #[cfg(feature = "strict-invariants")]
     result.check_invariants();
     assert!(!result.clustering.is_empty(), "found no clusters");
     let q = quality(&result.clustering, &synth.ground_truth);
@@ -155,7 +154,6 @@ fn fit_degenerate(ds: &Dataset) {
         .fit(ds)
         .unwrap_or_else(|e| panic!("fit failed: {e}"));
     assert_eq!(result.clustering.labels().len(), ds.len());
-    #[cfg(feature = "strict-invariants")]
     result.check_invariants();
 }
 

@@ -18,7 +18,6 @@ fn fits(ds: &Dataset, resolutions: usize) -> usize {
     let result = MrCC::new(MrCCConfig::with_params(1e-10, resolutions))
         .fit(ds)
         .unwrap_or_else(|e| panic!("{} × {}d, H = {resolutions}: {e}", ds.len(), ds.dims()));
-    #[cfg(feature = "strict-invariants")]
     result.check_invariants();
     assert_eq!(result.clustering.labels().len(), ds.len());
     result.n_clusters()
