@@ -18,10 +18,14 @@
 //! value depends only on cell counts, which the search never changes, and a
 //! cell's eligibility (not yet tested, no strict overlap with a found β-box)
 //! can only be lost, never regained. So each level is ranked once by the
-//! total order *(convolved value descending, `CellId` ascending)* — a full
-//! scan's "first maximum wins" over ascending ids — and a per-level cursor walks that
-//! ranking: a sweep's winner at a level is the first eligible cell past the
-//! cursor, and every cell the cursor passes stays ineligible for good.
+//! total order *(convolved value descending, [`Level::first_point`]
+//! ascending)* — a full scan's "first maximum wins" over the cells in the
+//! order inserting the points one by one would create them — and a
+//! per-level cursor walks that ranking: a sweep's winner at a level is the
+//! first eligible cell past the cursor, and every cell the cursor passes
+//! stays ineligible for good. The tie-break reads the cell's smallest point
+//! index, not its `CellId`, so a tree built by sorting and one grown by
+//! `CountingTree::insert` rank alike whatever their id numbering.
 //!
 //! The cursors therefore hold the paper's `usedCell` state: a tested winner
 //! is never offered again because its cursor has stepped past it. The search
@@ -88,8 +92,9 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
 }
 
 /// Every cell id of `level`, convolved once and ordered by the strict total
-/// order *(convolved value descending, `CellId` ascending)*: the order in
-/// which the restart-scan of Algorithm 2 would pick them as winners.
+/// order *(convolved value descending, first point ascending)*: the order in
+/// which the restart-scan of Algorithm 2 would pick them as winners. First
+/// points are distinct within a level, so no two cells tie.
 fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
     let values = match mask {
         MaskKind::FaceOnly => convolve_level(level, dims),
@@ -98,12 +103,21 @@ fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
             .map(|(id, _)| convolve(level, id, dims, mask))
             .collect(),
     };
-    let mut ranked: Vec<(Reverse<i64>, CellId)> = (0..)
+    // The first point fills the high half of the second field and the id
+    // the low half: first points decide every tie, and a two-field sort
+    // key compares faster than a three-field one.
+    let mut ranked: Vec<(Reverse<i64>, u64)> = (0..)
         .zip(values)
-        .map(|(id, value)| (Reverse(value), id))
+        .map(|(id, value)| {
+            let first = u64::from(level.first_point(id));
+            (Reverse(value), (first << 32) | u64::from(id))
+        })
         .collect();
     ranked.sort_unstable();
-    ranked.into_iter().map(|(_, id)| id).collect()
+    ranked
+        .into_iter()
+        .map(|(_, key)| CellId::try_from(key & u64::from(u32::MAX)).unwrap_or_default())
+        .collect()
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -323,9 +337,10 @@ mod tests {
 
     /// The restart-scan the cursor search replaced, kept as the reference it
     /// must reproduce: every sweep convolves every eligible cell of a level
-    /// and keeps the first maximum in ascending id order. Each level keeps
-    /// its own `usedCell` set; returns the β-clusters and the tested winners
-    /// in test order.
+    /// and keeps the first maximum, scanning the cells in ascending first
+    /// point order, the order inserting the points one by one creates them.
+    /// Each level keeps its own `usedCell` set; returns the β-clusters and
+    /// the tested winners in test order.
     fn reference_search(
         tree: &CountingTree,
         config: &MrCCConfig,
@@ -338,8 +353,11 @@ mod tests {
             for h in 2..=tree.deepest_level() {
                 let level = tree.level(h);
                 let side = level.side();
+                let mut scan: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
+                scan.sort_by_key(|&id| level.first_point(id));
                 let mut best: Option<(CellId, i64)> = None;
-                for (id, cell) in level.iter() {
+                for id in scan {
+                    let cell = level.cell(id);
                     if used[h - 1][id as usize] || shares_space_with_any(cell, side, &betas) {
                         continue;
                     }
@@ -376,7 +394,7 @@ mod tests {
         /// Random blob-plus-noise workload, tree height and configuration.
         /// The full mask enumerates `3^d` offsets per cell, so it draws
         /// `d ≤ 5` to keep the reference's repeated sweeps fast.
-        fn case_strategy() -> impl Strategy<Value = (SyntheticSpec, MrCCConfig)> {
+        pub(super) fn case_strategy() -> impl Strategy<Value = (SyntheticSpec, MrCCConfig)> {
             (
                 (2usize..=8, 200usize..=1_200, 1usize..=3, 1u64..=1_000),
                 (3usize..=5, any::<bool>(), any::<bool>(), any::<bool>()),
@@ -415,6 +433,48 @@ mod tests {
                 let context = format!("{spec:?} {config:?}");
                 prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
                 prop_assert_eq!(tested, reference_tested, "{}", context);
+            }
+        }
+    }
+
+    /// The tested winners as `(level, coords)`: comparable across trees
+    /// that number their cells differently.
+    fn tested_cells(tree: &CountingTree, tested: &[(usize, CellId)]) -> Vec<(usize, Vec<u64>)> {
+        tested
+            .iter()
+            .map(|&(h, id)| (h, tree.level(h).cell(id).coords().collect()))
+            .collect()
+    }
+
+    mod sorted_build_equals_insert_loop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// A tree built by sorting and one grown by `insert` from the
+            /// same points number their cells differently, yet the search
+            /// tests the same cells in the same order and returns the same
+            /// β-clusters: the ranking breaks ties on first points.
+            #[test]
+            fn same_betas_and_tested_cells((spec, config) in cursor_equals_restart_scan::case_strategy()) {
+                let ds = generate(&spec).dataset;
+                let sorted = CountingTree::build(&ds, config.resolutions).unwrap();
+                let mut inserted = CountingTree::empty(ds.dims(), config.resolutions).unwrap();
+                for p in ds.iter() {
+                    inserted.insert(p).unwrap();
+                }
+                let (betas, tested) = search(&sorted, &config);
+                let (want_betas, want_tested) = search(&inserted, &config);
+                let context = format!("{spec:?} {config:?}");
+                prop_assert_eq!(fingerprints(&betas), fingerprints(&want_betas), "{}", context);
+                prop_assert_eq!(
+                    tested_cells(&sorted, &tested),
+                    tested_cells(&inserted, &want_tested),
+                    "{}",
+                    context
+                );
             }
         }
     }

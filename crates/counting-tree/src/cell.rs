@@ -9,7 +9,14 @@
 
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
-/// Index of a cell within its level, in first-insertion order.
+/// Index of a cell within its level: key order in a tree from
+/// [`CountingTree::build`], arrival order in one grown by
+/// [`CountingTree::insert`]. [`Level::first_point`] orders cells the same
+/// way in both.
+///
+/// [`CountingTree::build`]: crate::CountingTree::build
+/// [`CountingTree::insert`]: crate::CountingTree::insert
+/// [`Level::first_point`]: crate::Level::first_point
 pub type CellId = u32;
 
 /// How one level packs grid coordinates into key words: `h` bits per

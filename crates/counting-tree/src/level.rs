@@ -16,6 +16,9 @@ pub enum Direction {
     Upper,
 }
 
+/// Slots of an index before its first growth.
+const MIN_SLOTS: usize = 16;
+
 /// The splitmix64 output function: a bijective 64-bit mixer.
 const fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -31,12 +34,12 @@ fn hash_key(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// A fully materialized resolution level.
 ///
-/// One array per cell field, indexed by [`CellId`] in first-insertion order:
-/// the packed `keys` with stride `W` (see `KeyLayout`), the counts `n`, the
-/// half-space counts `p` with stride `d`, and `parents` (0 at level 1, under
-/// the implicit root). `slots` is the index: a power of two of them, at most
-/// half occupied, probed linearly from the key's hash, 0 when empty and
-/// `(tag << 32) | (id + 1)` otherwise.
+/// One array per cell field, indexed by [`CellId`]: the packed `keys` with
+/// stride `W` (see `KeyLayout`), the counts `n`, the half-space counts `p`
+/// with stride `d`, `parents` (0 at level 1, under the implicit root) and
+/// `first`, each cell's smallest point index. `slots` is the index: a power
+/// of two of them, at most half occupied, probed linearly from the key's
+/// hash, 0 when empty and `(tag << 32) | (id + 1)` otherwise.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -47,22 +50,36 @@ pub struct Level {
     n: Vec<u32>,
     p: Vec<u32>,
     parents: Vec<CellId>,
+    first: Vec<u32>,
     slots: Vec<u64>,
 }
 
 impl Level {
+    /// An empty level with an index of 16 slots, for [`CountingTree::insert`].
+    ///
+    /// [`CountingTree::insert`]: crate::CountingTree::insert
     pub(crate) fn new(h: u32, d: usize) -> Self {
+        let mut level = Level::with_capacity(h, d, 0);
+        level.slots = vec![0; MIN_SLOTS];
+        level
+    }
+
+    /// An empty level whose arrays hold exactly `cells` cells, and with no
+    /// index until [`Level::fill_index`]: the sorted build's level.
+    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize) -> Self {
         let layout = KeyLayout::new(h);
+        let words = layout.words(d);
         Level {
             h,
             d,
             layout,
-            words: layout.words(d),
-            keys: Vec::new(),
-            n: Vec::new(),
-            p: Vec::new(),
-            parents: Vec::new(),
-            slots: vec![0; 16],
+            words,
+            keys: Vec::with_capacity(cells * words),
+            n: Vec::with_capacity(cells),
+            p: Vec::with_capacity(cells * d),
+            parents: Vec::with_capacity(cells),
+            first: Vec::with_capacity(cells),
+            slots: Vec::new(),
         }
     }
 
@@ -107,7 +124,7 @@ impl Level {
         }
     }
 
-    /// Iterate over `(id, cell)` pairs in insertion order.
+    /// Iterate over `(id, cell)` pairs in id order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (CellId, Cell<'_>)> + '_ {
         self.ids().map(|id| (id, self.cell(id)))
     }
@@ -241,6 +258,22 @@ impl Level {
         self.parents[u32_to_usize(id)]
     }
 
+    /// The smallest index of a point the cell holds: its position in the
+    /// dataset for [`CountingTree::build`], its arrival number for
+    /// [`CountingTree::insert`]. Distinct per cell of a level, and ascending
+    /// in the order cells would be created by inserting the points one by one.
+    ///
+    /// [`CountingTree::build`]: crate::CountingTree::build
+    /// [`CountingTree::insert`]: crate::CountingTree::insert
+    ///
+    /// # Panics
+    /// Panics on an out-of-range id.
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
+    pub fn first_point(&self, id: CellId) -> u32 {
+        self.first[u32_to_usize(id)]
+    }
+
     /// Sum of point counts over all cells (must equal `η`; used by tests and
     /// debug assertions).
     pub fn total_points(&self) -> u64 {
@@ -251,16 +284,17 @@ impl Level {
     pub fn memory_bytes(&self) -> usize {
         size_of::<Level>()
             + (self.keys.capacity() + self.slots.capacity()) * size_of::<u64>()
-            + (self.n.capacity() + self.p.capacity()) * size_of::<u32>()
+            + (self.n.capacity() + self.p.capacity() + self.first.capacity()) * size_of::<u32>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
-    /// Counts one point into the level: the cell at `fine >> shift` (the
-    /// point's finest-grid coordinates one shift up), materialized under
-    /// `parent` if absent. Returns the cell's id. `key` is scratch space of
-    /// at least `W` words.
+    /// Counts point number `point` into the level: the cell at
+    /// `fine >> shift` (the point's finest-grid coordinates one shift up),
+    /// materialized under `parent` if absent. Returns the cell's id. `key`
+    /// is scratch space of at least `W` words.
     pub(crate) fn add_point(
         &mut self,
+        point: u32,
         fine: &[u64],
         shift: u32,
         parent: CellId,
@@ -268,16 +302,52 @@ impl Level {
     ) -> CellId {
         let key = key.get_mut(..self.words).unwrap_or_default();
         self.layout.pack(fine.iter().map(|&f| f >> shift), key);
-        let id = self.get_or_insert(key, parent);
+        let id = self.get_or_insert(key, parent, point);
         // The point is in the lower half of this cell along e_j iff its
         // coordinate one level finer is even.
-        self.count_point(id, fine, shift - 1);
+        let upper = (0..)
+            .zip(fine)
+            .fold(0, |acc, (j, &f)| acc | (((f >> (shift - 1)) & 1) << j));
+        self.add_to(id, 1, point, upper);
         id
+    }
+
+    /// Appends an empty cell at `coords` under `parent`, with no index
+    /// entry. The sorted build calls it once per cell.
+    pub(crate) fn push_cell(&mut self, coords: impl IntoIterator<Item = u64>, parent: CellId) {
+        let start = self.keys.len();
+        self.keys.resize(start + self.words, 0);
+        if let Some(key) = self.keys.get_mut(start..) {
+            self.layout.pack(coords, key);
+        }
+        self.p.resize(self.p.len() + self.d, 0);
+        self.n.push(0);
+        self.parents.push(parent);
+        self.first.push(u32::MAX);
+    }
+
+    /// Count and first point of the last cell pushed.
+    pub(crate) fn last_counts(&self) -> Option<(u32, u32)> {
+        self.n.last().copied().zip(self.first.last().copied())
+    }
+
+    /// [`Level::add_to`] the last cell pushed.
+    pub(crate) fn add_to_last(&mut self, n: u32, first: u32, upper: u64) {
+        if let Some(last) = self.ids().last() {
+            self.add_to(last, n, first, upper);
+        }
+    }
+
+    /// Builds the index over every stored cell, in the fewest slots
+    /// `get_or_insert` would have grown to: a power of two, at least 16,
+    /// at most half occupied.
+    pub(crate) fn fill_index(&mut self) {
+        self.place_all(MIN_SLOTS.max((2 * self.n_cells()).next_power_of_two()));
     }
 
     /// Ids `0..n_cells`.
     fn ids(&self) -> impl ExactSizeIterator<Item = CellId> {
-        // `get_or_insert` hands out ids below 2^32 only.
+        // `get_or_insert` and `push_cell` hand out ids below 2^32 only.
         0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX)
     }
 
@@ -290,11 +360,11 @@ impl Level {
     }
 
     /// Fetches the cell with packed key `key`, materializing it under
-    /// `parent` if absent, and returns its id.
+    /// `parent` with first point `point` if absent, and returns its id.
     #[expect(clippy::indexing_slicing, reason = "`probe` returns an in-range slot")]
-    fn get_or_insert(&mut self, key: &[u64], parent: CellId) -> CellId {
+    fn get_or_insert(&mut self, key: &[u64], parent: CellId, point: u32) -> CellId {
         if 2 * (self.n_cells() + 1) > self.slots.len() {
-            self.grow_index();
+            self.place_all(2 * self.slots.len());
         }
         let hash = hash_key(key.iter().copied());
         let pos = match self.probe(hash, |cand| cand == key) {
@@ -308,18 +378,20 @@ impl Level {
         self.p.resize(self.p.len() + self.d, 0);
         self.n.push(0);
         self.parents.push(parent);
+        self.first.push(point);
         id
     }
 
-    /// Counts one point into cell `id`. The point lies in the lower half of
-    /// the cell along axis `e_j` iff bit `bit` of `fine[j]` is clear.
-    #[expect(clippy::indexing_slicing, reason = "ids come from `get_or_insert`")]
-    fn count_point(&mut self, id: CellId, fine: &[u64], bit: u32) {
+    /// Adds `n` points, the smallest numbered `first`, into cell `id`, and
+    /// into its `P[j]` where bit `j` of `upper` is clear: the points sit in
+    /// the cell's lower half along `e_j`.
+    #[expect(clippy::indexing_slicing, reason = "callers pass ids of stored cells")]
+    fn add_to(&mut self, id: CellId, n: u32, first: u32, upper: u64) {
         let i = u32_to_usize(id);
-        self.n[i] += 1;
-        let p = &mut self.p[i * self.d..(i + 1) * self.d];
-        for (slot, &f) in p.iter_mut().zip(fine) {
-            *slot += u32::from((f >> bit) & 1 == 0);
+        self.n[i] += n;
+        self.first[i] = self.first[i].min(first);
+        for (j, slot) in self.p[i * self.d..(i + 1) * self.d].iter_mut().enumerate() {
+            *slot += n * u32::from((upper >> j) & 1 == 0);
         }
     }
 
@@ -350,9 +422,10 @@ impl Level {
         }
     }
 
-    /// Doubles the slot count and re-places every cell from its key.
-    fn grow_index(&mut self) {
-        self.slots = vec![0; 2 * self.slots.len()];
+    /// Re-places every cell from its key into `slots` empty slots, a power
+    /// of two above twice the cell count.
+    fn place_all(&mut self, slots: usize) {
+        self.slots = vec![0; slots];
         for id in self.ids() {
             let hash = hash_key(self.key(id).iter().copied());
             // Stored cells are distinct, so the probe always ends at a free slot.
@@ -390,14 +463,15 @@ mod tests {
     fn insert(l: &mut Level, coords: &[u64], parent: CellId) -> CellId {
         let mut key = vec![0; l.words];
         l.layout.pack(coords.iter().copied(), &mut key);
-        l.get_or_insert(&key, parent)
+        let point = u32::try_from(l.n_cells()).unwrap();
+        l.get_or_insert(&key, parent, point)
     }
 
     fn level_with(h: u32, coords: &[&[u64]]) -> Level {
         let mut l = Level::new(h, coords[0].len());
         for c in coords {
             let id = insert(&mut l, c, 0);
-            l.count_point(id, &vec![0; c.len()], 0);
+            l.add_to(id, 1, 0, 0);
         }
         l
     }
@@ -444,10 +518,10 @@ mod tests {
     fn counting_updates_half_spaces() {
         let mut l = Level::new(2, 2);
         let id = insert(&mut l, &[2, 3], 0);
-        // Bit 0 clear → lower half along that axis.
-        l.count_point(id, &[0, 1], 0);
-        l.count_point(id, &[0, 0], 0);
-        l.count_point(id, &[1, 0], 0);
+        // Bit j of `upper` clear → lower half along axis j.
+        l.add_to(id, 1, 0, 0b10);
+        l.add_to(id, 1, 0, 0b00);
+        l.add_to(id, 1, 0, 0b01);
         let c = l.cell(id);
         assert_eq!(c.n(), 3);
         assert_eq!(c.half_count(0), 2);
@@ -508,9 +582,7 @@ mod tests {
             ([0, 1], 1),
         ] {
             let id = insert(&mut l, &coords, 0);
-            for _ in 0..points {
-                l.count_point(id, &[0, 0], 0);
-            }
+            l.add_to(id, points, 0, 0);
         }
         let want: Vec<u64> = l
             .iter()

@@ -23,8 +23,9 @@
 //! (`n`) and how many of them sit in its lower half along every axis (the
 //! *half-space counts* `P[j]`). Only non-empty cells are materialized, so each
 //! level stores at most `η` cells and the whole structure is `O(H·η·d)`
-//! space; it is built in a single scan of the data, `O(η·H·d)` time
-//! (Algorithm 1 of the paper).
+//! space. Algorithm 1 of the paper builds it in a single scan of the data;
+//! [`CountingTree::build`] gets the same counts from one sort of per-point
+//! keys, in `O(η·H·d + η log η)` time (see "Building" below).
 //!
 //! ## Representation
 //!
@@ -43,7 +44,7 @@
 //!   21 dimensions is one word; the key is exact, so it *is* the position,
 //!   and a coordinate decodes with a shift and a mask;
 //! * relative position `loc` bit of axis `j` = low bit of coordinate `j`,
-//! * immediate parent = `coords >> 1` one level up, recorded at insertion,
+//! * immediate parent = `coords >> 1` one level up, recorded by the build,
 //! * the *internal* face neighbor of the paper (same parent) and the
 //!   *external* one (different parent) are both `coords[j] ± 1`: one field
 //!   of one word steps by one, after an explicit border check (a field at
@@ -53,6 +54,21 @@
 //!   [`Level::face_neighbor_sums`] sorts the keys once and merges them
 //!   against themselves stepped by `+e_j`, one linear pass per axis.
 //!
+//! ## Building
+//!
+//! [`CountingTree::build`] gives each point one *level-major* key: the
+//! level-1 bit of every axis, then the level-2 bits, and so on down to the
+//! deepest level's half-space bits, `⌈d·H/64⌉` words. After one sort of the
+//! keys, the cells of level `h` are the runs of equal `h·d`-bit prefixes. One
+//! sweep over the runs appends every level's cells in key order, with their
+//! parents (the enclosing run one level up), their counts and
+//! [`Level::first_point`], each cell's smallest point index. Each level then
+//! fills its index once. [`CountingTree::insert`] still adds one point at a
+//! time, for streaming use; its cells are in arrival order, and
+//! `first_point` is the arrival number of each cell's first point. Either
+//! way, ascending `first_point` is the order in which inserting the points
+//! one by one creates the cells.
+//!
 //! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
 //! as `u32`: a tree counts at most [`MAX_POINTS`]. The paper's third field,
 //! `usedCell`, records which cells the β-cluster search has consumed; that is
@@ -60,6 +76,7 @@
 //! a tree changes only through [`CountingTree::insert`].
 
 pub mod cell;
+mod keys;
 pub mod level;
 pub mod tree;
 

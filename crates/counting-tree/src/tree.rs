@@ -1,10 +1,11 @@
 //! Counting-tree construction (Algorithm 1) and whole-tree queries.
 
 use mrcc_common::dataset::MAX_DIMS;
-use mrcc_common::num::{bounded_to_u32, powi_exp, trunc_to_u64, u32_to_usize};
+use mrcc_common::num::{bounded_to_u32, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
 use crate::cell::CellId;
+use crate::keys::{fine_coords, fine_scale, plane_bits, SortedKeys};
 use crate::level::Level;
 
 /// Minimum number of resolutions the paper allows (`H ≥ 3`).
@@ -25,8 +26,9 @@ pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 /// The Counting-tree: levels `h = 1 … H−1` of a multi-resolution hyper-grid.
 ///
 /// The root (level 0, the whole unit cube, `n = η`) is implicit. Build with
-/// [`CountingTree::build`]; a single scan counts every point in every level
-/// and accumulates the per-axis half-space counts, exactly Algorithm 1.
+/// [`CountingTree::build`], which counts every point in every level and
+/// accumulates the per-axis half-space counts, Algorithm 1's result, from
+/// one sort of per-point keys.
 ///
 /// ```
 /// use mrcc_common::Dataset;
@@ -55,6 +57,16 @@ impl CountingTree {
     /// Builds the tree over a unit-normalized dataset with `H = resolutions`
     /// distinct resolutions.
     ///
+    /// The build sorts instead of inserting. Each point gets one level-major
+    /// key: the level-1 bit of every axis, then the level-2 bits, and so on
+    /// down to the half-space bit of the deepest level, `d·H` bits in all.
+    /// Once the keys are sorted, the cells of level `h` are the runs of
+    /// equal `h·d`-bit prefixes. One sweep over the runs appends every
+    /// level's cells in key order, with their parents (the enclosing run one
+    /// level up). Each point counts into its deepest cell, and each run, as
+    /// it ends, adds its counts into its parent. Each level then fills its
+    /// index once. `O(η·H·d + η log η)` time.
+    ///
     /// # Errors
     /// * [`Error::InvalidParameter`] if `resolutions` is outside
     ///   `[MIN_RESOLUTIONS, MAX_RESOLUTIONS]` or any coordinate is outside
@@ -62,14 +74,77 @@ impl CountingTree {
     /// * [`Error::EmptyDataset`] for a dataset with no points.
     /// * [`Error::TooManyPoints`] for more than [`MAX_POINTS`] points.
     pub fn build(ds: &Dataset, resolutions: usize) -> Result<CountingTree> {
-        let mut tree = CountingTree::empty(ds.dims(), resolutions)?;
+        let d = ds.dims();
+        check_shape(d, resolutions)?;
         if ds.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        for p in ds.iter() {
-            tree.insert(p)?;
+        if ds.len() > MAX_POINTS {
+            return Err(Error::TooManyPoints { max: MAX_POINTS });
         }
-        Ok(tree)
+        let h_max = resolutions - 1;
+        let keys = SortedKeys::new(ds, resolutions)?;
+
+        // A run of level h starts wherever the sorted keys first differ in
+        // one of the first h bit-planes. Count the runs to size each level.
+        let mut cells = vec![0usize; h_max];
+        keys.walk(|_, _, split| {
+            for count in cells.iter_mut().skip(split) {
+                *count += 1;
+            }
+        });
+        let mut levels: Vec<Level> = (1..)
+            .zip(cells)
+            .map(|(h, cells)| Level::with_capacity(h, d, cells))
+            .collect();
+
+        // The sweep. `deep` holds the deepest-level coordinates of the open
+        // runs and `loc[h − 1]` the level-h bit-plane of each; a run starting
+        // at plane `split` closes the runs at planes `split..` into their
+        // parents, deepest first, then opens one per plane.
+        let mut deep = [0u64; MAX_DIMS];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`check_shape` bounds d by MAX_DIMS"
+        )]
+        let deep = &mut deep[..d];
+        let mut loc = [0u64; MAX_RESOLUTIONS];
+        keys.walk(|point, key, split| {
+            close_runs(&mut levels, &loc, split);
+            for plane in split..h_max {
+                let bits = plane_bits(key, plane, d);
+                if let Some(slot) = loc.get_mut(plane) {
+                    *slot = bits;
+                }
+                let shift = h_max - 1 - plane;
+                for (j, c) in deep.iter_mut().enumerate() {
+                    *c = (*c & !(1 << shift)) | (((bits >> j) & 1) << shift);
+                }
+                // Level 1's parent is the implicit root, reported as id 0.
+                let parent = plane
+                    .checked_sub(1)
+                    .and_then(|up| levels.get(up))
+                    .map_or(0, |up| bounded_to_u32(up.n_cells()) - 1);
+                if let Some(level) = levels.get_mut(plane) {
+                    level.push_cell(deep.iter().map(|&c| c >> shift), parent);
+                }
+            }
+            // The last plane holds the deepest level's half-space bits.
+            if let Some(deepest) = levels.last_mut() {
+                deepest.add_to_last(1, point, plane_bits(key, h_max, d));
+            }
+        });
+        close_runs(&mut levels, &loc, 0);
+        drop(keys);
+        for level in &mut levels {
+            level.fill_index();
+        }
+        Ok(CountingTree {
+            dims: d,
+            n_points: ds.len(),
+            resolutions,
+            levels,
+        })
     }
 
     /// Same as [`CountingTree::build`]; `n_threads` is ignored.
@@ -95,20 +170,7 @@ impl CountingTree {
     /// [`Error::UnsupportedDimensionality`] for `dims` outside
     /// `1..=MAX_DIMS`, the range [`Dataset`] accepts.
     pub fn empty(dims: usize, resolutions: usize) -> Result<CountingTree> {
-        if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
-            return Err(Error::InvalidParameter {
-                name: "resolutions",
-                message: format!(
-                    "H must be in [{MIN_RESOLUTIONS}, {MAX_RESOLUTIONS}], got {resolutions}"
-                ),
-            });
-        }
-        if dims == 0 || dims > MAX_DIMS {
-            return Err(Error::UnsupportedDimensionality {
-                dims,
-                max: MAX_DIMS,
-            });
-        }
+        check_shape(dims, resolutions)?;
         let h_max = resolutions - 1;
         Ok(CountingTree {
             dims,
@@ -140,31 +202,17 @@ impl CountingTree {
             return Err(Error::TooManyPoints { max: MAX_POINTS });
         }
         let h_max = self.resolutions - 1;
-        // Finest "virtual" grid: level h_max + 1, used only to derive the
-        // coordinates of every real level (right-shift) and the half-space
-        // bit of the deepest level. Both buffers live on the stack.
-        let fine_scale = (2.0f64).powi(powi_exp(h_max + 1));
+        // Both buffers live on the stack.
         let mut fine = [0u64; MAX_DIMS];
-        for ((j, &v), slot) in point.iter().enumerate().zip(fine.iter_mut()) {
-            if !(0.0..1.0).contains(&v) {
-                return Err(Error::InvalidParameter {
-                    name: "point",
-                    message: format!(
-                        "value {v} at axis {j} outside [0,1); normalize the data first"
-                    ),
-                });
-            }
-            *slot = trunc_to_u64(v * fine_scale);
-        }
-        #[expect(clippy::indexing_slicing, reason = "`empty` bounds d by MAX_DIMS")]
-        let fine = &fine[..d];
+        let fine = fine_coords(point, fine_scale(self.resolutions), &mut fine)?;
         let mut key = [0u64; MAX_DIMS];
         // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
         // parent is the implicit root, reported as id 0.
         let mut parent: CellId = 0;
+        let index = bounded_to_u32(self.n_points);
         let shifts = (1..=bounded_to_u32(h_max)).rev();
         for (level, shift) in self.levels.iter_mut().zip(shifts) {
-            parent = level.add_point(fine, shift, parent, &mut key);
+            parent = level.add_point(index, fine, shift, parent, &mut key);
         }
         self.n_points += 1;
         Ok(())
@@ -213,6 +261,42 @@ impl CountingTree {
     /// owns (the memory experiments and `FitStats::tree_memory_bytes`).
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
+    }
+}
+
+/// Checks a tree shape: `H` within `[MIN_RESOLUTIONS, MAX_RESOLUTIONS]`
+/// and `d` within `1..=MAX_DIMS`, the range [`Dataset`] accepts.
+fn check_shape(dims: usize, resolutions: usize) -> Result<()> {
+    if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
+        return Err(Error::InvalidParameter {
+            name: "resolutions",
+            message: format!(
+                "H must be in [{MIN_RESOLUTIONS}, {MAX_RESOLUTIONS}], got {resolutions}"
+            ),
+        });
+    }
+    if dims == 0 || dims > MAX_DIMS {
+        return Err(Error::UnsupportedDimensionality {
+            dims,
+            max: MAX_DIMS,
+        });
+    }
+    Ok(())
+}
+
+/// Closes the open runs at planes `from..`, deepest first: each adds its
+/// count and first point into its parent's open run, and its count into
+/// the parent's `P[j]` where its plane bits `loc` put it in the lower half.
+/// Level 1's runs have no parent to close into.
+fn close_runs(levels: &mut [Level], loc: &[u64], from: usize) {
+    for plane in (from.max(1)..levels.len()).rev() {
+        let (coarse, fine) = levels.split_at_mut(plane);
+        let child = fine.first().and_then(Level::last_counts);
+        if let (Some(parent), Some((n, first)), Some(&bits)) =
+            (coarse.last_mut(), child, loc.get(plane))
+        {
+            parent.add_to_last(n, first, bits);
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Allocation profile and exact memory accounting of the Counting-tree build,
-//! and the allocation profile of the level pass.
+//! Allocation profile, peak transient memory and exact memory accounting of
+//! the Counting-tree build, and the allocation profile of the level pass.
 //!
 //! A test-local counting allocator wraps the system allocator. This binary
 //! holds a single test, so no other test thread allocates while it measures.
@@ -12,6 +12,7 @@ use mrcc_counting_tree::CountingTree;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 struct CountingAllocator;
 
@@ -24,7 +25,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(live, Ordering::Relaxed);
         }
         p
     }
@@ -54,15 +56,52 @@ fn dataset(n: usize) -> Dataset {
     Dataset::from_rows(&rows).unwrap()
 }
 
-/// Builds a tree and reports `(allocations, live-byte growth)` across the
-/// build, with the tree still alive.
-fn measured_build(ds: &Dataset, resolutions: usize) -> (CountingTree, usize, usize) {
+/// `n` points on the 2^4 corners of a coarse grid: every level has at most
+/// 16 cells, so the indexes are small and the sort's keys set the peak.
+fn crowded(n: usize) -> Dataset {
+    let rows: Vec<[f64; 4]> = dataset(n)
+        .iter()
+        .map(|p| [0, 1, 2, 3].map(|j| if p[j] < 0.5 { 0.1 } else { 0.6 }))
+        .collect();
+    Dataset::from_rows(&rows).unwrap()
+}
+
+/// What a build cost, measured across it with the tree still alive.
+struct Measured {
+    tree: CountingTree,
+    allocations: usize,
+    /// Live-byte growth: the tree's heap.
+    grown: usize,
+    /// Peak live-byte growth during the build.
+    peak: usize,
+}
+
+fn measured_build(ds: &Dataset, resolutions: usize) -> Measured {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     let tree = CountingTree::build(ds, resolutions).unwrap();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
-    let grown = LIVE.load(Ordering::Relaxed) - live;
-    (tree, allocations, grown)
+    Measured {
+        tree,
+        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+        grown: LIVE.load(Ordering::Relaxed) - live,
+        peak: PEAK.load(Ordering::Relaxed) - live,
+    }
+}
+
+/// The bound on a build's transient buffers: the sort's `η·(8·W + 4)`
+/// bytes, `W = ⌈d·H/64⌉` key words, plus one run count per level.
+fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
+    let words = (ds.dims() * resolutions).div_ceil(64);
+    ds.len() * (8 * words + 4) + (resolutions - 1) * size_of::<usize>()
+}
+
+/// Bytes of the trees' level indexes: per level, the fewest slots (a power
+/// of two, at least 16) that keep it at most half full, one word each.
+fn index_bytes(tree: &CountingTree) -> usize {
+    tree.levels()
+        .map(|l| 16.max((2 * l.n_cells()).next_power_of_two()) * size_of::<u64>())
+        .sum()
 }
 
 #[test]
@@ -71,8 +110,9 @@ fn build_allocations_and_memory_bytes() {
     let levels = H - 1;
     let (small, large) = (dataset(4_000), dataset(16_000));
 
-    let (tree, small_allocs, small_grown) = measured_build(&small, H);
-    let (big_tree, large_allocs, large_grown) = measured_build(&large, H);
+    let small_build = measured_build(&small, H);
+    let large_build = measured_build(&large, H);
+    let (small_allocs, large_allocs) = (small_build.allocations, large_build.allocations);
 
     // O(levels · log cells), not O(η): no allocation per point or per cell.
     assert!(
@@ -87,10 +127,36 @@ fn build_allocations_and_memory_bytes() {
     );
 
     // memory_bytes is exactly the live heap the build left behind, plus the
-    // tree's own struct, which lives on the stack.
-    for (t, grown) in [(&tree, small_grown), (&big_tree, large_grown)] {
-        assert_eq!(t.memory_bytes(), grown + size_of::<CountingTree>());
+    // tree's own struct, which lives on the stack. Above the cell arrays the
+    // build holds the sort's keys and the run counts while it sweeps, then
+    // the indexes once the keys are freed; also with 4-word keys
+    // (d·H = 4·64 bits) and with crowded cells, where the keys outweigh the
+    // indexes.
+    let tall = dataset(2_000);
+    let tall_build = measured_build(&tall, 64);
+    let dense = crowded(16_000);
+    let dense_build = measured_build(&dense, H);
+    assert!(index_bytes(&dense_build.tree) < transient_bound(&dense, H) / 10);
+    for (ds, resolutions, build) in [
+        (&small, H, &small_build),
+        (&large, H, &large_build),
+        (&tall, 64, &tall_build),
+        (&dense, H, &dense_build),
+    ] {
+        let context = format!("{} points, H = {resolutions}", ds.len());
+        assert_eq!(
+            build.tree.memory_bytes(),
+            build.grown + size_of::<CountingTree>(),
+            "{context}"
+        );
+        let (bound, index) = (transient_bound(ds, resolutions), index_bytes(&build.tree));
+        let over_cells = build.peak - (build.grown - index);
+        assert!(
+            over_cells <= bound.max(index),
+            "{context}: peak {over_cells} bytes above the cell arrays, bound {bound}, index {index}"
+        );
     }
+    let (tree, big_tree) = (small_build.tree, large_build.tree);
 
     // The level pass allocates a fixed set of buffers per call, not one per
     // cell: the same count at 4× the cells.

@@ -1,8 +1,12 @@
 //! Property-based invariants of the Counting-tree.
 
+use std::collections::BTreeMap;
+
 use mrcc_common::Dataset;
 use mrcc_counting_tree::{CellId, CountingTree, Direction, Level};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random dataset with 1–200 points in 1–8 dimensions, all
 /// coordinates in [0, 1).
@@ -134,9 +138,98 @@ fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
     }
 }
 
-/// A 2-d level of 1120 cells grows its index from 16 slots to 4096, eight
-/// times over, keeps ids in first-insertion order and still answers every
-/// lookup like the scan.
+/// The tree `CountingTree::insert` grows from the points in dataset order.
+fn insert_built(ds: &Dataset, resolutions: usize) -> CountingTree {
+    let mut tree = CountingTree::empty(ds.dims(), resolutions).unwrap();
+    for p in ds.iter() {
+        tree.insert(p).unwrap();
+    }
+    tree
+}
+
+/// One level's cells by coordinates: `n`, `P`, first point and the
+/// parent's coordinates (empty at level 1, under the implicit root).
+type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u32>, u32, Vec<u64>)>;
+
+/// Every level of `tree` as a [`CellTable`], whatever its id numbering.
+fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
+    (1..=tree.deepest_level())
+        .map(|h| {
+            let level = tree.level(h);
+            level
+                .iter()
+                .map(|(id, cell)| {
+                    let parent = match h {
+                        1 => Vec::new(),
+                        _ => tree.level(h - 1).cell(level.parent(id)).coords().collect(),
+                    };
+                    let fields = (
+                        cell.n(),
+                        cell.half_counts().to_vec(),
+                        level.first_point(id),
+                        parent,
+                    );
+                    (cell.coords().collect(), fields)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The sorted build and the insert loop give the same cells with the same
+/// counts, first points and parents at every level.
+fn assert_build_equals_insert_loop(ds: &Dataset, resolutions: usize) {
+    let sorted = CountingTree::build(ds, resolutions).unwrap();
+    let inserted = insert_built(ds, resolutions);
+    assert_eq!(sorted.n_points(), inserted.n_points());
+    for (h, (a, b)) in (1..).zip(cell_tables(&sorted).iter().zip(&cell_tables(&inserted))) {
+        assert_eq!(a.len(), b.len(), "cells at level {h}");
+        for ((coords, got), (want_coords, want)) in a.iter().zip(b) {
+            assert_eq!(coords, want_coords, "level {h}");
+            assert_eq!(got, want, "level {h} cell {coords:?}");
+            let parent: Vec<u64> = coords.iter().map(|c| c >> 1).collect();
+            assert!(h == 1 || got.3 == parent, "level {h} cell {coords:?}");
+        }
+    }
+}
+
+/// 20 000 points in 14 dimensions around eight centres, plus 10 % uniform
+/// noise: the coarse cells hold thousands of points each, whose order
+/// after the key sort is not their dataset order.
+#[test]
+fn build_equals_insert_loop_on_crowded_cells() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let centres: Vec<Vec<f64>> = (0..8)
+        .map(|_| (0..14).map(|_| rng.gen_range(0.2..0.8)).collect())
+        .collect();
+    let rows: Vec<Vec<f64>> = (0..20_000)
+        .map(|i| {
+            let centre = &centres[i % 8];
+            (0..14)
+                .map(|j| {
+                    if i % 10 == 9 {
+                        rng.gen::<f64>()
+                    } else {
+                        centre[j] + rng.gen_range(-0.1..0.1)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let ds = Dataset::from_rows(&rows).unwrap();
+    let tree = CountingTree::build(&ds, 4).unwrap();
+    let crowded = tree.level(1).iter().map(|(_, c)| c.n()).max().unwrap();
+    assert!(
+        crowded > 1_000,
+        "the largest level-1 cell holds {crowded} points"
+    );
+    assert_build_equals_insert_loop(&ds, 4);
+}
+
+/// A 2-d level of 1120 cells: grown by `insert`, its index doubles from 16
+/// slots to 4096 eight times over, keeps ids in arrival order and still
+/// answers every lookup like the scan. Built by sorting, each cell's first
+/// point is that same arrival number.
 #[test]
 fn index_survives_many_growths() {
     let rows: Vec<[f64; 2]> = (0..1_120u32)
@@ -145,13 +238,24 @@ fn index_survives_many_growths() {
             [(f64::from(x) + 0.5) / 64.0, (f64::from(y) + 0.5) / 64.0]
         })
         .collect();
-    let tree = CountingTree::build(&Dataset::from_rows(&rows).unwrap(), 8).unwrap();
-    let level = tree.level(6);
+    let ds = Dataset::from_rows(&rows).unwrap();
+    let grid = || (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40)));
+    let inserted = insert_built(&ds, 8);
+    let level = inserted.level(6);
     assert_eq!(level.n_cells(), 1_120);
-    for (id, (x, y)) in (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40))) {
+    for (id, (x, y)) in grid() {
         assert_eq!(level.find(&[x, y]), Some(id));
     }
-    assert_index_matches_scan(&tree);
+    assert_index_matches_scan(&inserted);
+
+    let sorted = CountingTree::build(&ds, 8).unwrap();
+    let level = sorted.level(6);
+    assert_eq!(level.n_cells(), 1_120);
+    for (point, (x, y)) in grid() {
+        let id = level.find(&[x, y]).unwrap();
+        assert_eq!(level.first_point(id), point);
+    }
+    assert_index_matches_scan(&sorted);
 }
 
 proptest! {
@@ -166,6 +270,14 @@ proptest! {
         let tree = CountingTree::build(&ds, h).unwrap();
         assert_index_matches_scan(&tree);
         assert_points_round_trip(&ds, &tree);
+    }
+
+    /// A sorted build equals an insert-loop build, including at
+    /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where a key takes up
+    /// to 64 words.
+    #[test]
+    fn build_equals_insert_loop((ds, h) in tree_case_strategy()) {
+        assert_build_equals_insert_loop(&ds, h);
     }
 
     /// Every level counts every point exactly once, and no half-space

@@ -2,7 +2,9 @@
 //! can absorb points one at a time (e.g. from a live feed) and be handed to
 //! the β-cluster search whenever a snapshot clustering is wanted. This
 //! example drip-feeds a dataset in batches and re-clusters after each batch
-//! using the public phase APIs directly.
+//! using the public phase APIs directly. At the end it checks that the grown
+//! tree finds exactly the β-clusters of a tree built in one batch by
+//! `CountingTree::build`, which sorts the points instead of inserting them.
 //!
 //! ```text
 //! cargo run --release --example streaming
@@ -20,6 +22,7 @@ fn main() {
     let mut tree = CountingTree::empty(ds.dims(), config.resolutions).expect("empty tree");
     let batch = 8_000;
     let mut seen = 0usize;
+    let mut betas = Vec::new();
 
     println!("streaming {} points in batches of {batch}:", ds.len());
     while seen < ds.len() {
@@ -30,7 +33,7 @@ fn main() {
         seen = end;
 
         // Snapshot clustering over everything ingested so far.
-        let betas = search::find_beta_clusters(&tree, &config);
+        betas = search::find_beta_clusters(&tree, &config);
         // Labeling needs the points seen so far.
         let mut so_far = Dataset::new(ds.dims()).expect("dims");
         for i in 0..seen {
@@ -56,4 +59,13 @@ fn main() {
             q.quality
         );
     }
+
+    let batch = CountingTree::build(ds, config.resolutions).expect("normalized dataset");
+    let batch_betas = search::find_beta_clusters(&batch, &config);
+    assert_eq!(
+        format!("{betas:?}"),
+        format!("{batch_betas:?}"),
+        "the streamed tree and the batch build find different β-clusters"
+    );
+    println!("streamed tree ≡ batch build: {} β-clusters", betas.len());
 }
