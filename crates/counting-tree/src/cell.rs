@@ -9,13 +9,10 @@
 
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
-/// Index of a cell within its level: key order in a tree from
-/// [`CountingTree::build`], arrival order in one grown by
-/// [`CountingTree::insert`]. [`Level::first_point`] orders cells the same
-/// way in both.
+/// Index of a cell within its level, in packed-key order: keys compare
+/// word by word from word 0, each word as an integer. Ids are not arrival
+/// order; [`Level::first_point`] gives that.
 ///
-/// [`CountingTree::build`]: crate::CountingTree::build
-/// [`CountingTree::insert`]: crate::CountingTree::insert
 /// [`Level::first_point`]: crate::Level::first_point
 pub type CellId = u32;
 

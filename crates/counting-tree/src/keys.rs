@@ -14,7 +14,7 @@ use mrcc_common::{Dataset, Error, Result};
 use crate::tree::MAX_RESOLUTIONS;
 
 /// `2^H`, the scale of the finest "virtual" grid, level `H`.
-pub(crate) fn fine_scale(resolutions: usize) -> f64 {
+fn fine_scale(resolutions: usize) -> f64 {
     (2.0f64).powi(powi_exp(resolutions))
 }
 
@@ -23,11 +23,7 @@ pub(crate) fn fine_scale(resolutions: usize) -> f64 {
 /// each. Level `h` takes the top `h` bits, and the deepest level's
 /// half-space bit is bit 0. Returns the first `d` entries, or an error at
 /// the first coordinate outside `[0, 1)`.
-pub(crate) fn fine_coords<'a>(
-    point: &[f64],
-    scale: f64,
-    fine: &'a mut [u64; MAX_DIMS],
-) -> Result<&'a [u64]> {
+fn fine_coords<'a>(point: &[f64], scale: f64, fine: &'a mut [u64; MAX_DIMS]) -> Result<&'a [u64]> {
     for ((j, &v), slot) in point.iter().enumerate().zip(fine.iter_mut()) {
         if !(0.0..1.0).contains(&v) {
             return Err(Error::InvalidParameter {

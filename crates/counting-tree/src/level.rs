@@ -1,5 +1,5 @@
-//! One resolution level of the Counting-tree: a flat array per cell field
-//! and an index over them (see the crate docs).
+//! One resolution level of the Counting-tree: a flat array per cell field,
+//! in packed-key order (see the crate docs).
 
 use std::cmp::Ordering;
 
@@ -16,30 +16,14 @@ pub enum Direction {
     Upper,
 }
 
-/// Slots of an index before its first growth.
-const MIN_SLOTS: usize = 16;
-
-/// The splitmix64 output function: a bijective 64-bit mixer.
-const fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Index hash of a packed key, word by word.
-fn hash_key(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(0, |acc, w| splitmix64(acc ^ w))
-}
-
 /// A fully materialized resolution level.
 ///
 /// One array per cell field, indexed by [`CellId`]: the packed `keys` with
 /// stride `W` (see `KeyLayout`), the counts `n`, the half-space counts `p`
 /// with stride `d`, `parents` (0 at level 1, under the implicit root) and
-/// `first`, each cell's smallest point index. `slots` is the index: a power
-/// of two of them, at most half occupied, probed linearly from the key's
-/// hash, 0 when empty and `(tag << 32) | (id + 1)` otherwise.
+/// `first`, each cell's smallest point index. The cells are in packed-key
+/// order, word 0 most significant, so a lookup is a binary search over
+/// `keys`.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -51,21 +35,12 @@ pub struct Level {
     p: Vec<u32>,
     parents: Vec<CellId>,
     first: Vec<u32>,
-    slots: Vec<u64>,
 }
 
 impl Level {
-    /// An empty level with an index of 16 slots, for [`CountingTree::insert`].
-    ///
-    /// [`CountingTree::insert`]: crate::CountingTree::insert
-    pub(crate) fn new(h: u32, d: usize) -> Self {
-        let mut level = Level::with_capacity(h, d, 0);
-        level.slots = vec![0; MIN_SLOTS];
-        level
-    }
-
-    /// An empty level whose arrays hold exactly `cells` cells, and with no
-    /// index until [`Level::fill_index`]: the sorted build's level.
+    /// An empty level whose arrays hold exactly `cells` cells: the build
+    /// fills it with [`Level::push_cell`], then puts it in key order with
+    /// [`Level::sort_cells`].
     pub(crate) fn with_capacity(h: u32, d: usize, cells: usize) -> Self {
         let layout = KeyLayout::new(h);
         let words = layout.words(d);
@@ -79,7 +54,6 @@ impl Level {
             p: Vec::with_capacity(cells * d),
             parents: Vec::with_capacity(cells),
             first: Vec::with_capacity(cells),
-            slots: Vec::new(),
         }
     }
 
@@ -139,9 +113,7 @@ impl Level {
         let mut buf = [0u64; MAX_DIMS];
         let key = buf.get_mut(..self.words)?;
         self.layout.pack(coords.iter().copied(), key);
-        let key = &*key;
-        self.probe(hash_key(key.iter().copied()), |cand| cand == key)
-            .ok()
+        self.search(key)
     }
 
     /// The face neighbor of `id` along `axis` in `dir`, if that grid position
@@ -155,25 +127,20 @@ impl Level {
         if axis >= self.d {
             return None;
         }
-        let key = self.key(id);
+        let c = self.layout.field(self.key(id), axis)?;
         let (word, shift) = self.layout.locate(axis);
-        let c = self.layout.field(key, axis)?;
+        let mut buf = [0u64; MAX_DIMS];
+        let key = buf.get_mut(..self.words)?;
+        key.copy_from_slice(self.key(id));
+        let w = key.get_mut(word)?;
         // A packed field carries into the next axis, so the border is checked
         // here: past it no cell exists.
-        let target = match dir {
-            Direction::Lower if c > 0 => key.get(word)? - (1 << shift),
-            Direction::Upper if c < self.layout.top() => key.get(word)? + (1 << shift),
+        *w = match dir {
+            Direction::Lower if c > 0 => *w - (1 << shift),
+            Direction::Upper if c < self.layout.top() => *w + (1 << shift),
             _ => return None,
         };
-        let stepped = |k: usize, w: u64| if k == word { target } else { w };
-        let hash = hash_key(key.iter().enumerate().map(|(k, &w)| stepped(k, w)));
-        self.probe(hash, |cand| {
-            cand.iter()
-                .zip(key)
-                .enumerate()
-                .all(|(k, (&a, &b))| a == stepped(k, b))
-        })
-        .ok()
+        self.search(key)
     }
 
     /// Point count of the face neighbor, 0 when absent (how the convolution
@@ -182,7 +149,7 @@ impl Level {
     /// # Panics
     /// Panics on an out-of-range id.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "ids from the index are in range")]
+    #[expect(clippy::indexing_slicing, reason = "ids from the search are in range")]
     pub fn neighbor_count(&self, id: CellId, axis: usize, dir: Direction) -> u64 {
         self.neighbor(id, axis, dir)
             .map_or(0, |nid| u64::from(self.n[u32_to_usize(nid)]))
@@ -190,35 +157,23 @@ impl Level {
 
     /// Per cell, indexed by [`CellId`], the point count summed over its `2d`
     /// face neighbors: the neighbor term of the face-only convolution, for
-    /// the whole level at once and without an index probe.
+    /// the whole level at once and without a lookup per cell.
     ///
-    /// The cells are sorted by key once. Adding 1 to a coordinate below
-    /// `2^h − 1` changes one field of one word and carries nowhere, so it
-    /// keeps the key order: per axis `j`, the keys `key + e_j` of the cells
-    /// off the upper border form a sorted sequence, and one two-pointer merge
-    /// against the sorted keys finds every upper neighbor pair. Each pair adds
-    /// each cell's count to the other's sum. `O(cells·(log cells + d·W))` over
-    /// sequential memory; the buffers are allocated once per call.
+    /// Adding 1 to a coordinate below `2^h − 1` changes one field of one
+    /// word and carries nowhere, so it keeps the key order: per axis `j`,
+    /// the keys `key + e_j` of the cells off the upper border form a sorted
+    /// sequence, and one two-pointer merge against the level's sorted keys
+    /// finds every upper neighbor pair. Each pair adds each cell's count to
+    /// the other's sum. `O(cells·d·W)` over sequential memory; the only
+    /// allocation is the returned sums.
     pub fn face_neighbor_sums(&self) -> Vec<u64> {
         let w = self.words;
-        let mut order: Vec<(u64, CellId)> = self
-            .ids()
-            .map(|id| (self.key(id).first().copied().unwrap_or(0), id))
-            .collect();
-        // The first word decides almost every comparison; the full key
-        // breaks ties when it spans several words.
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| self.key(a.1).cmp(self.key(b.1))));
-        let mut keys = Vec::with_capacity(self.keys.len());
-        for &(_, id) in &order {
-            keys.extend_from_slice(self.key(id));
-        }
-        let counts: Vec<u64> = order.iter().map(|&(_, id)| self.cell(id).n()).collect();
-        let mut sums = vec![0u64; order.len()];
+        let mut sums = vec![0u64; self.n_cells()];
         let top = self.layout.top();
         for axis in 0..self.d {
             let (word, shift) = self.layout.locate(axis);
             let mut b = 0;
-            for (a, key) in keys.chunks_exact(w).enumerate() {
+            for (a, key) in self.keys.chunks_exact(w).enumerate() {
                 if key.get(word).is_none_or(|&kw| (kw >> shift) & top == top) {
                     continue;
                 }
@@ -226,12 +181,12 @@ impl Level {
                 // this one too.
                 b = b.max(a + 1);
                 #[expect(clippy::indexing_slicing, reason = "a, b < cells")]
-                while let Some(other) = keys.get(b * w..(b + 1) * w) {
+                while let Some(other) = self.keys.get(b * w..(b + 1) * w) {
                     match cmp_stepped(other, key, word, 1 << shift) {
                         Ordering::Less => b += 1,
                         Ordering::Equal => {
-                            sums[a] += counts[b];
-                            sums[b] += counts[a];
+                            sums[a] += u64::from(self.n[b]);
+                            sums[b] += u64::from(self.n[a]);
                             break;
                         }
                         Ordering::Greater => break,
@@ -239,12 +194,7 @@ impl Level {
                 }
             }
         }
-        let mut by_id = vec![0u64; sums.len()];
-        #[expect(clippy::indexing_slicing, reason = "`order` holds every id once")]
-        for (&(_, id), sum) in order.iter().zip(sums) {
-            by_id[u32_to_usize(id)] = sum;
-        }
-        by_id
+        sums
     }
 
     /// Id of the cell's parent one level up, the cell at `coords >> 1`.
@@ -258,13 +208,9 @@ impl Level {
         self.parents[u32_to_usize(id)]
     }
 
-    /// The smallest index of a point the cell holds: its position in the
-    /// dataset for [`CountingTree::build`], its arrival number for
-    /// [`CountingTree::insert`]. Distinct per cell of a level, and ascending
-    /// in the order cells would be created by inserting the points one by one.
-    ///
-    /// [`CountingTree::build`]: crate::CountingTree::build
-    /// [`CountingTree::insert`]: crate::CountingTree::insert
+    /// The smallest dataset index of a point the cell holds. Distinct per
+    /// cell of a level, and ascending in the order cells would be created
+    /// by counting the points into the tree one by one.
     ///
     /// # Panics
     /// Panics on an out-of-range id.
@@ -283,37 +229,13 @@ impl Level {
     /// Heap footprint in bytes: the level plus its arrays' capacities.
     pub fn memory_bytes(&self) -> usize {
         size_of::<Level>()
-            + (self.keys.capacity() + self.slots.capacity()) * size_of::<u64>()
+            + self.keys.capacity() * size_of::<u64>()
             + (self.n.capacity() + self.p.capacity() + self.first.capacity()) * size_of::<u32>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
-    /// Counts point number `point` into the level: the cell at
-    /// `fine >> shift` (the point's finest-grid coordinates one shift up),
-    /// materialized under `parent` if absent. Returns the cell's id. `key`
-    /// is scratch space of at least `W` words.
-    pub(crate) fn add_point(
-        &mut self,
-        point: u32,
-        fine: &[u64],
-        shift: u32,
-        parent: CellId,
-        key: &mut [u64],
-    ) -> CellId {
-        let key = key.get_mut(..self.words).unwrap_or_default();
-        self.layout.pack(fine.iter().map(|&f| f >> shift), key);
-        let id = self.get_or_insert(key, parent, point);
-        // The point is in the lower half of this cell along e_j iff its
-        // coordinate one level finer is even.
-        let upper = (0..)
-            .zip(fine)
-            .fold(0, |acc, (j, &f)| acc | (((f >> (shift - 1)) & 1) << j));
-        self.add_to(id, 1, point, upper);
-        id
-    }
-
-    /// Appends an empty cell at `coords` under `parent`, with no index
-    /// entry. The sorted build calls it once per cell.
+    /// Appends an empty cell at `coords` under `parent`. The build calls it
+    /// once per cell.
     pub(crate) fn push_cell(&mut self, coords: impl IntoIterator<Item = u64>, parent: CellId) {
         let start = self.keys.len();
         self.keys.resize(start + self.words, 0);
@@ -331,23 +253,67 @@ impl Level {
         self.n.last().copied().zip(self.first.last().copied())
     }
 
-    /// [`Level::add_to`] the last cell pushed.
+    /// Adds `n` points, the smallest numbered `first`, into the last cell
+    /// pushed, and into its `P[j]` where bit `j` of `upper` is clear: the
+    /// points sit in the cell's lower half along `e_j`.
+    #[expect(clippy::indexing_slicing, reason = "`i` is the last cell pushed")]
     pub(crate) fn add_to_last(&mut self, n: u32, first: u32, upper: u64) {
-        if let Some(last) = self.ids().last() {
-            self.add_to(last, n, first, upper);
+        let Some(i) = self.n_cells().checked_sub(1) else {
+            return;
+        };
+        self.n[i] += n;
+        self.first[i] = self.first[i].min(first);
+        for (j, slot) in self.p[i * self.d..(i + 1) * self.d].iter_mut().enumerate() {
+            *slot += n * u32::from((upper >> j) & 1 == 0);
         }
     }
 
-    /// Builds the index over every stored cell, in the fewest slots
-    /// `get_or_insert` would have grown to: a power of two, at least 16,
-    /// at most half occupied.
-    pub(crate) fn fill_index(&mut self) {
-        self.place_all(MIN_SLOTS.max((2 * self.n_cells()).next_power_of_two()));
+    /// Renames every parent through `parent_rank`, the parent level's
+    /// old-to-new ids (empty at level 1), then puts the cells in packed-key
+    /// order, each field moving with its cell. Returns this level's
+    /// old-to-new ids. The scratch is the sort's `(first word, id)` pairs
+    /// and the returned ids, 20 bytes per cell.
+    #[expect(clippy::indexing_slicing, reason = "ids and ranks are < cells")]
+    pub(crate) fn sort_cells(&mut self, parent_rank: &[CellId]) -> Vec<CellId> {
+        if !parent_rank.is_empty() {
+            for parent in &mut self.parents {
+                *parent = parent_rank[u32_to_usize(*parent)];
+            }
+        }
+        let mut order: Vec<(u64, CellId)> = self
+            .ids()
+            .map(|id| (self.key(id).first().copied().unwrap_or(0), id))
+            .collect();
+        order.sort_unstable_by_key(|&(word, _)| word);
+        // Cells tie on the first word only when their keys span several
+        // words; the full keys order each tie.
+        for ties in order.chunk_by_mut(|a, b| a.0 == b.0) {
+            ties.sort_unstable_by(|a, b| self.key(a.1).cmp(self.key(b.1)));
+        }
+        let mut rank = vec![0; order.len()];
+        for (new, &(_, old)) in (0..).zip(&order) {
+            rank[u32_to_usize(old)] = new;
+        }
+        // Cell `new` takes the fields of cell `order[new]`, one cycle of the
+        // permutation at a time; a placed entry points to itself.
+        for start in 0..order.len() {
+            let mut at = start;
+            loop {
+                let from = u32_to_usize(order[at].1);
+                order[at].1 = bounded_to_u32(at);
+                if from == start {
+                    break;
+                }
+                self.swap_cells(at, from);
+                at = from;
+            }
+        }
+        rank
     }
 
     /// Ids `0..n_cells`.
     fn ids(&self) -> impl ExactSizeIterator<Item = CellId> {
-        // `get_or_insert` and `push_cell` hand out ids below 2^32 only.
+        // The build counts at most `MAX_POINTS` points, so ids stay below 2^32.
         0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX)
     }
 
@@ -359,80 +325,37 @@ impl Level {
         &self.keys[i * self.words..(i + 1) * self.words]
     }
 
-    /// Fetches the cell with packed key `key`, materializing it under
-    /// `parent` with first point `point` if absent, and returns its id.
-    #[expect(clippy::indexing_slicing, reason = "`probe` returns an in-range slot")]
-    fn get_or_insert(&mut self, key: &[u64], parent: CellId, point: u32) -> CellId {
-        if 2 * (self.n_cells() + 1) > self.slots.len() {
-            self.place_all(2 * self.slots.len());
+    /// Binary search of the sorted keys for `key`.
+    fn search(&self, key: &[u64]) -> Option<CellId> {
+        let w = self.words;
+        let (mut lo, mut hi) = (0, self.n_cells());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.keys.get(mid * w..(mid + 1) * w)?.cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return CellId::try_from(mid).ok(),
+            }
         }
-        let hash = hash_key(key.iter().copied());
-        let pos = match self.probe(hash, |cand| cand == key) {
-            Ok(id) => return id,
-            Err(pos) => pos,
-        };
-        // The index stores `id + 1` in 32 bits, so ids stop below 2^32 − 1.
-        let id = bounded_to_u32(self.n_cells() + 1) - 1;
-        self.slots[pos] = occupied(hash, id);
-        self.keys.extend_from_slice(key);
-        self.p.resize(self.p.len() + self.d, 0);
-        self.n.push(0);
-        self.parents.push(parent);
-        self.first.push(point);
-        id
+        None
     }
 
-    /// Adds `n` points, the smallest numbered `first`, into cell `id`, and
-    /// into its `P[j]` where bit `j` of `upper` is clear: the points sit in
-    /// the cell's lower half along `e_j`.
-    #[expect(clippy::indexing_slicing, reason = "callers pass ids of stored cells")]
-    fn add_to(&mut self, id: CellId, n: u32, first: u32, upper: u64) {
-        let i = u32_to_usize(id);
-        self.n[i] += n;
-        self.first[i] = self.first[i].min(first);
-        for (j, slot) in self.p[i * self.d..(i + 1) * self.d].iter_mut().enumerate() {
-            *slot += n * u32::from((upper >> j) & 1 == 0);
-        }
+    /// Swaps every field of cells `a` and `b`.
+    fn swap_cells(&mut self, a: usize, b: usize) {
+        swap_rows(&mut self.keys, self.words, a, b);
+        swap_rows(&mut self.p, self.d, a, b);
+        self.n.swap(a, b);
+        self.parents.swap(a, b);
+        self.first.swap(a, b);
     }
+}
 
-    /// Probes the index for `hash`: `Ok(id)` of the cell whose key `is_match`
-    /// accepts, else `Err` with the empty slot ending the probe.
-    #[inline]
-    fn probe(&self, hash: u64, is_match: impl Fn(&[u64]) -> bool) -> Result<CellId, usize> {
-        let mask = self.slots.len() - 1;
-        #[expect(clippy::as_conversions, reason = "truncation: low bits pick the slot")]
-        let mut pos = (hash as usize) & mask;
-        loop {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "positions are masked to the slot count"
-            )]
-            let slot = self.slots[pos];
-            if slot == 0 {
-                return Err(pos);
-            }
-            if slot >> 32 == hash >> 32 {
-                #[expect(clippy::as_conversions, reason = "truncation: low half is id + 1")]
-                let id = (slot as u32) - 1;
-                if is_match(self.key(id)) {
-                    return Ok(id);
-                }
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// Re-places every cell from its key into `slots` empty slots, a power
-    /// of two above twice the cell count.
-    fn place_all(&mut self, slots: usize) {
-        self.slots = vec![0; slots];
-        for id in self.ids() {
-            let hash = hash_key(self.key(id).iter().copied());
-            // Stored cells are distinct, so the probe always ends at a free slot.
-            #[expect(clippy::indexing_slicing, reason = "`probe` returns an in-range slot")]
-            if let Err(pos) = self.probe(hash, |_| false) {
-                self.slots[pos] = occupied(hash, id);
-            }
+/// Swaps rows `a` and `b` of `rows`, `stride` entries each.
+fn swap_rows<T>(rows: &mut [T], stride: usize, a: usize, b: usize) {
+    let (lo, hi) = (a.min(b) * stride, a.max(b) * stride);
+    if let Some((head, tail)) = rows.split_at_mut_checked(hi) {
+        if let (Some(x), Some(y)) = (head.get_mut(lo..lo + stride), tail.get_mut(..stride)) {
+            x.swap_with_slice(y);
         }
     }
 }
@@ -448,32 +371,31 @@ fn cmp_stepped(other: &[u64], key: &[u64], word: usize, step: u64) -> Ordering {
         .unwrap_or(Ordering::Equal)
 }
 
-/// The slot holding `id` under `hash`: the hash's high half as a tag,
-/// `id + 1` below it.
-fn occupied(hash: u64, id: CellId) -> u64 {
-    (hash >> 32 << 32) | (u64::from(id) + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CountingTree;
     use mrcc_common::float::exactly;
+    use mrcc_common::Dataset;
 
-    /// Materializes the cell at `coords` under `parent`.
-    fn insert(l: &mut Level, coords: &[u64], parent: CellId) -> CellId {
-        let mut key = vec![0; l.words];
-        l.layout.pack(coords.iter().copied(), &mut key);
-        let point = u32::try_from(l.n_cells()).unwrap();
-        l.get_or_insert(&key, parent, point)
+    /// A level of the given cells, each `(coords, parent, n)`, pushed in the
+    /// given order and then sorted as the build sorts them. A cell's first
+    /// point is its push number.
+    fn sorted_level(h: u32, cells: &[(&[u64], CellId, u32)]) -> Level {
+        let d = cells.first().map_or(1, |c| c.0.len());
+        let mut l = Level::with_capacity(h, d, cells.len());
+        for (point, &(coords, parent, n)) in (0..).zip(cells) {
+            l.push_cell(coords.iter().copied(), parent);
+            l.add_to_last(n, point, 0);
+        }
+        l.sort_cells(&[]);
+        l
     }
 
+    /// A level of one-point cells at `coords`, under parent 0.
     fn level_with(h: u32, coords: &[&[u64]]) -> Level {
-        let mut l = Level::new(h, coords[0].len());
-        for c in coords {
-            let id = insert(&mut l, c, 0);
-            l.add_to(id, 1, 0, 0);
-        }
-        l
+        let cells: Vec<_> = coords.iter().map(|&c| (c, 0, 1)).collect();
+        sorted_level(h, &cells)
     }
 
     #[test]
@@ -496,12 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_is_idempotent() {
-        let mut l = Level::new(3, 2);
-        let a = insert(&mut l, &[1, 2], 0);
-        let b = insert(&mut l, &[1, 2], 0);
-        assert_eq!(a, b);
+    fn points_in_one_cell_share_it() {
+        // At level 3, (0.20, 0.30) and (0.21, 0.31) both fall in cell (1, 2).
+        let ds = Dataset::from_rows(&[[0.20, 0.30], [0.21, 0.31]]).unwrap();
+        let tree = CountingTree::build(&ds, 4).unwrap();
+        let l = tree.level(3);
         assert_eq!(l.n_cells(), 1);
+        assert_eq!(l.find(&[1, 2]).map(|id| l.cell(id).n()), Some(2));
     }
 
     #[test]
@@ -516,13 +439,14 @@ mod tests {
 
     #[test]
     fn counting_updates_half_spaces() {
-        let mut l = Level::new(2, 2);
-        let id = insert(&mut l, &[2, 3], 0);
+        let mut l = Level::with_capacity(2, 2, 1);
+        l.push_cell([2, 3], 0);
         // Bit j of `upper` clear → lower half along axis j.
-        l.add_to(id, 1, 0, 0b10);
-        l.add_to(id, 1, 0, 0b00);
-        l.add_to(id, 1, 0, 0b01);
-        let c = l.cell(id);
+        l.add_to_last(1, 0, 0b10);
+        l.add_to_last(1, 0, 0b00);
+        l.add_to_last(1, 0, 0b01);
+        l.sort_cells(&[]);
+        let c = l.cell(l.find(&[2, 3]).unwrap());
         assert_eq!(c.n(), 3);
         assert_eq!(c.half_count(0), 2);
         assert_eq!(c.half_count(1), 2);
@@ -566,24 +490,20 @@ mod tests {
         let mut b = vec![0u64; 22];
         b[21] = 1;
         let l = level_with(3, &[&a, &b]);
-        assert_eq!(l.neighbor(0, 20, Direction::Upper), None);
+        assert_eq!(l.neighbor(l.find(&a).unwrap(), 20, Direction::Upper), None);
         assert_eq!(l.face_neighbor_sums(), vec![0, 0]);
     }
 
     #[test]
     fn face_neighbor_sums_add_both_directions() {
         // (1,1) has faces (0,1), (2,1), (1,0), (1,2); (2,2) is a corner.
-        let mut l = Level::new(2, 2);
-        for (coords, points) in [
-            ([1, 1], 5),
-            ([2, 1], 2),
-            ([1, 0], 3),
-            ([2, 2], 7),
-            ([0, 1], 1),
-        ] {
-            let id = insert(&mut l, &coords, 0);
-            l.add_to(id, points, 0, 0);
-        }
+        let coords: [[u64; 2]; 5] = [[1, 1], [2, 1], [1, 0], [2, 2], [0, 1]];
+        let cells: Vec<(&[u64], CellId, u32)> = coords
+            .iter()
+            .zip([5, 2, 3, 7, 1])
+            .map(|(c, points)| (&c[..], 0, points))
+            .collect();
+        let l = sorted_level(2, &cells);
         let want: Vec<u64> = l
             .iter()
             .map(|(id, _)| {
@@ -595,9 +515,12 @@ mod tests {
                     .sum()
             })
             .collect();
-        assert_eq!(want, vec![2 + 3 + 1, 5 + 7, 5, 2, 5]);
+        let by_coords = coords.map(|c| want[l.find(&c).unwrap() as usize]);
+        assert_eq!(by_coords, [2 + 3 + 1, 5 + 7, 5, 2, 5]);
         assert_eq!(l.face_neighbor_sums(), want);
-        assert!(Level::new(2, 2).face_neighbor_sums().is_empty());
+        assert!(Level::with_capacity(2, 2, 0)
+            .face_neighbor_sums()
+            .is_empty());
     }
 
     #[test]
@@ -611,18 +534,36 @@ mod tests {
 
     #[test]
     fn parent_is_recorded() {
-        let mut l = Level::new(2, 1);
-        let a = insert(&mut l, &[0], 4);
-        let b = insert(&mut l, &[3], 9);
-        assert_eq!(insert(&mut l, &[0], 4), a);
+        // Pushed out of key order: the sort moves each parent and first
+        // point with its cell.
+        let l = sorted_level(2, &[(&[3], 9, 1), (&[0], 4, 1)]);
+        let (a, b) = (l.find(&[0]).unwrap(), l.find(&[3]).unwrap());
+        assert_eq!((a, b), (0, 1));
         assert_eq!((l.parent(a), l.parent(b)), (4, 9));
+        assert_eq!((l.first_point(a), l.first_point(b)), (1, 0));
+    }
+
+    #[test]
+    fn sorting_renames_parents_and_reports_new_ids() {
+        // Keys 6, 1, 4 at level 3 in one dimension: sorted order 1, 4, 6.
+        let mut l = Level::with_capacity(3, 1, 3);
+        for (c, parent) in [(6, 0), (1, 1), (4, 2)] {
+            l.push_cell([c], parent);
+            l.add_to_last(1, 0, 0);
+        }
+        // The parent level moved its cells 0, 1, 2 to 2, 0, 1.
+        let rank = l.sort_cells(&[2, 0, 1]);
+        assert_eq!(rank, [2, 0, 1]);
+        let coords: Vec<u64> = l.iter().map(|(_, c)| c.coord(0)).collect();
+        assert_eq!(coords, [1, 4, 6]);
+        assert_eq!([0, 1, 2].map(|id| l.parent(id)), [0, 1, 2]);
     }
 
     #[test]
     fn side_halves_per_level() {
-        assert!(exactly(Level::new(1, 1).side(), 0.5));
-        assert!(exactly(Level::new(3, 1).side(), 0.125));
-        assert_eq!(Level::new(2, 1).grid_extent(), 4);
+        assert!(exactly(Level::with_capacity(1, 1, 0).side(), 0.5));
+        assert!(exactly(Level::with_capacity(3, 1, 0).side(), 0.125));
+        assert_eq!(Level::with_capacity(2, 1, 0).grid_extent(), 4);
     }
 
     #[test]

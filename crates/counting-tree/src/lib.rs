@@ -25,7 +25,7 @@
 //! level stores at most `η` cells and the whole structure is `O(H·η·d)`
 //! space. Algorithm 1 of the paper builds it in a single scan of the data;
 //! [`CountingTree::build`] gets the same counts from one sort of per-point
-//! keys, in `O(η·H·d + η log η)` time (see "Building" below).
+//! keys, in `O(η·H·d + η·H log η)` time (see "Building" below).
 //!
 //! ## Representation
 //!
@@ -35,9 +35,9 @@
 //! from the root. It then notes that, "intending to make it easier to
 //! understand", nodes can equivalently be treated as arrays of cells. We take
 //! the flat view: each level keeps one array per cell field, addressed by
-//! [`CellId`], plus an open-addressing index keyed by the cell's **packed
-//! grid position** (coordinate ∈ `[0, 2^h)` per axis). All the tree
-//! navigation of the paper becomes integer arithmetic —
+//! [`CellId`], with the cells sorted by their **packed grid position**
+//! (coordinate ∈ `[0, 2^h)` per axis), so a lookup is a binary search. All
+//! the tree navigation of the paper becomes integer arithmetic —
 //!
 //! * the key packs `h` bits per coordinate, `⌊64/h⌋` coordinates per `u64`
 //!   word, none crossing a word, so at the default `H = 4` a cell of up to
@@ -51,8 +51,8 @@
 //!   `0` or `2^h − 1` would otherwise borrow from or carry into the next
 //!   axis);
 //! * the face-only convolution of a whole level needs no lookup at all:
-//!   [`Level::face_neighbor_sums`] sorts the keys once and merges them
-//!   against themselves stepped by `+e_j`, one linear pass per axis.
+//!   [`Level::face_neighbor_sums`] merges the sorted keys against
+//!   themselves stepped by `+e_j`, one linear pass per axis.
 //!
 //! ## Building
 //!
@@ -60,20 +60,18 @@
 //! level-1 bit of every axis, then the level-2 bits, and so on down to the
 //! deepest level's half-space bits, `⌈d·H/64⌉` words. After one sort of the
 //! keys, the cells of level `h` are the runs of equal `h·d`-bit prefixes. One
-//! sweep over the runs appends every level's cells in key order, with their
-//! parents (the enclosing run one level up), their counts and
-//! [`Level::first_point`], each cell's smallest point index. Each level then
-//! fills its index once. [`CountingTree::insert`] still adds one point at a
-//! time, for streaming use; its cells are in arrival order, and
-//! `first_point` is the arrival number of each cell's first point. Either
-//! way, ascending `first_point` is the order in which inserting the points
-//! one by one creates the cells.
+//! sweep over the runs appends every level's cells in that order, with
+//! their parents (the enclosing run one level up), their counts and
+//! [`Level::first_point`], each cell's smallest point index. Each level is
+//! then sorted once into packed-key order, and its children's parents are
+//! renamed to the sorted ids. Ascending `first_point` is the order in which
+//! counting the points in one by one would create the cells.
 //!
 //! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
 //! as `u32`: a tree counts at most [`MAX_POINTS`]. The paper's third field,
 //! `usedCell`, records which cells the β-cluster search has consumed; that is
-//! search state, so the search's per-level cursors hold it and, once built,
-//! a tree changes only through [`CountingTree::insert`].
+//! search state, so the search's per-level cursors hold it and a built tree
+//! never changes.
 
 pub mod cell;
 mod keys;

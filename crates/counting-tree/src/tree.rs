@@ -4,8 +4,7 @@ use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
-use crate::cell::CellId;
-use crate::keys::{fine_coords, fine_scale, plane_bits, SortedKeys};
+use crate::keys::{plane_bits, SortedKeys};
 use crate::level::Level;
 
 /// Minimum number of resolutions the paper allows (`H ≥ 3`).
@@ -62,10 +61,11 @@ impl CountingTree {
     /// down to the half-space bit of the deepest level, `d·H` bits in all.
     /// Once the keys are sorted, the cells of level `h` are the runs of
     /// equal `h·d`-bit prefixes. One sweep over the runs appends every
-    /// level's cells in key order, with their parents (the enclosing run one
-    /// level up). Each point counts into its deepest cell, and each run, as
-    /// it ends, adds its counts into its parent. Each level then fills its
-    /// index once. `O(η·H·d + η log η)` time.
+    /// level's cells in that order, with their parents (the enclosing run
+    /// one level up). Each point counts into its deepest cell, and each run, as
+    /// it ends, adds its counts into its parent. Each level is then sorted
+    /// once into packed-key order, its cells renumbered and its children's
+    /// parents renamed. `O(η·H·d + η·H log η)` time.
     ///
     /// # Errors
     /// * [`Error::InvalidParameter`] if `resolutions` is outside
@@ -75,7 +75,14 @@ impl CountingTree {
     /// * [`Error::TooManyPoints`] for more than [`MAX_POINTS`] points.
     pub fn build(ds: &Dataset, resolutions: usize) -> Result<CountingTree> {
         let d = ds.dims();
-        check_shape(d, resolutions)?;
+        if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
+            return Err(Error::InvalidParameter {
+                name: "resolutions",
+                message: format!(
+                    "H must be in [{MIN_RESOLUTIONS}, {MAX_RESOLUTIONS}], got {resolutions}"
+                ),
+            });
+        }
         if ds.is_empty() {
             return Err(Error::EmptyDataset);
         }
@@ -105,7 +112,7 @@ impl CountingTree {
         let mut deep = [0u64; MAX_DIMS];
         #[expect(
             clippy::indexing_slicing,
-            reason = "`check_shape` bounds d by MAX_DIMS"
+            reason = "a `Dataset` has at most MAX_DIMS axes"
         )]
         let deep = &mut deep[..d];
         let mut loc = [0u64; MAX_RESOLUTIONS];
@@ -136,8 +143,11 @@ impl CountingTree {
         });
         close_runs(&mut levels, &loc, 0);
         drop(keys);
+        // Level-major order is not packed-key order past level 1: sort each
+        // level, shallow to deep, renaming the parents to the sorted ids.
+        let mut rank = Vec::new();
         for level in &mut levels {
-            level.fill_index();
+            rank = level.sort_cells(&rank);
         }
         Ok(CountingTree {
             dims: d,
@@ -161,61 +171,6 @@ impl CountingTree {
     ) -> Result<CountingTree> {
         let _ = n_threads;
         CountingTree::build(ds, resolutions)
-    }
-
-    /// Creates an empty tree for incremental / streaming insertion.
-    ///
-    /// # Errors
-    /// [`Error::InvalidParameter`] for an out-of-range `resolutions`;
-    /// [`Error::UnsupportedDimensionality`] for `dims` outside
-    /// `1..=MAX_DIMS`, the range [`Dataset`] accepts.
-    pub fn empty(dims: usize, resolutions: usize) -> Result<CountingTree> {
-        check_shape(dims, resolutions)?;
-        let h_max = resolutions - 1;
-        Ok(CountingTree {
-            dims,
-            n_points: 0,
-            resolutions,
-            levels: (1..=bounded_to_u32(h_max))
-                .map(|h| Level::new(h, dims))
-                .collect(),
-        })
-    }
-
-    /// Counts one point into every level — the body of Algorithm 1, exposed
-    /// for streaming use. `O(H·d)` per point.
-    ///
-    /// # Errors
-    /// [`Error::DimensionMismatch`] on a wrong-width point;
-    /// [`Error::TooManyPoints`] when the tree already holds [`MAX_POINTS`];
-    /// [`Error::InvalidParameter`] when a coordinate is outside `[0, 1)`.
-    pub fn insert(&mut self, point: &[f64]) -> Result<()> {
-        let d = self.dims;
-        if point.len() != d {
-            return Err(Error::DimensionMismatch {
-                expected: d,
-                got: point.len(),
-            });
-        }
-        // Cells count in `u32`; the root holds every point.
-        if self.n_points >= MAX_POINTS {
-            return Err(Error::TooManyPoints { max: MAX_POINTS });
-        }
-        let h_max = self.resolutions - 1;
-        // Both buffers live on the stack.
-        let mut fine = [0u64; MAX_DIMS];
-        let fine = fine_coords(point, fine_scale(self.resolutions), &mut fine)?;
-        let mut key = [0u64; MAX_DIMS];
-        // Level h sits `h_max + 1 − h` bits above the fine grid. Level 1's
-        // parent is the implicit root, reported as id 0.
-        let mut parent: CellId = 0;
-        let index = bounded_to_u32(self.n_points);
-        let shifts = (1..=bounded_to_u32(h_max)).rev();
-        for (level, shift) in self.levels.iter_mut().zip(shifts) {
-            parent = level.add_point(index, fine, shift, parent, &mut key);
-        }
-        self.n_points += 1;
-        Ok(())
     }
 
     /// Dimensionality `d` of the indexed dataset.
@@ -262,26 +217,6 @@ impl CountingTree {
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
     }
-}
-
-/// Checks a tree shape: `H` within `[MIN_RESOLUTIONS, MAX_RESOLUTIONS]`
-/// and `d` within `1..=MAX_DIMS`, the range [`Dataset`] accepts.
-fn check_shape(dims: usize, resolutions: usize) -> Result<()> {
-    if !(MIN_RESOLUTIONS..=MAX_RESOLUTIONS).contains(&resolutions) {
-        return Err(Error::InvalidParameter {
-            name: "resolutions",
-            message: format!(
-                "H must be in [{MIN_RESOLUTIONS}, {MAX_RESOLUTIONS}], got {resolutions}"
-            ),
-        });
-    }
-    if dims == 0 || dims > MAX_DIMS {
-        return Err(Error::UnsupportedDimensionality {
-            dims,
-            max: MAX_DIMS,
-        });
-    }
-    Ok(())
 }
 
 /// Closes the open runs at planes `from..`, deepest first: each adds its
@@ -436,78 +371,5 @@ mod tests {
         let t4 = CountingTree::build(&ds, 4).unwrap();
         let t8 = CountingTree::build(&ds, 8).unwrap();
         assert!(t8.memory_bytes() > t4.memory_bytes());
-    }
-}
-
-#[cfg(test)]
-mod incremental_tests {
-    use super::*;
-    use mrcc_common::Dataset;
-
-    #[test]
-    fn incremental_equals_batch() {
-        let ds = Dataset::from_rows(&[
-            [0.11, 0.82],
-            [0.13, 0.79],
-            [0.56, 0.31],
-            [0.94, 0.07],
-            [0.50, 0.50],
-        ])
-        .unwrap();
-        let batch = CountingTree::build(&ds, 5).unwrap();
-        let mut inc = CountingTree::empty(2, 5).unwrap();
-        for p in ds.iter() {
-            inc.insert(p).unwrap();
-        }
-        assert_eq!(inc.n_points(), batch.n_points());
-        for h in 1..=batch.deepest_level() {
-            let (bl, il) = (batch.level(h), inc.level(h));
-            assert_eq!(bl.n_cells(), il.n_cells(), "level {h}");
-            for (_, cell) in bl.iter() {
-                let coords: Vec<u64> = cell.coords().collect();
-                let id = il.find(&coords).expect("cell present");
-                let other = il.cell(id);
-                assert_eq!(cell.n(), other.n());
-                assert_eq!(cell.half_counts(), other.half_counts());
-            }
-        }
-    }
-
-    #[test]
-    fn insert_validates_input() {
-        let mut tree = CountingTree::empty(3, 4).unwrap();
-        assert!(tree.insert(&[0.1, 0.2]).is_err()); // wrong width
-        assert!(tree.insert(&[0.1, 0.2, 1.0]).is_err()); // out of range
-        assert!(tree.insert(&[0.1, 0.2, 0.3]).is_ok());
-        assert_eq!(tree.n_points(), 1);
-    }
-
-    #[test]
-    fn insert_stops_at_the_u32_count_limit() {
-        let mut tree = CountingTree::empty(2, 4).unwrap();
-        tree.insert(&[0.1, 0.2]).unwrap();
-        tree.n_points = MAX_POINTS - 1;
-        assert!(tree.insert(&[0.1, 0.2]).is_ok());
-        assert_eq!(tree.n_points(), MAX_POINTS);
-        let err = tree.insert(&[0.1, 0.2]).unwrap_err();
-        assert!(
-            matches!(err, Error::TooManyPoints { max: MAX_POINTS }),
-            "{err}"
-        );
-        assert_eq!(tree.n_points(), MAX_POINTS);
-        assert_eq!(
-            tree.level(1).total_points(),
-            2,
-            "the refused point is not counted"
-        );
-    }
-
-    #[test]
-    fn empty_tree_has_no_cells() {
-        let tree = CountingTree::empty(4, 4).unwrap();
-        assert_eq!(tree.n_points(), 0);
-        assert!(tree.levels().all(|l| l.n_cells() == 0));
-        assert!(CountingTree::empty(4, 2).is_err());
-        assert!(CountingTree::empty(0, 4).is_err());
     }
 }

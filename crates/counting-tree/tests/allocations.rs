@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mrcc_common::Dataset;
-use mrcc_counting_tree::CountingTree;
+use mrcc_counting_tree::{CellId, CountingTree, Level};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -57,7 +57,7 @@ fn dataset(n: usize) -> Dataset {
 }
 
 /// `n` points on the 2^4 corners of a coarse grid: every level has at most
-/// 16 cells, so the indexes are small and the sort's keys set the peak.
+/// 16 cells, so the level sorts are small and the keys set the peak.
 fn crowded(n: usize) -> Dataset {
     let rows: Vec<[f64; 4]> = dataset(n)
         .iter()
@@ -96,12 +96,22 @@ fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
     ds.len() * (8 * words + 4) + (resolutions - 1) * size_of::<usize>()
 }
 
-/// Bytes of the trees' level indexes: per level, the fewest slots (a power
-/// of two, at least 16) that keep it at most half full, one word each.
-fn index_bytes(tree: &CountingTree) -> usize {
-    tree.levels()
-        .map(|l| 16.max((2 * l.n_cells()).next_power_of_two()) * size_of::<u64>())
-        .sum()
+/// The bound on the level sorts' scratch, once the keys are freed. Sorting
+/// level `h` holds a `(first key word, id)` pair per cell, 16 bytes, and
+/// the old-to-new id it returns, 4 bytes; the parent level's returned ids
+/// stay alive while the level renames its parents, 4 bytes per cell of
+/// level `h − 1`. So the scratch peaks at `max_h 20·c_h + 4·c_(h−1)` bytes,
+/// where `c_h` is the cell count of level `h` and `c_0 = 0`.
+fn sort_scratch(tree: &CountingTree) -> usize {
+    let cells: Vec<usize> = std::iter::once(0)
+        .chain(tree.levels().map(Level::n_cells))
+        .collect();
+    let per_cell = size_of::<(u64, CellId)>() + size_of::<CellId>();
+    cells
+        .windows(2)
+        .map(|c| per_cell * c[1] + size_of::<CellId>() * c[0])
+        .max()
+        .unwrap_or(0)
 }
 
 #[test]
@@ -120,7 +130,8 @@ fn build_allocations_and_memory_bytes() {
         "{small_allocs} allocations for {} points",
         small.len()
     );
-    // 4× the points is two more doublings of each of a level's arrays.
+    // Every level allocates its arrays once at their final size, so 4× the
+    // points adds no allocation.
     assert!(
         large_allocs <= small_allocs + 24 * levels,
         "4× points: {small_allocs} → {large_allocs} allocations over {levels} levels"
@@ -129,14 +140,14 @@ fn build_allocations_and_memory_bytes() {
     // memory_bytes is exactly the live heap the build left behind, plus the
     // tree's own struct, which lives on the stack. Above the cell arrays the
     // build holds the sort's keys and the run counts while it sweeps, then
-    // the indexes once the keys are freed; also with 4-word keys
-    // (d·H = 4·64 bits) and with crowded cells, where the keys outweigh the
-    // indexes.
+    // one level sort's scratch at a time once the keys are freed; also with
+    // 4-word keys (d·H = 4·64 bits) and with crowded cells, where the keys
+    // outweigh the level sorts.
     let tall = dataset(2_000);
     let tall_build = measured_build(&tall, 64);
     let dense = crowded(16_000);
     let dense_build = measured_build(&dense, H);
-    assert!(index_bytes(&dense_build.tree) < transient_bound(&dense, H) / 10);
+    assert!(sort_scratch(&dense_build.tree) < transient_bound(&dense, H) / 10);
     for (ds, resolutions, build) in [
         (&small, H, &small_build),
         (&large, H, &large_build),
@@ -149,17 +160,16 @@ fn build_allocations_and_memory_bytes() {
             build.grown + size_of::<CountingTree>(),
             "{context}"
         );
-        let (bound, index) = (transient_bound(ds, resolutions), index_bytes(&build.tree));
-        let over_cells = build.peak - (build.grown - index);
+        let (bound, scratch) = (transient_bound(ds, resolutions), sort_scratch(&build.tree));
+        let over_cells = build.peak - build.grown;
         assert!(
-            over_cells <= bound.max(index),
-            "{context}: peak {over_cells} bytes above the cell arrays, bound {bound}, index {index}"
+            over_cells <= bound.max(scratch),
+            "{context}: peak {over_cells} bytes above the cell arrays, bound {bound}, sort scratch {scratch}"
         );
     }
     let (tree, big_tree) = (small_build.tree, large_build.tree);
 
-    // The level pass allocates a fixed set of buffers per call, not one per
-    // cell: the same count at 4× the cells.
+    // The level pass allocates only the sums it returns, at any cell count.
     let pass_allocations = |t: &CountingTree| {
         let level = t.level(H - 1);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -173,9 +183,9 @@ fn build_allocations_and_memory_bytes() {
         big_tree.level(H - 1).n_cells() > 3 * tree.level(H - 1).n_cells(),
         "the larger tree has several times the cells"
     );
-    assert_eq!(small_pass, large_pass);
-    assert!(
-        small_pass <= 5,
-        "{small_pass} allocations in one level pass"
+    assert_eq!(small_pass, 1, "allocations in one level pass");
+    assert_eq!(
+        large_pass, 1,
+        "allocations in one level pass at 4× the cells"
     );
 }

@@ -82,7 +82,7 @@ fn scan(level: &Level, coords: &[u64]) -> Option<CellId> {
 /// `find`, `neighbor` (both directions, every axis), `neighbor_count` and
 /// `face_neighbor_sums` agree with [`scan`] on every cell of every level, and
 /// `find` refuses wrong-width and off-grid coordinates.
-fn assert_index_matches_scan(tree: &CountingTree) {
+fn assert_lookups_match_scan(tree: &CountingTree) {
     let d = tree.dims();
     for level in tree.levels() {
         let extent = level.grid_extent();
@@ -138,15 +138,6 @@ fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
     }
 }
 
-/// The tree `CountingTree::insert` grows from the points in dataset order.
-fn insert_built(ds: &Dataset, resolutions: usize) -> CountingTree {
-    let mut tree = CountingTree::empty(ds.dims(), resolutions).unwrap();
-    for p in ds.iter() {
-        tree.insert(p).unwrap();
-    }
-    tree
-}
-
 /// One level's cells by coordinates: `n`, `P`, first point and the
 /// parent's coordinates (empty at level 1, under the implicit root).
 type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u32>, u32, Vec<u64>)>;
@@ -176,13 +167,47 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
         .collect()
 }
 
-/// The sorted build and the insert loop give the same cells with the same
-/// counts, first points and parents at every level.
-fn assert_build_equals_insert_loop(ds: &Dataset, resolutions: usize) {
-    let sorted = CountingTree::build(ds, resolutions).unwrap();
-    let inserted = insert_built(ds, resolutions);
-    assert_eq!(sorted.n_points(), inserted.n_points());
-    for (h, (a, b)) in (1..).zip(cell_tables(&sorted).iter().zip(&cell_tables(&inserted))) {
+/// The cell tables of every level straight from the points: a point sits
+/// in the level-`h` cell `⌊v·2^h⌋` per axis, in its lower half along `e_j`
+/// when its level-`h + 1` coordinate on axis `j` is even, and under the
+/// level-`h − 1` cell `⌊v·2^h⌋ >> 1`.
+fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
+    let grid = |p: &[f64], h: usize| -> Vec<u64> {
+        let scale = (2.0f64).powi(h as i32);
+        p.iter().map(|&v| (v * scale).floor() as u64).collect()
+    };
+    (1..resolutions)
+        .map(|h| {
+            let mut table = CellTable::new();
+            for (point, p) in (0..).zip(ds.iter()) {
+                let coords = grid(p, h);
+                let finer = grid(p, h + 1);
+                let parent = match h {
+                    1 => Vec::new(),
+                    _ => coords.iter().map(|c| c >> 1).collect(),
+                };
+                let entry = table
+                    .entry(coords)
+                    .or_insert_with(|| (0, vec![0; p.len()], point, parent));
+                entry.0 += 1;
+                for (half, f) in entry.1.iter_mut().zip(&finer) {
+                    *half += u32::from(f & 1 == 0);
+                }
+                entry.2 = entry.2.min(point);
+            }
+            table
+        })
+        .collect()
+}
+
+/// The sorted build gives the cells of the brute-force tables, with their
+/// counts, first points and parents, at every level.
+fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
+    let tree = CountingTree::build(ds, resolutions).unwrap();
+    assert_eq!(tree.n_points(), ds.len());
+    let (got, want) = (cell_tables(&tree), brute_force_tables(ds, resolutions));
+    assert_eq!(got.len(), want.len(), "levels");
+    for (h, (a, b)) in (1..).zip(got.iter().zip(&want)) {
         assert_eq!(a.len(), b.len(), "cells at level {h}");
         for ((coords, got), (want_coords, want)) in a.iter().zip(b) {
             assert_eq!(coords, want_coords, "level {h}");
@@ -197,7 +222,7 @@ fn assert_build_equals_insert_loop(ds: &Dataset, resolutions: usize) {
 /// noise: the coarse cells hold thousands of points each, whose order
 /// after the key sort is not their dataset order.
 #[test]
-fn build_equals_insert_loop_on_crowded_cells() {
+fn build_equals_brute_force_on_crowded_cells() {
     let mut rng = StdRng::seed_from_u64(14);
     let centres: Vec<Vec<f64>> = (0..8)
         .map(|_| (0..14).map(|_| rng.gen_range(0.2..0.8)).collect())
@@ -223,15 +248,13 @@ fn build_equals_insert_loop_on_crowded_cells() {
         crowded > 1_000,
         "the largest level-1 cell holds {crowded} points"
     );
-    assert_build_equals_insert_loop(&ds, 4);
+    assert_build_equals_brute_force(&ds, 4);
 }
 
-/// A 2-d level of 1120 cells: grown by `insert`, its index doubles from 16
-/// slots to 4096 eight times over, keeps ids in arrival order and still
-/// answers every lookup like the scan. Built by sorting, each cell's first
-/// point is that same arrival number.
+/// A 2-d level of 1120 cells, one per point, answers every lookup like
+/// the scan, and each cell's first point is the index of its one point.
 #[test]
-fn index_survives_many_growths() {
+fn a_large_level_answers_like_the_scan() {
     let rows: Vec<[f64; 2]> = (0..1_120u32)
         .map(|i| {
             let (x, y) = (i % 40, i / 40);
@@ -239,45 +262,37 @@ fn index_survives_many_growths() {
         })
         .collect();
     let ds = Dataset::from_rows(&rows).unwrap();
-    let grid = || (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40)));
-    let inserted = insert_built(&ds, 8);
-    let level = inserted.level(6);
+    let grid = (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40)));
+    let tree = CountingTree::build(&ds, 8).unwrap();
+    let level = tree.level(6);
     assert_eq!(level.n_cells(), 1_120);
-    for (id, (x, y)) in grid() {
-        assert_eq!(level.find(&[x, y]), Some(id));
-    }
-    assert_index_matches_scan(&inserted);
-
-    let sorted = CountingTree::build(&ds, 8).unwrap();
-    let level = sorted.level(6);
-    assert_eq!(level.n_cells(), 1_120);
-    for (point, (x, y)) in grid() {
+    for (point, (x, y)) in grid {
         let id = level.find(&[x, y]).unwrap();
         assert_eq!(level.first_point(id), point);
     }
-    assert_index_matches_scan(&sorted);
+    assert_lookups_match_scan(&tree);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The level index answers exactly like a linear scan, including at
+    /// The level lookups answer exactly like a linear scan, including at
     /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where coordinates reach
     /// `2^63 − 2^10` and `Upper` stops at the grid border of every level up
     /// to 53.
     #[test]
-    fn index_equals_linear_scan((ds, h) in tree_case_strategy()) {
+    fn lookups_equal_linear_scan((ds, h) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, h).unwrap();
-        assert_index_matches_scan(&tree);
+        assert_lookups_match_scan(&tree);
         assert_points_round_trip(&ds, &tree);
     }
 
-    /// A sorted build equals an insert-loop build, including at
+    /// A sorted build equals the brute-force tables, including at
     /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where a key takes up
     /// to 64 words.
     #[test]
-    fn build_equals_insert_loop((ds, h) in tree_case_strategy()) {
-        assert_build_equals_insert_loop(&ds, h);
+    fn build_equals_brute_force((ds, h) in tree_case_strategy()) {
+        assert_build_equals_brute_force(&ds, h);
     }
 
     /// Every level counts every point exactly once, and no half-space
