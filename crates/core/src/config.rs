@@ -9,7 +9,6 @@
 
 use mrcc_common::{Error, Result};
 use mrcc_counting_tree::{MAX_RESOLUTIONS, MIN_RESOLUTIONS};
-use serde_json::{FromJson, ToJson, Value};
 
 /// Which Laplacian mask the β-cluster search convolves with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,98 +173,6 @@ impl MrCCConfig {
     }
 }
 
-// Hand-written JSON round-trip impls: the offline serde_json stand-in has no
-// derive macros (see vendor/serde_json). Shapes mirror what serde's derive
-// would emit: unit variants as strings, newtype and struct variants as 1-key
-// objects.
-
-impl ToJson for MaskKind {
-    fn to_json(&self) -> Value {
-        match self {
-            MaskKind::FaceOnly => Value::String("FaceOnly".to_string()),
-            MaskKind::Full => Value::String("Full".to_string()),
-        }
-    }
-}
-
-impl FromJson for MaskKind {
-    fn from_json(value: &Value) -> std::result::Result<Self, serde_json::Error> {
-        match value.as_str() {
-            Some("FaceOnly") => Ok(MaskKind::FaceOnly),
-            Some("Full") => Ok(MaskKind::Full),
-            _ => Err(serde_json::Error::msg(format!(
-                "expected \"FaceOnly\" or \"Full\", got {value}"
-            ))),
-        }
-    }
-}
-
-impl ToJson for AxisSelection {
-    fn to_json(&self) -> Value {
-        match self {
-            AxisSelection::Mdl { floor } => Value::Object(vec![(
-                "Mdl".to_string(),
-                Value::Object(vec![("floor".to_string(), Value::Number(*floor))]),
-            )]),
-            AxisSelection::Share(t) => {
-                Value::Object(vec![("Share".to_string(), Value::Number(*t))])
-            }
-        }
-    }
-}
-
-impl FromJson for AxisSelection {
-    fn from_json(value: &Value) -> std::result::Result<Self, serde_json::Error> {
-        if let Some(floor) = value
-            .get("Mdl")
-            .and_then(|mdl| mdl.get("floor"))
-            .and_then(Value::as_f64)
-        {
-            return Ok(AxisSelection::Mdl { floor });
-        }
-        if let Some(share) = value.get("Share").and_then(Value::as_f64) {
-            return Ok(AxisSelection::Share(share));
-        }
-        Err(serde_json::Error::msg(format!(
-            "expected {{\"Mdl\": {{\"floor\": f}}}} or {{\"Share\": t}}, got {value}"
-        )))
-    }
-}
-
-impl ToJson for MrCCConfig {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("alpha".to_string(), self.alpha.to_json()),
-            ("resolutions".to_string(), self.resolutions.to_json()),
-            ("mask".to_string(), self.mask.to_json()),
-            ("axis_selection".to_string(), self.axis_selection.to_json()),
-            ("threads".to_string(), self.threads.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MrCCConfig {
-    fn from_json(value: &Value) -> std::result::Result<Self, serde_json::Error> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde_json::Error::msg(format!("missing field `{name}`")))
-        };
-        Ok(MrCCConfig {
-            alpha: f64::from_json(field("alpha")?)?,
-            resolutions: usize::from_json(field("resolutions")?)?,
-            mask: MaskKind::from_json(field("mask")?)?,
-            axis_selection: AxisSelection::from_json(field("axis_selection")?)?,
-            // Absent in configs serialized before the parallel mode existed;
-            // default to the serial pipeline.
-            threads: match value.get("threads") {
-                Some(v) => usize::from_json(v)?,
-                None => 1,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,32 +237,6 @@ mod tests {
         assert!(exactly(c.alpha, 1e-10));
         assert_eq!(c.resolutions, 4);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for selection in [
-            AxisSelection::Share(45.0),
-            AxisSelection::Mdl { floor: 12.5 },
-        ] {
-            let c = MrCCConfig::default()
-                .with_threads(4)
-                .with_axis_selection(selection);
-            let json = serde_json::to_string(&c).unwrap();
-            let back: MrCCConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, c);
-        }
-        let mdl = serde_json::to_string(&AxisSelection::Mdl { floor: 12.5 }).unwrap();
-        assert_eq!(mdl, r#"{"Mdl":{"floor":12.5}}"#);
-    }
-
-    #[test]
-    fn legacy_json_without_threads_defaults_to_serial() {
-        let json = serde_json::to_string(&MrCCConfig::default()).unwrap();
-        let stripped = json.replace(",\"threads\":1", "");
-        assert!(!stripped.contains("threads"), "{stripped}");
-        let back: MrCCConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.threads, 1);
     }
 
     #[test]

@@ -122,6 +122,8 @@ impl MrCC {
         let search_start = std::time::Instant::now();
         let betas = search::find_beta_clusters(&tree, &self.config);
         let beta_search = search_start.elapsed();
+        // Nothing reads the tree after the search: free it before the merge.
+        drop(tree);
 
         let merge_start = std::time::Instant::now();
         let (clusters, clustering, merge_cache) =

@@ -1,10 +1,9 @@
-//! Source-file model for the analyses.
+//! Source-file model for the token scans.
 //!
-//! The parser never sees raw file text directly. Each file is pre-processed
+//! A scan never sees raw file text directly. Each file is pre-processed
 //! into a [`SourceFile`]: a *masked* view where string/char-literal contents
-//! and comments are replaced by spaces (so token scans cannot false-positive
-//! on text inside literals), and a per-line flag marking `#[cfg(test)]`
-//! regions (the API snapshot skips test code).
+//! and comments are replaced by spaces, so token scans cannot false-positive
+//! on text inside literals.
 //!
 //! The masking pass is a hand-rolled scanner covering the token forms this
 //! repository actually uses: line/block comments (nested), string literals
@@ -12,7 +11,7 @@
 //! lifetimes. It intentionally does not parse Rust — it only needs to be
 //! right about *where code is*.
 
-/// One analyzed source file.
+/// One scanned source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path as shown in findings.
@@ -20,8 +19,6 @@ pub struct SourceFile {
     /// Code with comments and literal *contents* blanked to spaces
     /// (delimiters like `"` are preserved), one entry per line.
     pub code: Vec<String>,
-    /// `true` for lines inside a `#[cfg(test)]`-gated item.
-    pub in_test: Vec<bool>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -36,14 +33,11 @@ enum State {
 }
 
 impl SourceFile {
-    /// Analyzes `text` (typically read from `path`).
+    /// Masks `text` (typically read from `path`).
     pub fn parse(path: &str, text: &str) -> SourceFile {
-        let code: Vec<String> = mask(text).lines().map(str::to_string).collect();
-        let in_test = test_regions(&code);
         SourceFile {
             path: path.to_string(),
-            code,
-            in_test,
+            code: mask(text).lines().map(str::to_string).collect(),
         }
     }
 }
@@ -198,53 +192,6 @@ fn mask(text: &str) -> String {
     code
 }
 
-/// Marks every line covered by a `#[cfg(test)]`-gated item (attribute line
-/// through the matching closing brace).
-fn test_regions(code: &[String]) -> Vec<bool> {
-    let mut in_test = vec![false; code.len()];
-    let mut line = 0usize;
-    while line < code.len() {
-        if code[line].contains("#[cfg(test)]") {
-            // Find the opening brace of the gated item, then match braces.
-            let mut depth = 0i32;
-            let mut opened = false;
-            let start = line;
-            let mut end = line;
-            'scan: for (offset, text) in code[start..].iter().enumerate() {
-                for c in text.chars() {
-                    match c {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => {
-                            depth -= 1;
-                            if opened && depth == 0 {
-                                end = start + offset;
-                                break 'scan;
-                            }
-                        }
-                        ';' if !opened && depth == 0 => {
-                            // `#[cfg(test)] mod tests;` — out-of-line module.
-                            end = start + offset;
-                            break 'scan;
-                        }
-                        _ => {}
-                    }
-                }
-                end = start + offset;
-            }
-            for flag in &mut in_test[start..=end] {
-                *flag = true;
-            }
-            line = end + 1;
-        } else {
-            line += 1;
-        }
-    }
-    in_test
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,12 +220,5 @@ mod tests {
         let f = SourceFile::parse("t.rs", src);
         assert!(f.code[0].contains("let z = 3;"));
         assert!(!f.code[0].contains("outer"));
-    }
-
-    #[test]
-    fn cfg_test_regions_are_flagged() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn lib2() {}\n";
-        let f = SourceFile::parse("t.rs", src);
-        assert_eq!(f.in_test, vec![false, true, true, true, true, false]);
     }
 }
