@@ -7,7 +7,7 @@
 //!
 //! | Module | Algorithm | Original paper |
 //! |--------|-----------|----------------|
-//! | [`kmeans`] | Lloyd's k-means with k-means++ seeding | substrate |
+//! | [`kmeans`](mod@kmeans) | Lloyd's k-means with k-means++ seeding | substrate |
 //! | [`clique`] | CLIQUE: bottom-up dense-unit mining | Agrawal et al., SIGMOD 1998 |
 //! | [`proclus`] | PROCLUS: k-medoid projected clustering | Aggarwal et al., SIGMOD 1999 |
 //! | [`lac`] | LAC: locally adaptive (weighted) clustering | Domeniconi et al., DMKD 2007 |

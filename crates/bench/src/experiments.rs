@@ -12,7 +12,7 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mrcc::{AxisSelection, MaskKind, MrCC, MrCCConfig};
+use mrcc::{AxisSelection, MrCC, MrCCConfig};
 use mrcc_datagen::{
     clusters_group, dims_group, first_group, generate, kdd_cup_2008_surrogate, noise_group,
     points_group, rotated_group, Synthetic, SyntheticSpec, View,
@@ -197,23 +197,17 @@ fn fig5_real(_opts: &ExperimentOptions) -> Vec<RunRecord> {
     records
 }
 
-/// Design-choice ablations (DESIGN.md): mask variant, axis selection,
-/// effect-size floor, resolution count.
+/// Design-choice ablations (DESIGN.md): axis selection, effect-size floor,
+/// resolution count.
 fn ablations(opts: &ExperimentOptions) -> Vec<RunRecord> {
-    // A mid-size, low-d dataset so the full mask stays tractable.
+    // A mid-size, low-d dataset. The spec is unchanged since the first
+    // committed run, so `results/ablations.*` stay comparable across runs.
     let spec = SyntheticSpec::new("ablation-8d", 8, 40_000, 4, 0.15, 0xAB1A);
     let synth = generate_scaled(spec, opts.scale.max(0.25));
     let mut variants: Vec<(String, MrCCConfig)> = vec![
         (
             "default (face mask, share-45)".into(),
             MrCCConfig::default(),
-        ),
-        (
-            "full 3^d mask".into(),
-            MrCCConfig {
-                mask: MaskKind::Full,
-                ..Default::default()
-            },
         ),
         (
             "MDL cut + floor".into(),

@@ -3,24 +3,22 @@
 //! The method has exactly two input parameters (Section IV-D): the
 //! statistical significance level `α` of the β-cluster test and the number of
 //! Counting-tree resolutions `H`. The paper fixes `α = 1e−10`, `H = 4` for
-//! every experiment; those are the defaults here. Two additional knobs expose
-//! design-choice ablations studied in our EXPERIMENTS.md: the convolution
-//! mask variant and the axis-relevance selection rule.
+//! every experiment; those are the defaults here. One additional knob, the
+//! axis-relevance selection rule, exposes the design-choice ablation studied
+//! in our EXPERIMENTS.md.
 
 use mrcc_common::{Error, Result};
 use mrcc_counting_tree::{MAX_RESOLUTIONS, MIN_RESOLUTIONS};
 
-/// Which Laplacian mask the β-cluster search convolves with.
+/// The Laplacian mask the β-cluster search convolves with. It has one
+/// value; the type stays only because the `perfbench` benchmark still reads
+/// [`MrCCConfig::mask`] and passes it to
+/// [`convolution::convolve`](crate::convolution::convolve).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaskKind {
     /// Order-3 mask with non-zero entries only at the centre (`2d`) and the
     /// `2d` face elements (`−1`) — the paper's choice, `O(d)` per cell.
     FaceOnly,
-    /// Order-3 mask with non-zero entries everywhere: centre `3^d − 1`, all
-    /// `3^d − 1` neighbors `−1`. `O(3^d)` per cell; the paper reports it
-    /// "improves a little" but costs too much. Kept for the ablation bench;
-    /// [`MrCC::fit`](crate::MrCC::fit) rejects it on more than 10 axes.
-    Full,
 }
 
 /// How the per-axis relevances are cut into relevant / irrelevant sets.
@@ -65,7 +63,8 @@ pub struct MrCCConfig {
     /// Number of distinct resolutions `H` of the Counting-tree (`H ≥ 3`).
     /// Paper default 4.
     pub resolutions: usize,
-    /// Convolution mask variant (ablation knob; default [`MaskKind::FaceOnly`]).
+    /// Convolution mask; always [`MaskKind::FaceOnly`]. The field stays only
+    /// because the `perfbench` benchmark still reads it.
     pub mask: MaskKind,
     /// Axis-relevance selection rule (ablation knob; default
     /// `AxisSelection::Share(45.0)`).
@@ -104,16 +103,9 @@ impl MrCCConfig {
         }
     }
 
-    /// Returns the configuration with the convolution mask replaced
-    /// (builder style; chain off [`Default::default`] or `with_params`).
-    #[must_use]
-    pub fn with_mask(mut self, mask: MaskKind) -> Self {
-        self.mask = mask;
-        self
-    }
-
     /// Returns the configuration with the axis-relevance selection rule
-    /// replaced.
+    /// replaced (builder style; chain off [`Default::default`] or
+    /// `with_params`).
     #[must_use]
     pub fn with_axis_selection(mut self, axis_selection: AxisSelection) -> Self {
         self.axis_selection = axis_selection;
@@ -228,10 +220,7 @@ mod tests {
 
     #[test]
     fn builders_replace_one_field_each() {
-        let c = MrCCConfig::default()
-            .with_mask(MaskKind::Full)
-            .with_axis_selection(AxisSelection::Mdl { floor: 0.0 });
-        assert_eq!(c.mask, MaskKind::Full);
+        let c = MrCCConfig::default().with_axis_selection(AxisSelection::Mdl { floor: 0.0 });
         assert_eq!(c.axis_selection, AxisSelection::Mdl { floor: 0.0 });
         // Untouched fields keep their defaults.
         assert!(exactly(c.alpha, 1e-10));

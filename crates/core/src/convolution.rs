@@ -4,8 +4,9 @@
 //! second-derivative operator that reacts to density transitions (Figure 2 of
 //! the paper). MrCC uses the order-3 mask whose only non-zero entries are the
 //! centre (`2d`) and the `2d` face elements (`−1`): convolving a cell is then
-//! `O(d)` instead of the `O(3^d)` a full mask costs. The full mask is kept
-//! behind [`MaskKind::Full`] for the ablation study.
+//! `O(d)` instead of the `O(3^d)` a full mask costs. The fit convolves a whole
+//! level at once with [`convolve_level`]; [`convolve`] is the per-cell
+//! definition it reproduces.
 
 use mrcc_counting_tree::{CellId, Direction, Level};
 
@@ -15,8 +16,10 @@ use crate::config::MaskKind;
 /// `2d·n(center) − Σ_j (n(lower face_j) + n(upper face_j))`.
 ///
 /// Missing neighbors (space border or unrefined empty region) contribute 0 —
-/// empty space has zero density.
-pub fn convolve_face_only(level: &Level, id: CellId, dims: usize) -> i64 {
+/// empty space has zero density. `mask` has one value; the parameter stays
+/// only because the `perfbench` benchmark still passes `config.mask`.
+pub fn convolve(level: &Level, id: CellId, dims: usize, mask: MaskKind) -> i64 {
+    let MaskKind::FaceOnly = mask;
     let center = level.cell(id).n() as i64;
     let mut acc = 2 * dims as i64 * center;
     for j in 0..dims {
@@ -27,7 +30,7 @@ pub fn convolve_face_only(level: &Level, id: CellId, dims: usize) -> i64 {
 }
 
 /// Face-only convolved value of every cell of `level`, indexed by
-/// [`CellId`]: exactly [`convolve_face_only`] at each cell, from one
+/// [`CellId`]: exactly [`convolve`] at each cell, from one
 /// [`Level::face_neighbor_sums`] pass instead of `2d` lookups per cell.
 pub fn convolve_level(level: &Level, dims: usize) -> Vec<i64> {
     let centre_weight = 2 * dims as i64;
@@ -36,62 +39,6 @@ pub fn convolve_level(level: &Level, dims: usize) -> Vec<i64> {
         .zip(level.face_neighbor_sums())
         .map(|((_, cell), faces)| centre_weight * cell.n() as i64 - faces as i64)
         .collect()
-}
-
-/// Largest dimensionality [`MrCC::fit`](crate::MrCC::fit) accepts with
-/// [`MaskKind::Full`]: past it the `3^d` offsets per cell make a fit
-/// infeasible, and at `d ≥ 40` the centre weight `3^d − 1` overflows `i64`.
-pub(crate) const MAX_FULL_MASK_DIMS: usize = 10;
-
-/// Convolved value of the *full* order-3 Laplacian at `id`: centre weight
-/// `3^d − 1`, every one of the `3^d − 1` neighbors (faces and corners) `−1`.
-///
-/// Cost is `O(3^d · d)`; callers must keep `d` small (at most
-/// [`MAX_FULL_MASK_DIMS`], mirroring the paper's remark that a 10-dimensional
-/// cell already has 59,028 corner elements; the ablation bench uses `d ≤ 8`).
-pub fn convolve_full(level: &Level, id: CellId, dims: usize) -> i64 {
-    let cell = level.cell(id);
-    let center = cell.n() as i64;
-    let weight = 3i64.pow(dims as u32) - 1;
-    let mut acc = weight * center;
-
-    // Enumerate all 3^d offsets in {−1, 0, +1}^d except the origin.
-    let coords: Vec<u64> = cell.coords().collect();
-    let mut key = coords.clone();
-    let extent = level.grid_extent();
-    let n_offsets = 3usize.pow(dims as u32);
-    'offsets: for code in 0..n_offsets {
-        key.copy_from_slice(&coords);
-        let mut c = code;
-        let mut all_zero = true;
-        for (slot, &base) in key.iter_mut().zip(&coords).take(dims) {
-            let trit = (c % 3) as i64 - 1; // −1, 0, +1
-            c /= 3;
-            let coord = base as i64 + trit;
-            if coord < 0 || coord as u64 >= extent {
-                // Off the grid: skip this offset.
-                continue 'offsets;
-            }
-            *slot = coord as u64;
-            if trit != 0 {
-                all_zero = false;
-            }
-        }
-        if !all_zero {
-            if let Some(nid) = level.find(&key) {
-                acc -= level.cell(nid).n() as i64;
-            }
-        }
-    }
-    acc
-}
-
-/// Dispatches on the configured mask kind.
-pub fn convolve(level: &Level, id: CellId, dims: usize, mask: MaskKind) -> i64 {
-    match mask {
-        MaskKind::FaceOnly => convolve_face_only(level, id, dims),
-        MaskKind::Full => convolve_full(level, id, dims),
-    }
 }
 
 #[cfg(test)]
@@ -121,55 +68,32 @@ mod tests {
         let l2 = tree.level(2);
         let dense = l2.find(&[1, 1]).unwrap();
         // 2·2·10 − (2 face-neighbor points) = 38.
-        assert_eq!(convolve_face_only(l2, dense, 2), 38);
+        assert_eq!(convolve(l2, dense, 2, MaskKind::FaceOnly), 38);
         let sparse = l2.find(&[2, 1]).unwrap();
         // 2·2·2 − 10 (left face) − 1? (2,2) is a *face* neighbor of (2,1)
         // along axis 1 → 8 − 10 − 1 = −3.
-        assert_eq!(convolve_face_only(l2, sparse, 2), -3);
-        assert!(convolve_face_only(l2, dense, 2) > convolve_face_only(l2, sparse, 2));
-    }
-
-    #[test]
-    fn full_mask_also_subtracts_corners() {
-        let tree = bump_tree();
-        let l2 = tree.level(2);
-        let dense = l2.find(&[1, 1]).unwrap();
-        // Full: (3² − 1)·10 − (faces: 2) − (corner (2,2): 1) = 80 − 3 = 77.
-        assert_eq!(convolve_full(l2, dense, 2), 77);
+        assert_eq!(convolve(l2, sparse, 2, MaskKind::FaceOnly), -3);
+        assert!(
+            convolve(l2, dense, 2, MaskKind::FaceOnly)
+                > convolve(l2, sparse, 2, MaskKind::FaceOnly)
+        );
     }
 
     #[test]
     fn isolated_cell_convolves_to_positive_mass() {
         // Sec. III-A: an isolated cell of `n` points convolves to its centre
-        // weight times `n` — `2d` for the face-only mask, `3^d − 1` for the
-        // full mask.
-        for (dims, face, full) in [(1usize, 2i64, 2i64), (2, 4, 8), (3, 6, 26), (4, 8, 80)] {
+        // weight `2d` times `n`.
+        for dims in 1usize..=4 {
             let rows = vec![vec![0.1; dims]; 3];
             let tree = CountingTree::build(&Dataset::from_rows(&rows).unwrap(), 4).unwrap();
             let l2 = tree.level(2);
             let (id, _) = l2.iter().next().unwrap();
             assert_eq!(
                 convolve(l2, id, dims, MaskKind::FaceOnly),
-                face * 3,
+                2 * dims as i64 * 3,
                 "d={dims}"
             );
-            assert_eq!(convolve(l2, id, dims, MaskKind::Full), full * 3, "d={dims}");
         }
-    }
-
-    #[test]
-    fn dispatch_matches_direct_calls() {
-        let tree = bump_tree();
-        let l2 = tree.level(2);
-        let dense = l2.find(&[1, 1]).unwrap();
-        assert_eq!(
-            convolve(l2, dense, 2, MaskKind::FaceOnly),
-            convolve_face_only(l2, dense, 2)
-        );
-        assert_eq!(
-            convolve(l2, dense, 2, MaskKind::Full),
-            convolve_full(l2, dense, 2)
-        );
     }
 
     #[test]
@@ -192,8 +116,7 @@ mod tests {
         let l2 = tree.level(2);
         let low = l2.find(&[0, 0]).unwrap();
         // The far cell (3,3) must not leak into (0,0)'s neighborhood.
-        assert_eq!(convolve_face_only(l2, low, 2), 4);
-        assert_eq!(convolve_full(l2, low, 2), 8);
+        assert_eq!(convolve(l2, low, 2, MaskKind::FaceOnly), 4);
     }
 
     mod level_pass_equals_per_cell {
@@ -274,7 +197,7 @@ mod tests {
                 for level in tree.levels() {
                     let per_cell: Vec<i64> = level
                         .iter()
-                        .map(|(id, _)| convolve_face_only(level, id, dims))
+                        .map(|(id, _)| convolve(level, id, dims, MaskKind::FaceOnly))
                         .collect();
                     prop_assert_eq!(convolve_level(level, dims), per_cell, "level {}", level.h());
                 }

@@ -70,7 +70,7 @@ pub use merge::{CorrelationCluster, MergeCache};
 pub use result::{FitStats, MrCCResult};
 pub use soft::SoftClustering;
 
-use mrcc_common::{Dataset, Error, Result};
+use mrcc_common::{Dataset, Result};
 use mrcc_counting_tree::CountingTree;
 
 /// The MrCC clustering method. Construct with a [`MrCCConfig`], then call
@@ -100,20 +100,9 @@ impl MrCC {
     /// # Errors
     /// Propagates configuration validation and Counting-tree construction
     /// errors (e.g. data outside `[0,1)` — normalize first, or use
-    /// [`MrCC::fit_normalizing`]). [`MaskKind::Full`] on more than 10 axes
-    /// is an [`Error::InvalidParameter`] for `mask`, returned before any work.
+    /// [`MrCC::fit_normalizing`]).
     pub fn fit(&self, dataset: &Dataset) -> Result<MrCCResult> {
         self.config.validate()?;
-        if self.config.mask == MaskKind::Full && dataset.dims() > convolution::MAX_FULL_MASK_DIMS {
-            return Err(Error::InvalidParameter {
-                name: "mask",
-                message: format!(
-                    "the full mask convolves 3^d offsets per cell and supports at most {} axes, got {}",
-                    convolution::MAX_FULL_MASK_DIMS,
-                    dataset.dims()
-                ),
-            });
-        }
         let build_start = std::time::Instant::now();
         let tree = CountingTree::build(dataset, self.config.resolutions)?;
         let tree_build = build_start.elapsed();

@@ -40,8 +40,8 @@ use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
-use crate::config::{AxisSelection, MaskKind, MrCCConfig};
-use crate::convolution::{convolve, convolve_level};
+use crate::config::{AxisSelection, MrCCConfig};
+use crate::convolution::convolve_level;
 
 /// Number of consecutive equal-size regions the parent neighborhood is split
 /// into along each axis (Section III-B): the parent's two halves plus the two
@@ -64,7 +64,7 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     let h_max = tree.deepest_level();
     // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
     let mut cursors: Vec<_> = (2..=h_max)
-        .map(|h| ranked_cells(tree.level(h), dims, config.mask).into_iter())
+        .map(|h| ranked_cells(tree.level(h), dims).into_iter())
         .collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
     let mut tested = Vec::new();
@@ -95,14 +95,8 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
 /// order *(convolved value descending, first point ascending)*: the order in
 /// which the restart-scan of Algorithm 2 would pick them as winners. First
 /// points are distinct within a level, so no two cells tie.
-fn ranked_cells(level: &Level, dims: usize, mask: MaskKind) -> Vec<CellId> {
-    let values = match mask {
-        MaskKind::FaceOnly => convolve_level(level, dims),
-        MaskKind::Full => level
-            .iter()
-            .map(|(id, _)| convolve(level, id, dims, mask))
-            .collect(),
-    };
+fn ranked_cells(level: &Level, dims: usize) -> Vec<CellId> {
+    let values = convolve_level(level, dims);
     // The first point fills the high half of the second field and the id
     // the low half: first points decide every tie, and a two-field sort
     // key compares faster than a three-field one.
@@ -248,6 +242,7 @@ fn confirm_beta_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convolution::convolve;
     use mrcc_common::Dataset;
     use mrcc_datagen::{generate, SyntheticSpec};
 
@@ -392,19 +387,12 @@ mod tests {
         use proptest::prelude::*;
 
         /// Random blob-plus-noise workload, tree height and configuration.
-        /// The full mask enumerates `3^d` offsets per cell, so it draws
-        /// `d ≤ 5` to keep the reference's repeated sweeps fast.
         pub(super) fn case_strategy() -> impl Strategy<Value = (SyntheticSpec, MrCCConfig)> {
             (
                 (2usize..=8, 200usize..=1_200, 1usize..=3, 1u64..=1_000),
-                (3usize..=5, any::<bool>(), any::<bool>(), any::<bool>()),
+                (3usize..=5, any::<bool>(), any::<bool>()),
             )
-                .prop_map(|((dims, points, clusters, seed), (h, full, mdl, loose))| {
-                    let (mask, dims) = if full {
-                        (MaskKind::Full, 2 + dims % 4)
-                    } else {
-                        (MaskKind::FaceOnly, dims)
-                    };
+                .prop_map(|((dims, points, clusters, seed), (h, mdl, loose))| {
                     let axis_selection = if mdl {
                         AxisSelection::Mdl { floor: 45.0 }
                     } else {
@@ -412,9 +400,8 @@ mod tests {
                     };
                     let alpha = if loose { 1e-2 } else { 1e-10 };
                     let spec = SyntheticSpec::new("search", dims, points, clusters, 0.15, seed);
-                    let config = MrCCConfig::with_params(alpha, h)
-                        .with_mask(mask)
-                        .with_axis_selection(axis_selection);
+                    let config =
+                        MrCCConfig::with_params(alpha, h).with_axis_selection(axis_selection);
                     (spec, config)
                 })
         }

@@ -2,8 +2,7 @@
 //! variant must produce a valid clustering on a standard workload, and the
 //! knobs must move the output in the documented direction.
 
-use mrcc::{AxisSelection, MaskKind, MrCC, MrCCConfig};
-use mrcc_common::{Dataset, Error};
+use mrcc::{AxisSelection, MrCC, MrCCConfig};
 use mrcc_datagen::{generate, SyntheticSpec};
 use mrcc_eval::quality;
 
@@ -14,21 +13,6 @@ fn workload() -> mrcc_datagen::Synthetic {
 fn fit_quality(config: MrCCConfig, synth: &mrcc_datagen::Synthetic) -> f64 {
     let result = MrCC::new(config).fit(&synth.dataset).unwrap();
     quality(&result.clustering, &synth.ground_truth).quality
-}
-
-#[test]
-fn every_mask_variant_works() {
-    let synth = workload();
-    for mask in [MaskKind::FaceOnly, MaskKind::Full] {
-        let q = fit_quality(
-            MrCCConfig {
-                mask,
-                ..Default::default()
-            },
-            &synth,
-        );
-        assert!(q > 0.6, "{mask:?}: quality {q}");
-    }
 }
 
 #[test]
@@ -101,32 +85,4 @@ fn invalid_configurations_fail_before_any_work() {
     ] {
         assert!(MrCC::new(config).fit(&synth.dataset).is_err());
     }
-}
-
-/// A few points spread over `dims` axes, inside `[0,1)`.
-fn spread_points(dims: usize) -> Dataset {
-    let rows: Vec<Vec<f64>> = (0..3)
-        .map(|i| {
-            (0..dims)
-                .map(|j| ((i * 7 + j * 3) % 10) as f64 / 10.0)
-                .collect()
-        })
-        .collect();
-    Dataset::from_rows(&rows).unwrap()
-}
-
-#[test]
-fn full_mask_rejects_more_than_ten_axes() {
-    let fit = MrCC::new(MrCCConfig::default().with_mask(MaskKind::Full));
-    for dims in [11, 40] {
-        match fit.fit(&spread_points(dims)) {
-            Err(Error::InvalidParameter { name: "mask", .. }) => {}
-            other => panic!("d = {dims}: expected a mask error, got {other:?}"),
-        }
-    }
-    // The face-only mask fits the same data, and the full mask still fits
-    // at the 10-axis limit.
-    let face_only = MrCC::new(MrCCConfig::default());
-    assert!(face_only.fit(&spread_points(40)).is_ok());
-    assert!(fit.fit(&spread_points(10)).is_ok());
 }

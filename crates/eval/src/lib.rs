@@ -2,7 +2,7 @@
 
 //! Evaluation harness for the MrCC reproduction (paper Section IV-A).
 //!
-//! * [`quality`] — per-cluster precision/recall against ground truth
+//! * [`quality`](mod@quality) — per-cluster precision/recall against ground truth
 //!   (Equations 1–2), the averaged **Quality** (harmonic mean of averaged
 //!   precision over found clusters and averaged recall over real clusters)
 //!   and the **Subspaces Quality** (the same construction over relevant-axis
