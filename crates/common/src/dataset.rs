@@ -41,7 +41,9 @@ pub struct NormalizeInfo {
     /// Per-axis minimum of the original data.
     pub min: Vec<f64>,
     /// Per-axis scale: original range stretched so the maximum maps *just
-    /// below* 1.0 (the paper's half-open cube `[0,1)`).
+    /// below* 1.0 (the paper's half-open cube `[0,1)`). Where that scale
+    /// exceeds `f64::MAX` it is not representable and reads `+∞`, so
+    /// [`NormalizeInfo::denormalize`] cannot invert that axis.
     pub scale: Vec<f64>,
 }
 
@@ -202,36 +204,46 @@ impl Dataset {
     }
 
     /// Min–max normalizes every axis into `[0, 1)` in place, returning the
-    /// applied transform. Constant axes map to `0.0`.
+    /// applied transform. Constant axes map to `0.0`. An axis whose scale
+    /// would exceed `f64::MAX` (say from `-1e308` to `1e308`) is rescaled
+    /// on halved operands, which cannot overflow.
     ///
     /// # Errors
     /// [`Error::EmptyDataset`] when there are no points.
     pub fn normalize_unit(&mut self) -> Result<NormalizeInfo> {
         let (min, max) = self.bounds().ok_or(Error::EmptyDataset)?;
-        let scale: Vec<f64> = min
+        // Per axis: the factor applied to both operands of `v − min`, and
+        // the scale of the result.
+        let rescale: Vec<(f64, f64)> = min
             .iter()
             .zip(&max)
             .map(|(&mn, &mx)| {
                 let range = mx - mn;
-                if range > 0.0 {
-                    range / UNIT_SHRINK
+                let scale = range / UNIT_SHRINK;
+                if !scale.is_finite() {
+                    (0.5, (0.5 * mx - 0.5 * mn) / UNIT_SHRINK)
+                } else if range > 0.0 {
+                    (1.0, scale)
                 } else {
-                    1.0
+                    (1.0, 1.0)
                 }
             })
             .collect();
         for p in self.data.chunks_exact_mut(self.dims) {
-            for ((v, &mn), &s) in p.iter_mut().zip(&min).zip(&scale) {
-                *v = (*v - mn) / s;
-                // Guard against floating rounding pushing a maximum to 1.0.
-                if *v >= 1.0 {
-                    *v = UNIT_SHRINK;
-                }
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
+            for ((v, &mn), &(k, s)) in p.iter_mut().zip(&min).zip(&rescale) {
+                let x = (k * *v - k * mn) / s;
+                // Guard against floating rounding pushing a maximum to 1.0;
+                // a NaN lands on 0.
+                *v = if x >= 1.0 {
+                    UNIT_SHRINK
+                } else if x >= 0.0 {
+                    x
+                } else {
+                    0.0
+                };
             }
         }
+        let scale = rescale.iter().map(|&(k, s)| s / k).collect();
         Ok(NormalizeInfo { min, scale })
     }
 }
@@ -310,6 +322,21 @@ mod tests {
         let back = info.denormalize(ds.point(1));
         assert!((back[0] - 5.0).abs() < 1e-9);
         assert!((back[1] - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn normalize_handles_a_range_beyond_f64_max() {
+        let mut ds = Dataset::from_rows(&[[-1e308, 5.0], [1e308, 7.0], [0.0, 6.0]]).unwrap();
+        let info = ds.normalize_unit().unwrap();
+        assert!(ds.is_unit_normalized());
+        let axis0: Vec<f64> = ds.iter().map(|p| p[0]).collect();
+        assert!(exactly(axis0[0], 0.0));
+        assert!(axis0[2] > 0.49 && axis0[2] < 0.51, "{axis0:?}");
+        assert!(axis0[1] > 0.999 && axis0[1] < 1.0, "{axis0:?}");
+        assert!(info.scale[0].is_infinite());
+        // The finite axis is rescaled as before.
+        assert!(exactly(info.scale[1], 2.0 / UNIT_SHRINK));
+        assert!(exactly(ds.point(2)[1], 1.0 / (2.0 / UNIT_SHRINK)));
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //! order counting the points in one by one would create them — and a
 //! per-level cursor walks that ranking: a sweep's winner at a level is the
 //! first eligible cell past the cursor, and every cell the cursor passes
-//! stays ineligible for good. The tie-break reads the cell's smallest point
-//! index, not its `CellId`, so the ranking does not depend on how the
-//! build numbers the cells (in packed-key order).
+//! stays ineligible for good. The ranking is a heap, so a cursor pays
+//! `O(log cells)` per cell it passes and nothing for the cells it never
+//! reaches, typically most of them. The tie-break reads the cell's
+//! smallest point index, not its `CellId`, so the ranking does not depend
+//! on how the build numbers the cells (in packed-key order).
 //!
 //! The cursors therefore hold the paper's `usedCell` state: a tested winner
 //! is never offered again because its cursor has stepped past it. The search
@@ -33,6 +35,8 @@
 //! β-clusters.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::iter;
 
 use mrcc_common::num::grid_to_f64;
 use mrcc_common::{AxisMask, BoundingBox};
@@ -64,7 +68,7 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     let h_max = tree.deepest_level();
     // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
     let mut cursors: Vec<_> = (2..=h_max)
-        .map(|h| ranked_cells(tree.level(h), dims).into_iter())
+        .map(|h| ranked_cells(tree.level(h), dims))
         .collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
     let mut tested = Vec::new();
@@ -91,27 +95,30 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     (betas, tested)
 }
 
-/// Every cell id of `level`, convolved once and ordered by the strict total
-/// order *(convolved value descending, first point ascending)*: the order in
-/// which the restart-scan of Algorithm 2 would pick them as winners. First
-/// points are distinct within a level, so no two cells tie.
-fn ranked_cells(level: &Level, dims: usize) -> Vec<CellId> {
+/// Every cell id of `level`, convolved once and yielded lazily in the
+/// strict total order *(convolved value descending, first point
+/// ascending)*: the order in which the restart-scan of Algorithm 2 would
+/// pick them as winners. First points are distinct within a level, so no
+/// two cells tie. Heapifying takes `O(cells)`, and each cell yielded
+/// `O(log cells)`.
+fn ranked_cells(level: &Level, dims: usize) -> impl Iterator<Item = CellId> {
     let values = convolve_level(level, dims);
     // The first point fills the high half of the second field and the id
-    // the low half: first points decide every tie, and a two-field sort
-    // key compares faster than a three-field one.
-    let mut ranked: Vec<(Reverse<i64>, u64)> = (0..)
+    // the low half: first points decide every tie, and a two-field heap
+    // entry compares faster than a three-field one. The max-heap pops the
+    // largest value first and, among equal values, the smallest first point.
+    let mut heap: BinaryHeap<(i64, Reverse<u64>)> = (0..)
         .zip(values)
         .map(|(id, value)| {
             let first = u64::from(level.first_point(id));
-            (Reverse(value), (first << 32) | u64::from(id))
+            (value, Reverse((first << 32) | u64::from(id)))
         })
         .collect();
-    ranked.sort_unstable();
-    ranked
-        .into_iter()
-        .map(|(_, key)| CellId::try_from(key & u64::from(u32::MAX)).unwrap_or_default())
-        .collect()
+    iter::from_fn(move || {
+        heap.pop().map(|(_, Reverse(key))| {
+            CellId::try_from(key & u64::from(u32::MAX)).unwrap_or_default()
+        })
+    })
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -421,6 +428,39 @@ mod tests {
                 prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
                 prop_assert_eq!(tested, reference_tested, "{}", context);
             }
+        }
+    }
+
+    /// The lazy cursor yields every cell in exactly the order of a full
+    /// sort by *(value descending, first point ascending)*, the values from
+    /// the per-cell convolution. A uniform grid makes whole rows of cells
+    /// tie on their value, so the first points order them.
+    #[test]
+    fn lazy_ranking_equals_a_full_sort() {
+        let mut rows = Vec::new();
+        for i in 0..32 {
+            for j in 0..32 {
+                rows.push([(31 - i) as f64 / 32.0, j as f64 / 32.0]);
+            }
+        }
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let tree = CountingTree::build(&ds, 5).unwrap();
+        let mask = MrCCConfig::default().mask;
+        for h in 2..=tree.deepest_level() {
+            let level = tree.level(h);
+            let value = |id| convolve(level, id, 2, mask);
+            let mut sorted: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
+            sorted.sort_by_key(|&id| (Reverse(value(id)), level.first_point(id)));
+            let ties = sorted
+                .windows(2)
+                .filter(|w| value(w[0]) == value(w[1]))
+                .count();
+            assert!(ties > level.n_cells() / 2, "level {h}: {ties} ties");
+            assert_eq!(
+                ranked_cells(level, 2).collect::<Vec<_>>(),
+                sorted,
+                "level {h}"
+            );
         }
     }
 

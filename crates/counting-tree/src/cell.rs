@@ -3,9 +3,10 @@
 //! The paper's cell structure is `<loc, n, P[d], usedCell, ptr>`. Here `loc`
 //! and `ptr` are subsumed by the cell's packed grid position, its *key* (see
 //! the crate docs); `n` and `P[d]` are stored verbatim, each field in one
-//! flat array per level, the counts as `u32`. `usedCell` is search state, so
-//! the β-cluster search's cursors hold it, not the tree. A [`Cell`] is a
-//! `Copy` view of one cell's entries.
+//! flat array per level, the counts as `u32`, except that the deepest level
+//! stores no `P` (see [`crate::Level`]). `usedCell` is search state, so the
+//! β-cluster search's cursors hold it, not the tree. A [`Cell`] is a `Copy`
+//! view of one cell's entries.
 
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
@@ -79,11 +80,13 @@ impl KeyLayout {
 }
 
 /// A `d`-dimensional hyper-cube cell of side `1/2^h` at tree level `h`: its
-/// grid position, half-space counts `P` and count `n`.
+/// grid position, half-space counts `P` (none on the deepest level) and
+/// count `n`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell<'a> {
     pub(crate) key: &'a [u64],
     pub(crate) layout: KeyLayout,
+    pub(crate) d: usize,
     pub(crate) p: &'a [u32],
     pub(crate) n: u32,
 }
@@ -95,9 +98,12 @@ impl<'a> Cell<'a> {
     /// Panics when `j` is out of range.
     #[inline]
     pub fn coord(&self, j: usize) -> u64 {
-        // `p` holds one entry per axis, so it bounds-checks `j`.
-        #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
-        let _ = self.p[j];
+        // The key's last word may have room past axis `d − 1`.
+        assert!(
+            j < self.d,
+            "index out of bounds: axis {j} of a {}-dimensional cell",
+            self.d
+        );
         self.layout.field(self.key, j).unwrap_or(0)
     }
 
@@ -110,7 +116,7 @@ impl<'a> Cell<'a> {
             .flat_map(move |&w| {
                 (0..layout.per_word).map(move |k| (w >> (k * layout.bits)) & layout.top())
             })
-            .take(self.p.len())
+            .take(self.d)
     }
 
     /// Point count `n`.
@@ -123,14 +129,15 @@ impl<'a> Cell<'a> {
     /// along axis `e_j`.
     ///
     /// # Panics
-    /// Panics when `j` is out of range.
+    /// Panics when `j` is out of range, and for every `j` on the deepest
+    /// level, which keeps no half-space counts.
     #[inline]
     #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn half_count(&self, j: usize) -> u64 {
         u64::from(self.p[j])
     }
 
-    /// All half-space counts.
+    /// All half-space counts, one per axis; empty on the deepest level.
     #[inline]
     pub fn half_counts(&self) -> &'a [u32] {
         self.p
@@ -169,6 +176,7 @@ mod tests {
         check(Cell {
             key: &key,
             layout,
+            d: coords.len(),
             p,
             n: 3,
         });
@@ -239,6 +247,17 @@ mod tests {
         // Axis 2 would still decode from the key's one word.
         with_view(2, &[1, 2], &[0, 0], |c| {
             c.coord(2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn half_count_panics_without_half_space_counts() {
+        // A deepest-level cell: coordinates, but no `P`.
+        with_view(2, &[1, 2], &[], |c| {
+            assert_eq!(c.coords().collect::<Vec<_>>(), [1, 2]);
+            assert!(c.half_counts().is_empty());
+            c.half_count(0);
         });
     }
 }

@@ -1,11 +1,13 @@
 //! The sorted build's keys: one level-major key per point, sorted once.
 //!
-//! A key takes `W = ⌈d·H/64⌉` words, read most significant bit first, in
-//! bit-planes of `d` bits: plane `h − 1` holds the level-`h` bit of every
-//! axis, axis `j` at bit `j` of the plane, and plane `H − 1` the deepest
-//! level's half-space bits. Comparing keys word by word thus orders the
-//! points by their level-1 cell, then their level-2 cell, and so on, and
-//! the cells of level `h` are the runs of equal `h·d`-bit prefixes.
+//! A key takes `W = ⌈d·(H−1)/64⌉` words, read most significant bit first,
+//! in bit-planes of `d` bits: plane `h − 1` holds the level-`h` bit of
+//! every axis, axis `j` at bit `j` of the plane, for the levels
+//! `h = 1 … H−1`. Comparing keys word by word thus orders the points by
+//! their level-1 cell, then their level-2 cell, and so on, and the cells of
+//! level `h` are the runs of equal `h·d`-bit prefixes. No plane holds the
+//! deepest level's half-space bits: that level keeps no half-space counts,
+//! because no search reads them (see [`crate::Level`]).
 
 use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{powi_exp, trunc_to_u64, u32_to_usize};
@@ -13,16 +15,16 @@ use mrcc_common::{Dataset, Error, Result};
 
 use crate::tree::MAX_RESOLUTIONS;
 
-/// `2^H`, the scale of the finest "virtual" grid, level `H`.
-fn fine_scale(resolutions: usize) -> f64 {
-    (2.0f64).powi(powi_exp(resolutions))
+/// `2^planes`, the scale of the finest grid: the deepest level's, with
+/// `planes = H − 1`.
+fn fine_scale(planes: usize) -> f64 {
+    (2.0f64).powi(powi_exp(planes))
 }
 
 /// Writes the point's coordinates on the finest grid into `fine`:
-/// `⌊v·scale⌋` per axis, with `scale` from [`fine_scale`], so `H` bits
-/// each. Level `h` takes the top `h` bits, and the deepest level's
-/// half-space bit is bit 0. Returns the first `d` entries, or an error at
-/// the first coordinate outside `[0, 1)`.
+/// `⌊v·scale⌋` per axis, with `scale` from [`fine_scale`], so `H − 1` bits
+/// each. Level `h` takes the top `h` bits. Returns the first `d` entries,
+/// or an error at the first coordinate outside `[0, 1)`.
 fn fine_coords<'a>(point: &[f64], scale: f64, fine: &'a mut [u64; MAX_DIMS]) -> Result<&'a [u64]> {
     for ((j, &v), slot) in point.iter().enumerate().zip(fine.iter_mut()) {
         if !(0.0..1.0).contains(&v) {
@@ -36,9 +38,9 @@ fn fine_coords<'a>(point: &[f64], scale: f64, fine: &'a mut [u64; MAX_DIMS]) -> 
     Ok(fine.get(..point.len()).unwrap_or_default())
 }
 
-/// Key words of the widest tree: `d·H` bits for `d = MAX_DIMS` and
+/// Key words of the widest tree: `d·(H−1)` bits for `d = MAX_DIMS` and
 /// `H = MAX_RESOLUTIONS`.
-const MAX_KEY_WORDS: usize = MAX_DIMS * MAX_RESOLUTIONS / 64;
+const MAX_KEY_WORDS: usize = MAX_DIMS * (MAX_RESOLUTIONS - 1) / 64;
 
 /// A point's place in the sort: the first word of its key and its index.
 /// Packed to 12 bytes, so the sort moves 12 bytes per point and a one-word
@@ -64,13 +66,17 @@ impl SortedKeys {
     /// Keys of every point, validated in dataset order, then sorted.
     pub(crate) fn new(ds: &Dataset, resolutions: usize) -> Result<SortedKeys> {
         let d = ds.dims();
-        let words = (d * resolutions).div_ceil(64);
+        let planes = resolutions - 1;
+        let words = (d * planes).div_ceil(64);
         let mut entries = Vec::with_capacity(ds.len());
         let mut rest = Vec::with_capacity(ds.len() * (words - 1));
-        let scale = fine_scale(resolutions);
+        let scale = fine_scale(planes);
         let mut fine = [0u64; MAX_DIMS];
         let mut key = [0u64; MAX_KEY_WORDS];
-        #[expect(clippy::indexing_slicing, reason = "d·H ≤ MAX_DIMS·MAX_RESOLUTIONS")]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "d·(H−1) ≤ MAX_DIMS·(MAX_RESOLUTIONS−1)"
+        )]
         let key = &mut key[..words];
         for (point, p) in (0..).zip(ds.iter()) {
             let fine = fine_coords(p, scale, &mut fine)?;
@@ -78,7 +84,7 @@ impl SortedKeys {
             // window; each full word leaves it from the top.
             let (mut window, mut filled) = (0u128, 0);
             let mut out = key.iter_mut();
-            for bit in (0..resolutions).rev() {
+            for bit in (0..planes).rev() {
                 let plane = (0..)
                     .zip(fine)
                     .fold(0, |acc, (j, &f)| acc | (((f >> bit) & 1) << j));
@@ -120,7 +126,10 @@ impl SortedKeys {
     /// key equals the previous one has split `usize::MAX`.
     pub(crate) fn walk(&self, mut visit: impl FnMut(u32, &[u64], usize)) {
         let (mut a, mut b) = ([0u64; MAX_KEY_WORDS], [0u64; MAX_KEY_WORDS]);
-        #[expect(clippy::indexing_slicing, reason = "d·H ≤ MAX_DIMS·MAX_RESOLUTIONS")]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "d·(H−1) ≤ MAX_DIMS·(MAX_RESOLUTIONS−1)"
+        )]
         let (mut prev, mut key) = (&mut a[..self.words], &mut b[..self.words]);
         for (i, entry) in self.entries.iter().enumerate() {
             let point = entry.point;
@@ -182,36 +191,34 @@ mod tests {
 
     #[test]
     fn keys_are_level_major() {
-        // H = 3: (0.75, 0.25) is (6, 2) = (0b110, 0b010) on the fine grid.
-        // Planes, axis j at bit j: level 1 0b01, level 2 0b11, half-space
-        // bits 0b00; the key reads 01 11 00 from its top bit.
+        // H = 3: (0.75, 0.25) is (3, 1) = (0b11, 0b01) on the level-2 grid.
+        // Planes, axis j at bit j: level 1 0b01, level 2 0b11; the key
+        // reads 01 11 from its top bit.
         let ds = Dataset::from_rows(&[[0.75, 0.25], [0.0, 0.9]]).unwrap();
         let keys = SortedKeys::new(&ds, 3).unwrap();
         let mut seen = Vec::new();
         keys.walk(|point, key, split| seen.push((point, key.to_vec(), split)));
-        // (0.0, 0.9) is (0, 7): planes 0b10, 0b10, 0b10, so it sorts last
-        // and starts a new level-1 cell.
+        // (0.0, 0.9) is (0, 3): planes 0b10, 0b10, so it sorts last and
+        // starts a new level-1 cell.
         assert_eq!(
             seen,
-            [
-                (0, vec![0b01_11_00 << 58], 0),
-                (1, vec![0b10_10_10 << 58], 0)
-            ]
+            [(0, vec![0b01_11 << 60], 0), (1, vec![0b10_10 << 60], 0)]
         );
-        assert_eq!(plane_bits(&[0b01_11_00 << 58], 1, 2), 0b11);
+        assert_eq!(plane_bits(&[0b01_11 << 60], 1, 2), 0b11);
     }
 
     #[test]
     fn planes_cross_word_boundaries() {
-        // d = 22, H = 3: plane 2 spans bits 44..66, two of them in word 1.
+        // d = 22, H = 4: three planes, and plane 2 spans bits 44..66, two
+        // of them in word 1.
         let point: Vec<f64> = (0..22)
             .map(|j| if j % 3 == 0 { 0.9 } else { 0.1 })
             .collect();
         let ds = Dataset::from_rows(&[point]).unwrap();
-        let keys = SortedKeys::new(&ds, 3).unwrap();
+        let keys = SortedKeys::new(&ds, 4).unwrap();
         keys.walk(|_, key, _| {
             assert_eq!(key.len(), 2);
-            // 0.9 → 7 = 0b111 and 0.1 → 0 on the fine grid: every plane
+            // 0.9 → 7 = 0b111 and 0.1 → 0 on the level-3 grid: every plane
             // holds the same bits.
             let want = (0..22)
                 .filter(|j| j % 3 == 0)
@@ -220,6 +227,17 @@ mod tests {
                 assert_eq!(plane_bits(key, plane, 22), want, "plane {plane}");
             }
         });
+    }
+
+    #[test]
+    fn points_in_one_deepest_cell_share_a_key() {
+        // H = 3: 0.1 and 0.2 both fall in level-2 cell 0, in different
+        // halves of it; the key holds no half-space bit to tell them apart.
+        let ds = Dataset::from_rows(&[[0.1], [0.2]]).unwrap();
+        let keys = SortedKeys::new(&ds, 3).unwrap();
+        let mut splits = Vec::new();
+        keys.walk(|_, key, split| splits.push((key.to_vec(), split)));
+        assert_eq!(splits, [(vec![0], 0), (vec![0], usize::MAX)]);
     }
 
     #[test]

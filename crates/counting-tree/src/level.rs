@@ -24,6 +24,11 @@ pub enum Direction {
 /// `first`, each cell's smallest point index. The cells are in packed-key
 /// order, word 0 most significant, so a lookup is a binary search over
 /// `keys`.
+///
+/// The deepest level, `H − 1`, keeps no half-space counts: the binomial
+/// test reads the `P` of a winner's parent only, and no winner sits below
+/// the deepest level, so that level is never a parent. Its `p` is empty and
+/// its cells' [`Cell::half_counts`] are empty slices.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -32,18 +37,23 @@ pub struct Level {
     words: usize,
     keys: Vec<u64>,
     n: Vec<u32>,
+    /// Entries of `p` per cell: `d`, or 0 on a level without half-space
+    /// counts.
+    p_stride: usize,
     p: Vec<u32>,
     parents: Vec<CellId>,
     first: Vec<u32>,
 }
 
 impl Level {
-    /// An empty level whose arrays hold exactly `cells` cells: the build
-    /// fills it with [`Level::push_cell`], then puts it in key order with
+    /// An empty level whose arrays hold exactly `cells` cells, with `P`
+    /// when `half_counts` is set: the build fills it with
+    /// [`Level::push_cell`], then puts it in key order with
     /// [`Level::sort_cells`].
-    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize) -> Self {
+    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize, half_counts: bool) -> Self {
         let layout = KeyLayout::new(h);
         let words = layout.words(d);
+        let p_stride = if half_counts { d } else { 0 };
         Level {
             h,
             d,
@@ -51,7 +61,8 @@ impl Level {
             words,
             keys: Vec::with_capacity(cells * words),
             n: Vec::with_capacity(cells),
-            p: Vec::with_capacity(cells * d),
+            p_stride,
+            p: Vec::with_capacity(cells * p_stride),
             parents: Vec::with_capacity(cells),
             first: Vec::with_capacity(cells),
         }
@@ -93,7 +104,8 @@ impl Level {
         Cell {
             key: self.key(id),
             layout: self.layout,
-            p: &self.p[i * self.d..(i + 1) * self.d],
+            d: self.d,
+            p: &self.p[i * self.p_stride..(i + 1) * self.p_stride],
             n: self.n[i],
         }
     }
@@ -242,7 +254,7 @@ impl Level {
         if let Some(key) = self.keys.get_mut(start..) {
             self.layout.pack(coords, key);
         }
-        self.p.resize(self.p.len() + self.d, 0);
+        self.p.resize(self.p.len() + self.p_stride, 0);
         self.n.push(0);
         self.parents.push(parent);
         self.first.push(u32::MAX);
@@ -255,7 +267,8 @@ impl Level {
 
     /// Adds `n` points, the smallest numbered `first`, into the last cell
     /// pushed, and into its `P[j]` where bit `j` of `upper` is clear: the
-    /// points sit in the cell's lower half along `e_j`.
+    /// points sit in the cell's lower half along `e_j`. A level without
+    /// half-space counts ignores `upper`.
     #[expect(clippy::indexing_slicing, reason = "`i` is the last cell pushed")]
     pub(crate) fn add_to_last(&mut self, n: u32, first: u32, upper: u64) {
         let Some(i) = self.n_cells().checked_sub(1) else {
@@ -263,7 +276,8 @@ impl Level {
         };
         self.n[i] += n;
         self.first[i] = self.first[i].min(first);
-        for (j, slot) in self.p[i * self.d..(i + 1) * self.d].iter_mut().enumerate() {
+        let s = self.p_stride;
+        for (j, slot) in self.p[i * s..(i + 1) * s].iter_mut().enumerate() {
             *slot += n * u32::from((upper >> j) & 1 == 0);
         }
     }
@@ -343,7 +357,7 @@ impl Level {
     /// Swaps every field of cells `a` and `b`.
     fn swap_cells(&mut self, a: usize, b: usize) {
         swap_rows(&mut self.keys, self.words, a, b);
-        swap_rows(&mut self.p, self.d, a, b);
+        swap_rows(&mut self.p, self.p_stride, a, b);
         self.n.swap(a, b);
         self.parents.swap(a, b);
         self.first.swap(a, b);
@@ -383,7 +397,7 @@ mod tests {
     /// point is its push number.
     fn sorted_level(h: u32, cells: &[(&[u64], CellId, u32)]) -> Level {
         let d = cells.first().map_or(1, |c| c.0.len());
-        let mut l = Level::with_capacity(h, d, cells.len());
+        let mut l = Level::with_capacity(h, d, cells.len(), true);
         for (point, &(coords, parent, n)) in (0..).zip(cells) {
             l.push_cell(coords.iter().copied(), parent);
             l.add_to_last(n, point, 0);
@@ -439,7 +453,7 @@ mod tests {
 
     #[test]
     fn counting_updates_half_spaces() {
-        let mut l = Level::with_capacity(2, 2, 1);
+        let mut l = Level::with_capacity(2, 2, 1, true);
         l.push_cell([2, 3], 0);
         // Bit j of `upper` clear → lower half along axis j.
         l.add_to_last(1, 0, 0b10);
@@ -518,7 +532,7 @@ mod tests {
         let by_coords = coords.map(|c| want[l.find(&c).unwrap() as usize]);
         assert_eq!(by_coords, [2 + 3 + 1, 5 + 7, 5, 2, 5]);
         assert_eq!(l.face_neighbor_sums(), want);
-        assert!(Level::with_capacity(2, 2, 0)
+        assert!(Level::with_capacity(2, 2, 0, true)
             .face_neighbor_sums()
             .is_empty());
     }
@@ -546,7 +560,7 @@ mod tests {
     #[test]
     fn sorting_renames_parents_and_reports_new_ids() {
         // Keys 6, 1, 4 at level 3 in one dimension: sorted order 1, 4, 6.
-        let mut l = Level::with_capacity(3, 1, 3);
+        let mut l = Level::with_capacity(3, 1, 3, true);
         for (c, parent) in [(6, 0), (1, 1), (4, 2)] {
             l.push_cell([c], parent);
             l.add_to_last(1, 0, 0);
@@ -561,9 +575,9 @@ mod tests {
 
     #[test]
     fn side_halves_per_level() {
-        assert!(exactly(Level::with_capacity(1, 1, 0).side(), 0.5));
-        assert!(exactly(Level::with_capacity(3, 1, 0).side(), 0.125));
-        assert_eq!(Level::with_capacity(2, 1, 0).grid_extent(), 4);
+        assert!(exactly(Level::with_capacity(1, 1, 0, true).side(), 0.5));
+        assert!(exactly(Level::with_capacity(3, 1, 0, true).side(), 0.125));
+        assert_eq!(Level::with_capacity(2, 1, 0, true).grid_extent(), 4);
     }
 
     #[test]

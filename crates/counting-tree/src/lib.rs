@@ -20,12 +20,13 @@
 //! A multi-resolution description of a dataset embedded in the unit
 //! hyper-cube `[0,1)^d`. Level `h` covers the space with a hyper-grid of
 //! cells of side `ξ_h = 1/2^h`; each cell knows how many points it contains
-//! (`n`) and how many of them sit in its lower half along every axis (the
-//! *half-space counts* `P[j]`). Only non-empty cells are materialized, so each
-//! level stores at most `η` cells and the whole structure is `O(H·η·d)`
-//! space. Algorithm 1 of the paper builds it in a single scan of the data;
-//! [`CountingTree::build`] gets the same counts from one sort of per-point
-//! keys, in `O(η·H·d + η·H log η)` time (see "Building" below).
+//! (`n`) and, on every level but the deepest, how many of them sit in its
+//! lower half along every axis (the *half-space counts* `P[j]`). Only
+//! non-empty cells are materialized, so each level stores at most `η`
+//! cells and the whole structure is `O(H·η·d)` space. Algorithm 1 of the
+//! paper builds it in a single scan of the data; [`CountingTree::build`]
+//! gets the same counts from one sort of per-point keys, in
+//! `O(η·H·d + η·H log η)` time (see "Building" below).
 //!
 //! ## Representation
 //!
@@ -58,7 +59,7 @@
 //!
 //! [`CountingTree::build`] gives each point one *level-major* key: the
 //! level-1 bit of every axis, then the level-2 bits, and so on down to the
-//! deepest level's half-space bits, `⌈d·H/64⌉` words. After one sort of the
+//! deepest level's, `⌈d·(H−1)/64⌉` words. After one sort of the
 //! keys, the cells of level `h` are the runs of equal `h·d`-bit prefixes. One
 //! sweep over the runs appends every level's cells in that order, with
 //! their parents (the enclosing run one level up), their counts and
@@ -68,7 +69,10 @@
 //! counting the points in one by one would create the cells.
 //!
 //! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
-//! as `u32`: a tree counts at most [`MAX_POINTS`]. The paper's third field,
+//! as `u32`: a tree counts at most [`MAX_POINTS`]. The deepest level, `H − 1`,
+//! stores no `P`: the β-cluster search reads the half-space counts of a
+//! winner's parent only, and the deepest level is never a parent. There
+//! [`Cell::half_counts`] is empty. The paper's third field,
 //! `usedCell`, records which cells the β-cluster search has consumed; that is
 //! search state, so the search's per-level cursors hold it and a built tree
 //! never changes.

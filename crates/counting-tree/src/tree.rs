@@ -27,7 +27,8 @@ pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 /// The root (level 0, the whole unit cube, `n = η`) is implicit. Build with
 /// [`CountingTree::build`], which counts every point in every level and
 /// accumulates the per-axis half-space counts, Algorithm 1's result, from
-/// one sort of per-point keys.
+/// one sort of per-point keys. Levels `1 … H−2` keep the half-space counts;
+/// the deepest level, which is no β-cluster winner's parent, keeps none.
 ///
 /// ```
 /// use mrcc_common::Dataset;
@@ -58,7 +59,7 @@ impl CountingTree {
     ///
     /// The build sorts instead of inserting. Each point gets one level-major
     /// key: the level-1 bit of every axis, then the level-2 bits, and so on
-    /// down to the half-space bit of the deepest level, `d·H` bits in all.
+    /// down to the deepest level's, `d·(H−1)` bits in all.
     /// Once the keys are sorted, the cells of level `h` are the runs of
     /// equal `h·d`-bit prefixes. One sweep over the runs appends every
     /// level's cells in that order, with their parents (the enclosing run
@@ -100,9 +101,11 @@ impl CountingTree {
                 *count += 1;
             }
         });
+        // Only the `P` of a winner's parent is ever read, and the deepest
+        // level is no winner's parent: it keeps none.
         let mut levels: Vec<Level> = (1..)
             .zip(cells)
-            .map(|(h, cells)| Level::with_capacity(h, d, cells))
+            .map(|(h, cells)| Level::with_capacity(h, d, cells, u32_to_usize(h) < h_max))
             .collect();
 
         // The sweep. `deep` holds the deepest-level coordinates of the open
@@ -136,9 +139,9 @@ impl CountingTree {
                     level.push_cell(deep.iter().map(|&c| c >> shift), parent);
                 }
             }
-            // The last plane holds the deepest level's half-space bits.
+            // The deepest level has no `P`, so no half-space bits to add.
             if let Some(deepest) = levels.last_mut() {
-                deepest.add_to_last(1, point, plane_bits(key, h_max, d));
+                deepest.add_to_last(1, point, 0);
             }
         });
         close_runs(&mut levels, &loc, 0);

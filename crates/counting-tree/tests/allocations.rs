@@ -90,9 +90,9 @@ fn measured_build(ds: &Dataset, resolutions: usize) -> Measured {
 }
 
 /// The bound on a build's transient buffers: the sort's `η·(8·W + 4)`
-/// bytes, `W = ⌈d·H/64⌉` key words, plus one run count per level.
+/// bytes, `W = ⌈d·(H−1)/64⌉` key words, plus one run count per level.
 fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
-    let words = (ds.dims() * resolutions).div_ceil(64);
+    let words = (ds.dims() * (resolutions - 1)).div_ceil(64);
     ds.len() * (8 * words + 4) + (resolutions - 1) * size_of::<usize>()
 }
 
@@ -141,7 +141,7 @@ fn build_allocations_and_memory_bytes() {
     // tree's own struct, which lives on the stack. Above the cell arrays the
     // build holds the sort's keys and the run counts while it sweeps, then
     // one level sort's scratch at a time once the keys are freed; also with
-    // 4-word keys (d·H = 4·64 bits) and with crowded cells, where the keys
+    // 4-word keys (d·(H−1) = 4·63 bits) and with crowded cells, where the keys
     // outweigh the level sorts.
     let tall = dataset(2_000);
     let tall_build = measured_build(&tall, 64);

@@ -170,7 +170,8 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
 /// The cell tables of every level straight from the points: a point sits
 /// in the level-`h` cell `⌊v·2^h⌋` per axis, in its lower half along `e_j`
 /// when its level-`h + 1` coordinate on axis `j` is even, and under the
-/// level-`h − 1` cell `⌊v·2^h⌋ >> 1`.
+/// level-`h − 1` cell `⌊v·2^h⌋ >> 1`. The deepest level, `H − 1`, keeps no
+/// half-space counts, so its `P` is empty.
 fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
     let grid = |p: &[f64], h: usize| -> Vec<u64> {
         let scale = (2.0f64).powi(h as i32);
@@ -181,14 +182,18 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
             let mut table = CellTable::new();
             for (point, p) in (0..).zip(ds.iter()) {
                 let coords = grid(p, h);
-                let finer = grid(p, h + 1);
+                let finer = if h + 1 < resolutions {
+                    grid(p, h + 1)
+                } else {
+                    Vec::new()
+                };
                 let parent = match h {
                     1 => Vec::new(),
                     _ => coords.iter().map(|c| c >> 1).collect(),
                 };
                 let entry = table
                     .entry(coords)
-                    .or_insert_with(|| (0, vec![0; p.len()], point, parent));
+                    .or_insert_with(|| (0, vec![0; finer.len()], point, parent));
                 entry.0 += 1;
                 for (half, f) in entry.1.iter_mut().zip(&finer) {
                     *half += u32::from(f & 1 == 0);
@@ -201,10 +206,13 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
 }
 
 /// The sorted build gives the cells of the brute-force tables, with their
-/// counts, first points and parents, at every level.
+/// counts, first points and parents, at every level, and their half-space
+/// counts at every level but the deepest, which keeps none.
 fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
     let tree = CountingTree::build(ds, resolutions).unwrap();
     assert_eq!(tree.n_points(), ds.len());
+    let deepest = tree.level(tree.deepest_level());
+    assert!(deepest.iter().all(|(_, c)| c.half_counts().is_empty()));
     let (got, want) = (cell_tables(&tree), brute_force_tables(ds, resolutions));
     assert_eq!(got.len(), want.len(), "levels");
     for (h, (a, b)) in (1..).zip(got.iter().zip(&want)) {
@@ -295,14 +303,21 @@ proptest! {
         assert_build_equals_brute_force(&ds, h);
     }
 
-    /// Every level counts every point exactly once, and no half-space
+    /// Every level counts every point exactly once, and on every level
+    /// that keeps half-space counts (all but the deepest) no half-space
     /// count exceeds its cell's count, on the wide and tall shapes too.
     #[test]
     fn levels_conserve_mass((ds, h) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, h).unwrap();
         for level in tree.levels() {
             prop_assert_eq!(level.total_points(), ds.len() as u64);
+            let halves = if level.h() as usize == tree.deepest_level() {
+                0
+            } else {
+                tree.dims()
+            };
             for (_, cell) in level.iter() {
+                prop_assert_eq!(cell.half_counts().len(), halves);
                 prop_assert!(cell.half_counts().iter().all(|&p| u64::from(p) <= cell.n()));
             }
         }
@@ -325,11 +340,12 @@ proptest! {
     }
 
     /// Half-space counts never exceed the cell count and the two halves sum
-    /// to the whole: P[j] ∈ [0, n].
+    /// to the whole: P[j] ∈ [0, n], on levels `1 … H−2`, the ones that keep
+    /// them.
     #[test]
     fn half_space_counts_bounded(ds in dataset_strategy()) {
         let tree = CountingTree::build(&ds, 5).unwrap();
-        for level in tree.levels() {
+        for level in (1..tree.deepest_level()).map(|h| tree.level(h)) {
             for (_, cell) in level.iter() {
                 for j in 0..tree.dims() {
                     prop_assert!(cell.half_count(j) <= cell.n());

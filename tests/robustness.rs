@@ -3,8 +3,8 @@
 //!
 //! Each property pins that these inputs fit today: all-duplicate points, a
 //! single occupied cell, values at the top of `[0, 1)`, constant columns
-//! through `fit_normalizing`, d = 1 and d = 64, H = 3 and H = 64, and one
-//! point.
+//! and an axis spanning more than `f64::MAX` through `fit_normalizing`,
+//! d = 1 and d = 64, H = 3 and H = 64, and one point.
 
 use mrcc_repro::prelude::*;
 use proptest::prelude::*;
@@ -112,4 +112,19 @@ proptest! {
     fn one_point(d in 1usize..=64, h in 3usize..=64, seed in any::<u64>()) {
         prop_assert!(fits(&dataset(1, d, |i, j| hash01(seed, i, j)), h) <= 1);
     }
+}
+
+/// An axis spanning more than `f64::MAX` normalizes into `[0, 1)` in
+/// order, and the raw rows fit through `fit_normalizing`.
+#[test]
+fn range_beyond_f64_max_fit_normalizing() {
+    let raw = Dataset::from_rows(&[[-1e308], [1e308], [0.0]]).unwrap();
+    let mut ds = raw.clone();
+    ds.normalize_unit().unwrap();
+    assert!(ds.is_unit_normalized());
+    let v: Vec<f64> = ds.iter().map(|p| p[0]).collect();
+    assert!(v[0] < v[2] && v[2] < v[1], "{v:?}");
+    let result = MrCC::default().fit_normalizing(&raw).unwrap();
+    result.check_invariants();
+    assert_eq!(result.clustering.labels().len(), 3);
 }
