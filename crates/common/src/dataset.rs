@@ -40,20 +40,25 @@ pub struct Dataset {
 pub struct NormalizeInfo {
     /// Per-axis minimum of the original data.
     pub min: Vec<f64>,
-    /// Per-axis scale: original range stretched so the maximum maps *just
-    /// below* 1.0 (the paper's half-open cube `[0,1)`). Where that scale
-    /// exceeds `f64::MAX` it is not representable and reads `+∞`, so
-    /// [`NormalizeInfo::denormalize`] cannot invert that axis.
+    /// Per-axis factor `k` applied to both operands of `v − min`: 1, or 0.5
+    /// on an axis whose range exceeds `f64::MAX`, where the unhalved
+    /// difference would overflow.
+    pub factor: Vec<f64>,
+    /// Per-axis scale: the range times `k`, stretched so the maximum maps
+    /// *just below* 1.0 (the paper's half-open cube `[0,1)`). A value `v`
+    /// normalizes to `(k·v − k·min) / scale`.
     pub scale: Vec<f64>,
 }
 
 impl NormalizeInfo {
-    /// Maps a normalized point back into original coordinates.
+    /// Maps a normalized point back into original coordinates:
+    /// `(k·min + v·scale) / k` per axis, which is `min + v·scale` where
+    /// `k = 1`.
     pub fn denormalize(&self, point: &[f64]) -> Vec<f64> {
         point
             .iter()
-            .zip(self.min.iter().zip(&self.scale))
-            .map(|(&v, (&mn, &sc))| mn + v * sc)
+            .zip(self.min.iter().zip(&self.factor).zip(&self.scale))
+            .map(|(&v, ((&mn, &k), &sc))| (k * mn + v * sc) / k)
             .collect()
     }
 }
@@ -243,8 +248,8 @@ impl Dataset {
                 };
             }
         }
-        let scale = rescale.iter().map(|&(k, s)| s / k).collect();
-        Ok(NormalizeInfo { min, scale })
+        let (factor, scale) = rescale.into_iter().unzip();
+        Ok(NormalizeInfo { min, factor, scale })
     }
 }
 
@@ -333,7 +338,12 @@ mod tests {
         assert!(exactly(axis0[0], 0.0));
         assert!(axis0[2] > 0.49 && axis0[2] < 0.51, "{axis0:?}");
         assert!(axis0[1] > 0.999 && axis0[1] < 1.0, "{axis0:?}");
-        assert!(info.scale[0].is_infinite());
+        // The halved axis inverts through its recorded factor.
+        assert!(exactly(info.factor[0], 0.5));
+        for (i, x) in [-1e308, 1e308, 0.0].into_iter().enumerate() {
+            let back = info.denormalize(ds.point(i))[0];
+            assert!((back - x).abs() <= 1e-6 * (1.0 + x.abs()), "{back} vs {x}");
+        }
         // The finite axis is rescaled as before.
         assert!(exactly(info.scale[1], 2.0 / UNIT_SHRINK));
         assert!(exactly(ds.point(2)[1], 1.0 / (2.0 / UNIT_SHRINK)));

@@ -18,16 +18,16 @@
 //! value depends only on cell counts, which the search never changes, and a
 //! cell's eligibility (not yet tested, no strict overlap with a found β-box)
 //! can only be lost, never regained. So each level is ranked once by the
-//! total order *(convolved value descending, [`Level::first_point`]
-//! ascending)* — a full scan's "first maximum wins" over the cells in the
-//! order counting the points in one by one would create them — and a
+//! total order *(convolved value descending, [`CellId`] ascending)* — a
+//! full scan's "first maximum wins" over the cells in id order — and a
 //! per-level cursor walks that ranking: a sweep's winner at a level is the
 //! first eligible cell past the cursor, and every cell the cursor passes
 //! stays ineligible for good. The ranking is a heap, so a cursor pays
 //! `O(log cells)` per cell it passes and nothing for the cells it never
-//! reaches, typically most of them. The tie-break reads the cell's
-//! smallest point index, not its `CellId`, so the ranking does not depend
-//! on how the build numbers the cells (in packed-key order).
+//! reaches, typically most of them. A `CellId` is the cell's rank in
+//! packed grid position, so ties, too, are broken by where a cell is and
+//! not by the order of the dataset's rows: a fit treats the dataset as the
+//! set of points of the paper's Definition 1.
 //!
 //! The cursors therefore hold the paper's `usedCell` state: a tested winner
 //! is never offered again because its cursor has stepped past it. The search
@@ -96,29 +96,19 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
 }
 
 /// Every cell id of `level`, convolved once and yielded lazily in the
-/// strict total order *(convolved value descending, first point
-/// ascending)*: the order in which the restart-scan of Algorithm 2 would
-/// pick them as winners. First points are distinct within a level, so no
-/// two cells tie. Heapifying takes `O(cells)`, and each cell yielded
+/// strict total order *(convolved value descending, id ascending)*: the
+/// order in which the restart-scan of Algorithm 2 would pick them as
+/// winners. Heapifying takes `O(cells)`, and each cell yielded
 /// `O(log cells)`.
 fn ranked_cells(level: &Level, dims: usize) -> impl Iterator<Item = CellId> {
-    let values = convolve_level(level, dims);
-    // The first point fills the high half of the second field and the id
-    // the low half: first points decide every tie, and a two-field heap
-    // entry compares faster than a three-field one. The max-heap pops the
-    // largest value first and, among equal values, the smallest first point.
-    let mut heap: BinaryHeap<(i64, Reverse<u64>)> = (0..)
-        .zip(values)
-        .map(|(id, value)| {
-            let first = u64::from(level.first_point(id));
-            (value, Reverse((first << 32) | u64::from(id)))
-        })
+    // The max-heap pops the largest value first and, among equal values,
+    // the smallest id.
+    let mut heap: BinaryHeap<(i64, Reverse<CellId>)> = convolve_level(level, dims)
+        .into_iter()
+        .zip(0..)
+        .map(|(value, id)| (value, Reverse(id)))
         .collect();
-    iter::from_fn(move || {
-        heap.pop().map(|(_, Reverse(key))| {
-            CellId::try_from(key & u64::from(u32::MAX)).unwrap_or_default()
-        })
-    })
+    iter::from_fn(move || heap.pop().map(|(_, Reverse(id))| id))
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -339,8 +329,7 @@ mod tests {
 
     /// The restart-scan the cursor search replaced, kept as the reference it
     /// must reproduce: every sweep convolves every eligible cell of a level
-    /// and keeps the first maximum, scanning the cells in ascending first
-    /// point order, the order counting the points in one by one creates them.
+    /// and keeps the first maximum, scanning the cells in `CellId` order.
     /// Each level keeps its own `usedCell` set; returns the β-clusters and
     /// the tested winners in test order.
     fn reference_search(
@@ -355,11 +344,8 @@ mod tests {
             for h in 2..=tree.deepest_level() {
                 let level = tree.level(h);
                 let side = level.side();
-                let mut scan: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
-                scan.sort_by_key(|&id| level.first_point(id));
                 let mut best: Option<(CellId, i64)> = None;
-                for id in scan {
-                    let cell = level.cell(id);
+                for (id, cell) in level.iter() {
                     if used[h - 1][id as usize] || shares_space_with_any(cell, side, &betas) {
                         continue;
                     }
@@ -432,9 +418,9 @@ mod tests {
     }
 
     /// The lazy cursor yields every cell in exactly the order of a full
-    /// sort by *(value descending, first point ascending)*, the values from
-    /// the per-cell convolution. A uniform grid makes whole rows of cells
-    /// tie on their value, so the first points order them.
+    /// sort by *(value descending, id ascending)*, the values from the
+    /// per-cell convolution. A uniform grid makes whole rows of cells tie
+    /// on their value, so the ids order them.
     #[test]
     fn lazy_ranking_equals_a_full_sort() {
         let mut rows = Vec::new();
@@ -450,7 +436,7 @@ mod tests {
             let level = tree.level(h);
             let value = |id| convolve(level, id, 2, mask);
             let mut sorted: Vec<CellId> = level.iter().map(|(id, _)| id).collect();
-            sorted.sort_by_key(|&id| (Reverse(value(id)), level.first_point(id)));
+            sorted.sort_by_key(|&id| (Reverse(value(id)), id));
             let ties = sorted
                 .windows(2)
                 .filter(|w| value(w[0]) == value(w[1]))

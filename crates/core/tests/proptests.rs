@@ -5,6 +5,8 @@ use mrcc_common::float::exactly;
 use mrcc_common::{Dataset, NOISE};
 use mrcc_datagen::{generate, SyntheticSpec};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy over small synthetic workloads.
 fn spec_strategy() -> impl Strategy<Value = SyntheticSpec> {
@@ -13,8 +15,70 @@ fn spec_strategy() -> impl Strategy<Value = SyntheticSpec> {
     })
 }
 
+/// `ds` with its rows in `order`: row `i` of the copy is row `order[i]`.
+fn permuted(ds: &Dataset, order: &[usize]) -> Dataset {
+    let rows: Vec<&[f64]> = order.iter().map(|&i| ds.point(i)).collect();
+    Dataset::from_rows(&rows).unwrap()
+}
+
+/// Fits `ds` and its rows in `order`. The β-clusters and correlation
+/// clusters match by `Debug` text, which for an `f64` round-trips, and each
+/// row keeps its label and soft memberships.
+fn assert_row_order_invariant(ds: &Dataset, order: &[usize]) {
+    let moved = permuted(ds, order);
+    let (a, b) = (
+        MrCC::default().fit(ds).unwrap(),
+        MrCC::default().fit(&moved).unwrap(),
+    );
+    assert_eq!(
+        format!("{:?}", b.beta_clusters),
+        format!("{:?}", a.beta_clusters)
+    );
+    assert_eq!(format!("{:?}", b.clusters), format!("{:?}", a.clusters));
+    let (labels_a, labels_b) = (a.clustering.labels(), b.clustering.labels());
+    let (soft_a, soft_b) = (a.soft_memberships(ds), b.soft_memberships(&moved));
+    for (i, &row) in order.iter().enumerate() {
+        assert_eq!(labels_b[i], labels_a[row], "label of row {row}");
+        assert_eq!(
+            format!("{:?}", soft_b.memberships(i)),
+            format!("{:?}", soft_a.memberships(row)),
+            "soft memberships of row {row}"
+        );
+    }
+}
+
+/// A fixed case where breaking ties by each cell's smallest row index made
+/// the fit depend on the row order: reversed, it gave 7 β-clusters, not 6.
+#[test]
+fn reversed_rows_give_the_same_fit() {
+    let ds = generate(&SyntheticSpec::new("row-order", 8, 1_200, 3, 0.15, 2)).dataset;
+    let order: Vec<usize> = (0..ds.len()).rev().collect();
+    assert_row_order_invariant(&ds, &order);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A fit depends on the set of points, not on the order of the rows:
+    /// reversed or shuffled rows give the same β-clusters and clusters,
+    /// and every row keeps its label and soft memberships.
+    #[test]
+    fn row_order_does_not_change_the_fit(
+        (dims, points, clusters, seed) in (2usize..=10, 200usize..=2_000, 1usize..=3, 0u64..1000),
+        shuffle in any::<bool>(),
+    ) {
+        let spec = SyntheticSpec::new("row-order", dims, points, clusters, 0.15, seed);
+        let ds = generate(&spec).dataset;
+        let mut order: Vec<usize> = (0..ds.len()).rev().collect();
+        if shuffle {
+            // Fisher–Yates.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        assert_row_order_invariant(&ds, &order);
+    }
 
     /// The output is always a valid partition: every label is a cluster id
     /// or noise; cluster sizes sum with noise to η; reported sizes match.

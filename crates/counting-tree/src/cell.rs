@@ -11,10 +11,10 @@
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
 /// Index of a cell within its level, in packed-key order: keys compare
-/// word by word from word 0, each word as an integer. Ids are not arrival
-/// order; [`Level::first_point`] gives that.
-///
-/// [`Level::first_point`]: crate::Level::first_point
+/// word by word from word 0, each word as an integer. The id is thus a
+/// function of the cell's grid position alone, whatever the order of the
+/// dataset's rows, and the β-cluster search breaks ties between equal
+/// convolved values by the smaller id.
 pub type CellId = u32;
 
 /// How one level packs grid coordinates into key words: `h` bits per

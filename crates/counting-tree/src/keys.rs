@@ -119,12 +119,12 @@ impl SortedKeys {
         })
     }
 
-    /// Calls `visit(point, key, split)` for every point in key order, where
+    /// Calls `visit(key, split)` for every point in key order, where
     /// `split` is the bit-plane of the first bit where `key` differs from
     /// the previous key: the shallowest level at which the point starts a
     /// new cell, counted from 0. The first point has split 0; a point whose
     /// key equals the previous one has split `usize::MAX`.
-    pub(crate) fn walk(&self, mut visit: impl FnMut(u32, &[u64], usize)) {
+    pub(crate) fn walk(&self, mut visit: impl FnMut(&[u64], usize)) {
         let (mut a, mut b) = ([0u64; MAX_KEY_WORDS], [0u64; MAX_KEY_WORDS]);
         #[expect(
             clippy::indexing_slicing,
@@ -144,7 +144,7 @@ impl SortedKeys {
             } else {
                 split_plane(prev, key, self.d)
             };
-            visit(point, key, split);
+            visit(key, split);
             std::mem::swap(&mut prev, &mut key);
         }
     }
@@ -197,13 +197,10 @@ mod tests {
         let ds = Dataset::from_rows(&[[0.75, 0.25], [0.0, 0.9]]).unwrap();
         let keys = SortedKeys::new(&ds, 3).unwrap();
         let mut seen = Vec::new();
-        keys.walk(|point, key, split| seen.push((point, key.to_vec(), split)));
+        keys.walk(|key, split| seen.push((key.to_vec(), split)));
         // (0.0, 0.9) is (0, 3): planes 0b10, 0b10, so it sorts last and
         // starts a new level-1 cell.
-        assert_eq!(
-            seen,
-            [(0, vec![0b01_11 << 60], 0), (1, vec![0b10_10 << 60], 0)]
-        );
+        assert_eq!(seen, [(vec![0b01_11 << 60], 0), (vec![0b10_10 << 60], 0)]);
         assert_eq!(plane_bits(&[0b01_11 << 60], 1, 2), 0b11);
     }
 
@@ -216,7 +213,7 @@ mod tests {
             .collect();
         let ds = Dataset::from_rows(&[point]).unwrap();
         let keys = SortedKeys::new(&ds, 4).unwrap();
-        keys.walk(|_, key, _| {
+        keys.walk(|key, _| {
             assert_eq!(key.len(), 2);
             // 0.9 → 7 = 0b111 and 0.1 → 0 on the level-3 grid: every plane
             // holds the same bits.
@@ -236,7 +233,7 @@ mod tests {
         let ds = Dataset::from_rows(&[[0.1], [0.2]]).unwrap();
         let keys = SortedKeys::new(&ds, 3).unwrap();
         let mut splits = Vec::new();
-        keys.walk(|_, key, split| splits.push((key.to_vec(), split)));
+        keys.walk(|key, split| splits.push((key.to_vec(), split)));
         assert_eq!(splits, [(vec![0], 0), (vec![0], usize::MAX)]);
     }
 

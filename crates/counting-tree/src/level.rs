@@ -20,10 +20,9 @@ pub enum Direction {
 ///
 /// One array per cell field, indexed by [`CellId`]: the packed `keys` with
 /// stride `W` (see `KeyLayout`), the counts `n`, the half-space counts `p`
-/// with stride `d`, `parents` (0 at level 1, under the implicit root) and
-/// `first`, each cell's smallest point index. The cells are in packed-key
-/// order, word 0 most significant, so a lookup is a binary search over
-/// `keys`.
+/// with stride `d` and `parents` (0 at level 1, under the implicit root).
+/// The cells are in packed-key order, word 0 most significant, so a lookup
+/// is a binary search over `keys`.
 ///
 /// The deepest level, `H − 1`, keeps no half-space counts: the binomial
 /// test reads the `P` of a winner's parent only, and no winner sits below
@@ -42,7 +41,6 @@ pub struct Level {
     p_stride: usize,
     p: Vec<u32>,
     parents: Vec<CellId>,
-    first: Vec<u32>,
 }
 
 impl Level {
@@ -64,7 +62,6 @@ impl Level {
             p_stride,
             p: Vec::with_capacity(cells * p_stride),
             parents: Vec::with_capacity(cells),
-            first: Vec::with_capacity(cells),
         }
     }
 
@@ -220,18 +217,6 @@ impl Level {
         self.parents[u32_to_usize(id)]
     }
 
-    /// The smallest dataset index of a point the cell holds. Distinct per
-    /// cell of a level, and ascending in the order cells would be created
-    /// by counting the points into the tree one by one.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range id.
-    #[inline]
-    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
-    pub fn first_point(&self, id: CellId) -> u32 {
-        self.first[u32_to_usize(id)]
-    }
-
     /// Sum of point counts over all cells (must equal `η`; used by tests and
     /// debug assertions).
     pub fn total_points(&self) -> u64 {
@@ -242,7 +227,7 @@ impl Level {
     pub fn memory_bytes(&self) -> usize {
         size_of::<Level>()
             + self.keys.capacity() * size_of::<u64>()
-            + (self.n.capacity() + self.p.capacity() + self.first.capacity()) * size_of::<u32>()
+            + (self.n.capacity() + self.p.capacity()) * size_of::<u32>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
@@ -257,25 +242,22 @@ impl Level {
         self.p.resize(self.p.len() + self.p_stride, 0);
         self.n.push(0);
         self.parents.push(parent);
-        self.first.push(u32::MAX);
     }
 
-    /// Count and first point of the last cell pushed.
-    pub(crate) fn last_counts(&self) -> Option<(u32, u32)> {
-        self.n.last().copied().zip(self.first.last().copied())
+    /// Count of the last cell pushed.
+    pub(crate) fn last_count(&self) -> Option<u32> {
+        self.n.last().copied()
     }
 
-    /// Adds `n` points, the smallest numbered `first`, into the last cell
-    /// pushed, and into its `P[j]` where bit `j` of `upper` is clear: the
-    /// points sit in the cell's lower half along `e_j`. A level without
-    /// half-space counts ignores `upper`.
+    /// Adds `n` points into the last cell pushed, and into its `P[j]` where
+    /// bit `j` of `upper` is clear: the points sit in the cell's lower half
+    /// along `e_j`. A level without half-space counts ignores `upper`.
     #[expect(clippy::indexing_slicing, reason = "`i` is the last cell pushed")]
-    pub(crate) fn add_to_last(&mut self, n: u32, first: u32, upper: u64) {
+    pub(crate) fn add_to_last(&mut self, n: u32, upper: u64) {
         let Some(i) = self.n_cells().checked_sub(1) else {
             return;
         };
         self.n[i] += n;
-        self.first[i] = self.first[i].min(first);
         let s = self.p_stride;
         for (j, slot) in self.p[i * s..(i + 1) * s].iter_mut().enumerate() {
             *slot += n * u32::from((upper >> j) & 1 == 0);
@@ -360,7 +342,6 @@ impl Level {
         swap_rows(&mut self.p, self.p_stride, a, b);
         self.n.swap(a, b);
         self.parents.swap(a, b);
-        self.first.swap(a, b);
     }
 }
 
@@ -393,14 +374,13 @@ mod tests {
     use mrcc_common::Dataset;
 
     /// A level of the given cells, each `(coords, parent, n)`, pushed in the
-    /// given order and then sorted as the build sorts them. A cell's first
-    /// point is its push number.
+    /// given order and then sorted as the build sorts them.
     fn sorted_level(h: u32, cells: &[(&[u64], CellId, u32)]) -> Level {
         let d = cells.first().map_or(1, |c| c.0.len());
         let mut l = Level::with_capacity(h, d, cells.len(), true);
-        for (point, &(coords, parent, n)) in (0..).zip(cells) {
+        for &(coords, parent, n) in cells {
             l.push_cell(coords.iter().copied(), parent);
-            l.add_to_last(n, point, 0);
+            l.add_to_last(n, 0);
         }
         l.sort_cells(&[]);
         l
@@ -456,9 +436,9 @@ mod tests {
         let mut l = Level::with_capacity(2, 2, 1, true);
         l.push_cell([2, 3], 0);
         // Bit j of `upper` clear → lower half along axis j.
-        l.add_to_last(1, 0, 0b10);
-        l.add_to_last(1, 0, 0b00);
-        l.add_to_last(1, 0, 0b01);
+        l.add_to_last(1, 0b10);
+        l.add_to_last(1, 0b00);
+        l.add_to_last(1, 0b01);
         l.sort_cells(&[]);
         let c = l.cell(l.find(&[2, 3]).unwrap());
         assert_eq!(c.n(), 3);
@@ -548,13 +528,13 @@ mod tests {
 
     #[test]
     fn parent_is_recorded() {
-        // Pushed out of key order: the sort moves each parent and first
-        // point with its cell.
-        let l = sorted_level(2, &[(&[3], 9, 1), (&[0], 4, 1)]);
+        // Pushed out of key order: the sort moves each parent and count
+        // with its cell.
+        let l = sorted_level(2, &[(&[3], 9, 1), (&[0], 4, 2)]);
         let (a, b) = (l.find(&[0]).unwrap(), l.find(&[3]).unwrap());
         assert_eq!((a, b), (0, 1));
         assert_eq!((l.parent(a), l.parent(b)), (4, 9));
-        assert_eq!((l.first_point(a), l.first_point(b)), (1, 0));
+        assert_eq!((l.cell(a).n(), l.cell(b).n()), (2, 1));
     }
 
     #[test]
@@ -563,7 +543,7 @@ mod tests {
         let mut l = Level::with_capacity(3, 1, 3, true);
         for (c, parent) in [(6, 0), (1, 1), (4, 2)] {
             l.push_cell([c], parent);
-            l.add_to_last(1, 0, 0);
+            l.add_to_last(1, 0);
         }
         // The parent level moved its cells 0, 1, 2 to 2, 0, 1.
         let rank = l.sort_cells(&[2, 0, 1]);

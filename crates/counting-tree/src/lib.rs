@@ -62,11 +62,10 @@
 //! deepest level's, `⌈d·(H−1)/64⌉` words. After one sort of the
 //! keys, the cells of level `h` are the runs of equal `h·d`-bit prefixes. One
 //! sweep over the runs appends every level's cells in that order, with
-//! their parents (the enclosing run one level up), their counts and
-//! [`Level::first_point`], each cell's smallest point index. Each level is
-//! then sorted once into packed-key order, and its children's parents are
-//! renamed to the sorted ids. Ascending `first_point` is the order in which
-//! counting the points in one by one would create the cells.
+//! their parents (the enclosing run one level up) and their counts. Each
+//! level is then sorted once into packed-key order, and its children's
+//! parents are renamed to the sorted ids. A tree is a function of the set
+//! of points: no field records the order of the dataset's rows.
 //!
 //! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
 //! as `u32`: a tree counts at most [`MAX_POINTS`]. The deepest level, `H − 1`,

@@ -96,7 +96,7 @@ impl CountingTree {
         // A run of level h starts wherever the sorted keys first differ in
         // one of the first h bit-planes. Count the runs to size each level.
         let mut cells = vec![0usize; h_max];
-        keys.walk(|_, _, split| {
+        keys.walk(|_, split| {
             for count in cells.iter_mut().skip(split) {
                 *count += 1;
             }
@@ -119,7 +119,7 @@ impl CountingTree {
         )]
         let deep = &mut deep[..d];
         let mut loc = [0u64; MAX_RESOLUTIONS];
-        keys.walk(|point, key, split| {
+        keys.walk(|key, split| {
             close_runs(&mut levels, &loc, split);
             for plane in split..h_max {
                 let bits = plane_bits(key, plane, d);
@@ -141,7 +141,7 @@ impl CountingTree {
             }
             // The deepest level has no `P`, so no half-space bits to add.
             if let Some(deepest) = levels.last_mut() {
-                deepest.add_to_last(1, point, 0);
+                deepest.add_to_last(1, 0);
             }
         });
         close_runs(&mut levels, &loc, 0);
@@ -223,17 +223,15 @@ impl CountingTree {
 }
 
 /// Closes the open runs at planes `from..`, deepest first: each adds its
-/// count and first point into its parent's open run, and its count into
-/// the parent's `P[j]` where its plane bits `loc` put it in the lower half.
+/// count into its parent's open run, and into the parent's `P[j]` where
+/// its plane bits `loc` put it in the lower half.
 /// Level 1's runs have no parent to close into.
 fn close_runs(levels: &mut [Level], loc: &[u64], from: usize) {
     for plane in (from.max(1)..levels.len()).rev() {
         let (coarse, fine) = levels.split_at_mut(plane);
-        let child = fine.first().and_then(Level::last_counts);
-        if let (Some(parent), Some((n, first)), Some(&bits)) =
-            (coarse.last_mut(), child, loc.get(plane))
-        {
-            parent.add_to_last(n, first, bits);
+        let child = fine.first().and_then(Level::last_count);
+        if let (Some(parent), Some(n), Some(&bits)) = (coarse.last_mut(), child, loc.get(plane)) {
+            parent.add_to_last(n, bits);
         }
     }
 }

@@ -138,9 +138,9 @@ fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
     }
 }
 
-/// One level's cells by coordinates: `n`, `P`, first point and the
-/// parent's coordinates (empty at level 1, under the implicit root).
-type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u32>, u32, Vec<u64>)>;
+/// One level's cells by coordinates: `n`, `P` and the parent's
+/// coordinates (empty at level 1, under the implicit root).
+type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u32>, Vec<u64>)>;
 
 /// Every level of `tree` as a [`CellTable`], whatever its id numbering.
 fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
@@ -154,12 +154,7 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
                         1 => Vec::new(),
                         _ => tree.level(h - 1).cell(level.parent(id)).coords().collect(),
                     };
-                    let fields = (
-                        cell.n(),
-                        cell.half_counts().to_vec(),
-                        level.first_point(id),
-                        parent,
-                    );
+                    let fields = (cell.n(), cell.half_counts().to_vec(), parent);
                     (cell.coords().collect(), fields)
                 })
                 .collect()
@@ -180,7 +175,7 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
     (1..resolutions)
         .map(|h| {
             let mut table = CellTable::new();
-            for (point, p) in (0..).zip(ds.iter()) {
+            for p in ds.iter() {
                 let coords = grid(p, h);
                 let finer = if h + 1 < resolutions {
                     grid(p, h + 1)
@@ -193,12 +188,11 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
                 };
                 let entry = table
                     .entry(coords)
-                    .or_insert_with(|| (0, vec![0; finer.len()], point, parent));
+                    .or_insert_with(|| (0, vec![0; finer.len()], parent));
                 entry.0 += 1;
                 for (half, f) in entry.1.iter_mut().zip(&finer) {
                     *half += u32::from(f & 1 == 0);
                 }
-                entry.2 = entry.2.min(point);
             }
             table
         })
@@ -206,7 +200,7 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
 }
 
 /// The sorted build gives the cells of the brute-force tables, with their
-/// counts, first points and parents, at every level, and their half-space
+/// counts and parents, at every level, and their half-space
 /// counts at every level but the deepest, which keeps none.
 fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
     let tree = CountingTree::build(ds, resolutions).unwrap();
@@ -221,7 +215,7 @@ fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
             assert_eq!(coords, want_coords, "level {h}");
             assert_eq!(got, want, "level {h} cell {coords:?}");
             let parent: Vec<u64> = coords.iter().map(|c| c >> 1).collect();
-            assert!(h == 1 || got.3 == parent, "level {h} cell {coords:?}");
+            assert!(h == 1 || got.2 == parent, "level {h} cell {coords:?}");
         }
     }
 }
@@ -260,7 +254,7 @@ fn build_equals_brute_force_on_crowded_cells() {
 }
 
 /// A 2-d level of 1120 cells, one per point, answers every lookup like
-/// the scan, and each cell's first point is the index of its one point.
+/// the scan, and each cell holds its one point.
 #[test]
 fn a_large_level_answers_like_the_scan() {
     let rows: Vec<[f64; 2]> = (0..1_120u32)
@@ -270,13 +264,13 @@ fn a_large_level_answers_like_the_scan() {
         })
         .collect();
     let ds = Dataset::from_rows(&rows).unwrap();
-    let grid = (0..).zip((0..1_120u64).map(|i| (i % 40, i / 40)));
+    let grid = (0..1_120u64).map(|i| (i % 40, i / 40));
     let tree = CountingTree::build(&ds, 8).unwrap();
     let level = tree.level(6);
     assert_eq!(level.n_cells(), 1_120);
-    for (point, (x, y)) in grid {
+    for (x, y) in grid {
         let id = level.find(&[x, y]).unwrap();
-        assert_eq!(level.first_point(id), point);
+        assert_eq!(level.cell(id).n(), 1);
     }
     assert_lookups_match_scan(&tree);
 }

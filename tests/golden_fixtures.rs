@@ -4,8 +4,9 @@
 //! expected-output JSON capturing the complete clustering: point labels,
 //! every β-cluster (level, axes, center, bit-exact bounds) and every
 //! correlation cluster (axes, members, size, bit-exact hull). The fit —
-//! with the default configuration *and* with `with_threads(4)`, which must
-//! not change any output — must reproduce the files exactly.
+//! with the default configuration, with `with_threads(4)`, and on the CSV's
+//! rows in reverse order, none of which may change any output — must
+//! reproduce the files exactly (the reversed fit's labels read in reverse).
 //!
 //! Float fields are stored as hexadecimal [`f64::to_bits`] strings, because
 //! the claim under test is representation equality, and JSON numbers (f64 in
@@ -152,12 +153,12 @@ fn result_to_json(r: &MrCCResult) -> Value {
     ])
 }
 
-/// Panics unless `r` matches the golden `expected` value exactly.
-fn assert_matches_golden(r: &MrCCResult, expected: &Value, context: &str) {
+/// Panics unless `r` matches the golden `expected` value exactly, with
+/// `got` as its labels in the order of the CSV's rows.
+fn assert_matches_golden(r: &MrCCResult, got: &[i32], expected: &Value, context: &str) {
     let labels = expected["labels"]
         .as_array()
         .unwrap_or_else(|| panic!("{context}: golden labels missing"));
-    let got = r.clustering.labels();
     assert_eq!(got.len(), labels.len(), "{context}: label count");
     for (i, (g, e)) in got.iter().zip(labels.iter()).enumerate() {
         let e = e.as_f64().unwrap_or_else(|| panic!("{context}: label {i}"));
@@ -275,10 +276,21 @@ fn golden_fixtures_reproduce_exactly() {
             .unwrap_or_else(|e| panic!("{name}: cannot read {} ({e})", json_path.display()));
         let expected: Value = serde_json::from_str(&text).unwrap();
 
-        assert_matches_golden(&serial, &expected, &format!("{name} serial"));
+        let labels = serial.clustering.labels();
+        assert_matches_golden(&serial, &labels, &expected, &format!("{name} serial"));
         let four_threads = MrCC::new(MrCCConfig::default().with_threads(4))
             .fit(&ds)
             .unwrap();
-        assert_matches_golden(&four_threads, &expected, &format!("{name} threads(4)"));
+        let labels = four_threads.clustering.labels();
+        let context = format!("{name} threads(4)");
+        assert_matches_golden(&four_threads, &labels, &expected, &context);
+        let rows: Vec<&[f64]> = (0..ds.len()).rev().map(|i| ds.point(i)).collect();
+        let reversed = MrCC::new(MrCCConfig::default())
+            .fit(&Dataset::from_rows(&rows).unwrap())
+            .unwrap();
+        let mut labels = reversed.clustering.labels();
+        labels.reverse();
+        let context = format!("{name} reversed rows");
+        assert_matches_golden(&reversed, &labels, &expected, &context);
     }
 }
