@@ -132,6 +132,13 @@ impl MergeCache {
         self.box_counts[k]
     }
 
+    /// Total length of all containment lists: the number of (point,
+    /// containing box) pairs.
+    #[must_use]
+    pub(crate) fn n_containments(&self) -> usize {
+        self.ids.len()
+    }
+
     /// The β-clusters whose boxes contain point `i`, ascending.
     ///
     /// # Panics

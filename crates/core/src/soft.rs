@@ -9,6 +9,10 @@
 //! covers a point contributes a membership proportional to the cluster's
 //! local density at the point — the density of the densest member β-box
 //! that contains it — and weights are normalized per point.
+//!
+//! The memberships of all points live in one flat array in compressed
+//! sparse row (CSR) form, like the [`crate::MergeCache`] they are computed
+//! from: point `i`'s row is `entries[offsets[i]..offsets[i + 1]]`.
 
 use mrcc_common::Dataset;
 
@@ -16,9 +20,16 @@ use crate::result::MrCCResult;
 
 /// Per-point soft memberships: for each point, the list of
 /// `(cluster index, weight)` pairs, weights summing to 1 (empty for noise).
+///
+/// Stored as CSR: one `offsets` array of length `η + 1` and one `entries`
+/// array holding every point's row back to back, so the whole clustering
+/// is two heap blocks whatever `η`.
 #[derive(Debug, Clone)]
 pub struct SoftClustering {
-    memberships: Vec<Vec<(usize, f64)>>,
+    /// Point `i`'s row is `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Every row's `(cluster, weight)` pairs, each row by descending weight.
+    entries: Vec<(usize, f64)>,
     n_clusters: usize,
 }
 
@@ -29,12 +40,12 @@ impl SoftClustering {
     /// Panics when `i` is not a valid point index.
     #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn memberships(&self, i: usize) -> &[(usize, f64)] {
-        &self.memberships[i]
+        &self.entries[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Number of points.
     pub fn n_points(&self) -> usize {
-        self.memberships.len()
+        self.offsets.len() - 1
     }
 
     /// Number of clusters weights may refer to.
@@ -44,15 +55,20 @@ impl SoftClustering {
 
     /// Points assigned to more than one cluster.
     pub fn n_shared_points(&self) -> usize {
-        self.memberships.iter().filter(|m| m.len() > 1).count()
+        (0..self.n_points())
+            .filter(|&i| self.memberships(i).len() > 1)
+            .count()
     }
 
     /// Hardens to a label vector: the strongest membership wins, noise
     /// stays [`mrcc_common::NOISE`].
     pub fn harden(&self) -> Vec<i32> {
-        self.memberships
-            .iter()
-            .map(|m| m.first().map_or(mrcc_common::NOISE, |&(k, _)| k as i32))
+        (0..self.n_points())
+            .map(|i| {
+                self.memberships(i)
+                    .first()
+                    .map_or(mrcc_common::NOISE, |&(k, _)| k as i32)
+            })
             .collect()
     }
 }
@@ -72,7 +88,12 @@ impl MrCCResult {
     /// point — both the per-β populations and each point's containing-box
     /// set come from the fit's [`crate::MergeCache`], so this performs
     /// **zero** dataset scans (a unit test pins the test-only
-    /// `merge::dataset_scan_count` at +0 across this call).
+    /// `merge::dataset_scan_count` at +0 across this call). It is one flat
+    /// pass over the points that makes at most four allocations whatever
+    /// `η`: the per-β table, one scratch buffer for a point's containing
+    /// boxes, and the result's two CSR arrays, each allocated once at its
+    /// final capacity (`tests/soft_allocations.rs` pins the count at `η`
+    /// and `4η`).
     ///
     /// # Panics
     /// Panics when `dataset` is not the dataset this result was fitted on
@@ -84,10 +105,11 @@ impl MrCCResult {
             "soft_memberships needs the dataset the result was fitted on"
         );
 
-        // Box densities: points inside / relevant-subspace volume. Work in
-        // log space per axis to keep tiny volumes stable. Counts come from
-        // the merge pass, not a re-scan.
-        let box_density: Vec<f64> = self
+        // Per β-cluster: the correlation cluster it belongs to (every β
+        // belongs to exactly one) and its box density, points inside over
+        // relevant-subspace volume. Work in log space per axis to keep tiny
+        // volumes stable. Counts come from the merge pass, not a re-scan.
+        let mut candidate_of: Vec<(usize, f64)> = self
             .beta_clusters
             .iter()
             .enumerate()
@@ -99,37 +121,42 @@ impl MrCCResult {
                 // Normalize per relevant axis so clusters of different
                 // dimensionality compare on the same footing.
                 let delta = b.axes.count().max(1) as f64;
-                (self.merge_cache.box_count(m).max(1) as f64).ln() - log_volume / delta
+                let density =
+                    (self.merge_cache.box_count(m).max(1) as f64).ln() - log_volume / delta;
+                (0, density)
             })
             .collect();
-
-        // Map each β-cluster to its correlation cluster for the candidate
-        // grouping below (every β belongs to exactly one cluster).
-        let mut cluster_of: Vec<usize> = vec![0; self.beta_clusters.len()];
         for (k, cluster) in self.clusters.iter().enumerate() {
             #[expect(clippy::indexing_slicing, reason = "members index β-clusters")]
             for &m in &cluster.beta_indices {
-                cluster_of[m] = k;
+                candidate_of[m].0 = k;
             }
         }
 
-        let mut memberships: Vec<Vec<(usize, f64)>> = Vec::with_capacity(dataset.len());
-        for i in 0..dataset.len() {
-            // The cached containing-box list is ascending by β index, so a
-            // stable sort by cluster reproduces the old path exactly: per
-            // cluster, densities are folded in member (β-index) order, and
-            // candidate clusters emerge in ascending cluster order.
+        let n = dataset.len();
+        let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        // A point has at most one entry per containing box.
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(self.merge_cache.n_containments());
+        // A point lies in each box at most once.
+        let mut hits: Vec<(usize, f64)> = Vec::with_capacity(candidate_of.len());
+        for i in 0..n {
+            // The cached containing-box list is ascending by β index, so the
+            // stable sort by cluster folds each cluster's densities in
+            // member (β-index) order, and candidate clusters emerge in
+            // ascending cluster order.
+            hits.clear();
             #[expect(clippy::indexing_slicing, reason = "containment ids index β-clusters")]
-            let mut hits: Vec<(usize, f64)> = self
-                .merge_cache
-                .containing(i)
-                .iter()
-                .map(|&m| (cluster_of[m as usize], box_density[m as usize]))
-                .collect();
+            hits.extend(
+                self.merge_cache
+                    .containing(i)
+                    .iter()
+                    .map(|&m| candidate_of[m as usize]),
+            );
             hits.sort_by_key(|&(k, _)| k);
-            let mut candidates: Vec<(usize, f64)> = Vec::new();
+            let start = entries.len();
             for &(k, d) in &hits {
-                match candidates.last_mut() {
+                match entries.get_mut(start..).and_then(<[_]>::last_mut) {
                     Some((last, best)) if *last == k => {
                         // Same tie behaviour as `Iterator::max_by`: a later
                         // equal value replaces the earlier one.
@@ -141,38 +168,44 @@ impl MrCCResult {
                             *best = d;
                         }
                     }
-                    _ => candidates.push((k, d)),
+                    _ => entries.push((k, d)),
                 }
             }
-            if candidates.is_empty() {
-                memberships.push(Vec::new());
-                continue;
-            }
-            // Softmax over log-density scores → normalized weights.
-            let max_score = candidates
-                .iter()
-                .map(|&(_, s)| s)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut weights: Vec<(usize, f64)> = candidates
-                .into_iter()
-                .map(|(k, s)| (k, (s - max_score).exp()))
-                .collect();
-            let total: f64 = weights.iter().map(|&(_, w)| w).sum();
-            for (_, w) in &mut weights {
-                *w /= total;
-            }
-            #[expect(clippy::expect_used, reason = "softmax weights are finite")]
-            weights.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("softmax weights are finite and nonnegative invariant")
-            });
-            memberships.push(weights);
+            #[expect(clippy::indexing_slicing, reason = "start ≤ entries.len()")]
+            softmax_in_place(&mut entries[start..]);
+            offsets.push(entries.len());
         }
         SoftClustering {
-            memberships,
+            offsets,
+            entries,
             n_clusters: self.clusters.len(),
         }
     }
+}
+
+/// Turns one point's `(cluster, log-density score)` candidates into
+/// normalized weights, sorted by descending weight; equal weights keep
+/// their ascending cluster order.
+///
+/// # Panics
+/// Panics when a score is NaN; box densities are finite by construction.
+fn softmax_in_place(row: &mut [(usize, f64)]) {
+    let max_score = row
+        .iter()
+        .map(|&(_, s)| s)
+        .fold(f64::NEG_INFINITY, f64::max);
+    for (_, w) in row.iter_mut() {
+        *w = (*w - max_score).exp();
+    }
+    let total: f64 = row.iter().map(|&(_, w)| w).sum();
+    for (_, w) in row.iter_mut() {
+        *w /= total;
+    }
+    #[expect(clippy::expect_used, reason = "softmax weights are finite")]
+    row.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("softmax weights are finite and nonnegative invariant")
+    });
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //! with the default configuration, with `with_threads(4)`, and on the CSV's
 //! rows in reverse order, none of which may change any output — must
 //! reproduce the files exactly (the reversed fit's labels read in reverse).
+//! Neither fixture meets a tie between equal convolved values that decides
+//! a winner, so a fixture-free leg builds one: two blobs, one the other's
+//! exact translate, fitted in both row orders.
 //!
 //! Float fields are stored as hexadecimal [`f64::to_bits`] strings, because
 //! the claim under test is representation equality, and JSON numbers (f64 in
@@ -293,4 +296,71 @@ fn golden_fixtures_reproduce_exactly() {
         let context = format!("{name} reversed rows");
         assert_matches_golden(&reversed, &labels, &expected, &context);
     }
+}
+
+/// Two noise-free blobs on the dyadic lattice `k / 1024`, the second the
+/// first translated by exactly 0.5 along axis 0. Every grid level halves the
+/// unit cube, so the translation maps cells onto cells and the two blobs'
+/// cells have equal convolved values: only the tie rule decides which blob
+/// the search finds first. The rows alternate between the blobs.
+fn tied_blobs() -> Vec<[f64; 3]> {
+    let mut state = 0x7135u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state >> 11
+    };
+    // A lattice offset in [-32, 32], peaked at 0.
+    let mut offset = move || (0..4).map(|_| (next() % 17) as i64 - 8).sum::<i64>();
+    let mut rows = Vec::new();
+    for _ in 0..1_000 {
+        let point = [205 + offset(), 307 + offset(), 307 + offset()].map(|k| k as f64 / 1024.0);
+        rows.push(point);
+        rows.push([point[0] + 0.5, point[1], point[2]]);
+    }
+    rows
+}
+
+#[test]
+fn a_tie_decides_the_winner_in_any_row_order() {
+    let rows = tied_blobs();
+    let forward = MrCC::default()
+        .fit(&Dataset::from_rows(&rows).unwrap())
+        .unwrap();
+    let [first, second] = forward.beta_clusters.as_slice() else {
+        panic!(
+            "{} β-clusters, expected one per blob",
+            forward.n_beta_clusters()
+        );
+    };
+    // The tie goes to the cell first in grid position: the blob nearer the
+    // origin is found first.
+    assert!(first.bounds.upper(0) <= 0.5, "the far blob won the tie");
+    // The two β-clusters are each other's translate, so their winning
+    // cells tied.
+    assert_eq!(first.level, second.level);
+    assert_eq!(first.axes, second.axes);
+    for j in 0..3 {
+        let shift = if j == 0 { 0.5 } else { 0.0 };
+        assert_eq!(
+            (first.bounds.lower(j) + shift).to_bits(),
+            second.bounds.lower(j).to_bits(),
+            "lower {j}"
+        );
+        assert_eq!(
+            (first.bounds.upper(j) + shift).to_bits(),
+            second.bounds.upper(j).to_bits(),
+            "upper {j}"
+        );
+    }
+
+    let reversed_rows: Vec<[f64; 3]> = rows.iter().rev().copied().collect();
+    let reversed = MrCC::default()
+        .fit(&Dataset::from_rows(&reversed_rows).unwrap())
+        .unwrap();
+    let mut labels = reversed.clustering.labels();
+    labels.reverse();
+    let expected = result_to_json(&forward);
+    assert_matches_golden(&reversed, &labels, &expected, "tied blobs reversed rows");
 }
