@@ -33,6 +33,12 @@
 //! is never offered again because its cursor has stepped past it. The search
 //! only reads the tree, so repeated searches on one tree return the same
 //! β-clusters.
+//!
+//! The binomial test reads the half-space counts `P` of a winner's parent,
+//! which the tree does not store. Beside its rankings the search builds one
+//! [`ChildIndex`] per parent level, the paper's `ptr`, and sums `P[j]` over
+//! the parent's children with an even coordinate `j` (see
+//! `neighborhood_stats`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,7 +46,7 @@ use std::iter;
 
 use mrcc_common::num::grid_to_f64;
 use mrcc_common::{AxisMask, BoundingBox};
-use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
+use mrcc_counting_tree::{Cell, CellId, ChildIndex, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
@@ -70,11 +76,13 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     let mut cursors: Vec<_> = (2..=h_max)
         .map(|h| ranked_cells(tree.level(h), dims))
         .collect();
+    // The children of each level-(h − 1) cell, for the winners of level h.
+    let child_indexes: Vec<_> = (1..h_max).map(|h| ChildIndex::new(tree, h)).collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
     let mut tested = Vec::new();
     'search: loop {
         // One sweep from the coarsest convolvable level down.
-        for (h, cursor) in (2..=h_max).zip(cursors.iter_mut()) {
+        for ((h, cursor), children) in (2..=h_max).zip(cursors.iter_mut()).zip(&child_indexes) {
             let level = tree.level(h);
             let side = level.side();
             // `find` steps the cursor past every cell it rejects and past
@@ -85,7 +93,7 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
                 continue;
             };
             tested.push((h, winner));
-            if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
+            if let Some(beta) = confirm_beta_cluster(tree, children, h, winner, config) {
                 betas.push(beta);
                 continue 'search; // restart at level 2 (Algorithm 2, line 2)
             }
@@ -95,20 +103,25 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     (betas, tested)
 }
 
+/// A ranking entry: a cell's convolved value and its id. The max-heap pops
+/// the largest value first and, among equal values, the smallest id.
+/// Packed to 12 bytes, where the tuple `(i64, Reverse<CellId>)` pads to 16.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(C, packed(4))]
+struct Ranked(i64, Reverse<CellId>);
+
 /// Every cell id of `level`, convolved once and yielded lazily in the
 /// strict total order *(convolved value descending, id ascending)*: the
 /// order in which the restart-scan of Algorithm 2 would pick them as
 /// winners. Heapifying takes `O(cells)`, and each cell yielded
 /// `O(log cells)`.
 fn ranked_cells(level: &Level, dims: usize) -> impl Iterator<Item = CellId> {
-    // The max-heap pops the largest value first and, among equal values,
-    // the smallest id.
-    let mut heap: BinaryHeap<(i64, Reverse<CellId>)> = convolve_level(level, dims)
+    let mut heap: BinaryHeap<Ranked> = convolve_level(level, dims)
         .into_iter()
         .zip(0..)
-        .map(|(value, id)| (value, Reverse(id)))
+        .map(|(value, id)| Ranked(value, Reverse(id)))
         .collect();
-    iter::from_fn(move || heap.pop().map(|(_, Reverse(id))| id))
+    iter::from_fn(move || heap.pop().map(|Ranked(_, Reverse(id))| id))
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -125,7 +138,15 @@ fn shares_space_with_any(cell: Cell<'_>, side: f64, betas: &[BetaCluster]) -> bo
 }
 
 /// Statistics of the six-region neighborhood of `winner` along every axis.
-fn neighborhood_stats(tree: &CountingTree, h: usize, winner: CellId, alpha: f64) -> Vec<AxisStats> {
+/// `children` indexes the children of level `h − 1`: the parent's half-space
+/// counts `P` come from it.
+fn neighborhood_stats(
+    tree: &CountingTree,
+    children: &ChildIndex<'_>,
+    h: usize,
+    winner: CellId,
+    alpha: f64,
+) -> Vec<AxisStats> {
     let dims = tree.dims();
     let level = tree.level(h);
     let cell = level.cell(winner);
@@ -144,10 +165,11 @@ fn neighborhood_stats(tree: &CountingTree, h: usize, winner: CellId, alpha: f64)
             // Centre region: the half of the parent that contains the winner.
             // Half-space count P[j] is the parent's lower half, so take it
             // directly when the winner's loc bit is 0, its complement when 1.
+            let lower = children.half_count(parent_id, j);
             let center = if cell.loc_bit(j) {
-                parent.n() - parent.half_count(j)
+                parent.n() - lower
             } else {
-                parent.half_count(j)
+                lower
             };
             let critical = binomial_critical_value(neighborhood, NULL_REGION_SHARE, alpha);
             let relevance = if neighborhood > 0 {
@@ -169,11 +191,12 @@ fn neighborhood_stats(tree: &CountingTree, h: usize, winner: CellId, alpha: f64)
 /// β-cluster description (relevant axes + refined bounds).
 fn confirm_beta_cluster(
     tree: &CountingTree,
+    children: &ChildIndex<'_>,
     h: usize,
     winner: CellId,
     config: &MrCCConfig,
 ) -> Option<BetaCluster> {
-    let stats = neighborhood_stats(tree, h, winner, config.alpha);
+    let stats = neighborhood_stats(tree, children, h, winner, config.alpha);
     if !stats.iter().any(AxisStats::significant) {
         return None;
     }
@@ -337,6 +360,9 @@ mod tests {
         config: &MrCCConfig,
     ) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
         let dims = tree.dims();
+        let child_indexes: Vec<_> = (1..tree.deepest_level())
+            .map(|h| ChildIndex::new(tree, h))
+            .collect();
         let mut used: Vec<Vec<bool>> = tree.levels().map(|l| vec![false; l.n_cells()]).collect();
         let mut betas: Vec<BetaCluster> = Vec::new();
         let mut tested = Vec::new();
@@ -359,7 +385,9 @@ mod tests {
                 };
                 used[h - 1][winner as usize] = true;
                 tested.push((h, winner));
-                if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
+                if let Some(beta) =
+                    confirm_beta_cluster(tree, &child_indexes[h - 2], h, winner, config)
+                {
                     betas.push(beta);
                     continue 'search;
                 }

@@ -2,9 +2,10 @@
 //!
 //! The paper's cell structure is `<loc, n, P[d], usedCell, ptr>`. Here `loc`
 //! and `ptr` are subsumed by the cell's packed grid position, its *key* (see
-//! the crate docs); `n` and `P[d]` are stored verbatim, each field in one
-//! flat array per level, the counts as `u32`, except that the deepest level
-//! stores no `P` (see [`crate::Level`]). `usedCell` is search state, so the
+//! the crate docs), and the parent id its level records; `n` is stored
+//! verbatim, in one flat `u32` array per level. `P[d]` is not stored: it is
+//! the count of the children with an even coordinate, which
+//! [`crate::ChildIndex`] sums on demand. `usedCell` is search state, so the
 //! β-cluster search's cursors hold it, not the tree. A [`Cell`] is a `Copy`
 //! view of one cell's entries.
 
@@ -80,14 +81,12 @@ impl KeyLayout {
 }
 
 /// A `d`-dimensional hyper-cube cell of side `1/2^h` at tree level `h`: its
-/// grid position, half-space counts `P` (none on the deepest level) and
-/// count `n`.
+/// grid position and count `n`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell<'a> {
     pub(crate) key: &'a [u64],
     pub(crate) layout: KeyLayout,
     pub(crate) d: usize,
-    pub(crate) p: &'a [u32],
     pub(crate) n: u32,
 }
 
@@ -125,24 +124,6 @@ impl<'a> Cell<'a> {
         u64::from(self.n)
     }
 
-    /// Half-space count `P[j]`: points in the **lower** half of the cell
-    /// along axis `e_j`.
-    ///
-    /// # Panics
-    /// Panics when `j` is out of range, and for every `j` on the deepest
-    /// level, which keeps no half-space counts.
-    #[inline]
-    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
-    pub fn half_count(&self, j: usize) -> u64 {
-        u64::from(self.p[j])
-    }
-
-    /// All half-space counts, one per axis; empty on the deepest level.
-    #[inline]
-    pub fn half_counts(&self) -> &'a [u32] {
-        self.p
-    }
-
     /// Relative position bit (`loc`) of axis `e_j`: `true` when the cell sits
     /// in the **upper** half of its parent along `e_j`.
     #[inline]
@@ -168,8 +149,8 @@ mod tests {
     use super::*;
 
     /// Runs `check` on a view of the level-`h` cell at `coords`, holding
-    /// three points with half-space counts `p`.
-    fn with_view(h: u32, coords: &[u64], p: &[u32], check: impl FnOnce(Cell<'_>)) {
+    /// three points.
+    fn with_view(h: u32, coords: &[u64], check: impl FnOnce(Cell<'_>)) {
         let layout = KeyLayout::new(h);
         let mut key = vec![0; layout.words(coords.len())];
         layout.pack(coords.iter().copied(), &mut key);
@@ -177,7 +158,6 @@ mod tests {
             key: &key,
             layout,
             d: coords.len(),
-            p,
             n: 3,
         });
     }
@@ -205,7 +185,7 @@ mod tests {
             let coords: Vec<u64> = (0..d as u64)
                 .map(|j| if j % 3 == 0 { top } else { j % 2 })
                 .collect();
-            with_view(h, &coords, &vec![0; d], |c| {
+            with_view(h, &coords, |c| {
                 assert_eq!(c.coords().collect::<Vec<_>>(), coords, "h={h} d={d}");
                 assert!((0..d).all(|j| c.coord(j) == coords[j]), "h={h} d={d}");
             });
@@ -214,7 +194,7 @@ mod tests {
 
     #[test]
     fn loc_bits() {
-        with_view(3, &[5, 2, 7], &[0, 0, 0], |c| {
+        with_view(3, &[5, 2, 7], |c| {
             assert!(c.loc_bit(0)); // 5 is odd → upper half of parent
             assert!(!c.loc_bit(1)); // 2 is even → lower half
             assert!(c.loc_bit(2));
@@ -223,7 +203,7 @@ mod tests {
 
     #[test]
     fn bounds_scale_with_side() {
-        with_view(2, &[3], &[0], |c| {
+        with_view(2, &[3], |c| {
             let side = 0.25; // level 2
             assert!((c.lower_bound(0, side) - 0.75).abs() < 1e-12);
             assert!((c.upper_bound(0, side) - 1.0).abs() < 1e-12);
@@ -232,10 +212,8 @@ mod tests {
 
     #[test]
     fn view_reads_its_fields() {
-        with_view(2, &[1, 2], &[2, 1], |c| {
+        with_view(2, &[1, 2], |c| {
             assert_eq!(c.n(), 3);
-            assert_eq!(c.half_count(0), 2);
-            assert_eq!(c.half_counts(), &[2, 1]);
             assert_eq!(c.coords().collect::<Vec<_>>(), [1, 2]);
             assert_eq!(c.coord(1), 2);
         });
@@ -245,19 +223,8 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn coord_panics_past_the_last_axis() {
         // Axis 2 would still decode from the key's one word.
-        with_view(2, &[1, 2], &[0, 0], |c| {
+        with_view(2, &[1, 2], |c| {
             c.coord(2);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn half_count_panics_without_half_space_counts() {
-        // A deepest-level cell: coordinates, but no `P`.
-        with_view(2, &[1, 2], &[], |c| {
-            assert_eq!(c.coords().collect::<Vec<_>>(), [1, 2]);
-            assert!(c.half_counts().is_empty());
-            c.half_count(0);
         });
     }
 }

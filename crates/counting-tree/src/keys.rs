@@ -5,9 +5,9 @@
 //! every axis, axis `j` at bit `j` of the plane, for the levels
 //! `h = 1 … H−1`. Comparing keys word by word thus orders the points by
 //! their level-1 cell, then their level-2 cell, and so on, and the cells of
-//! level `h` are the runs of equal `h·d`-bit prefixes. No plane holds the
-//! deepest level's half-space bits: that level keeps no half-space counts,
-//! because no search reads them (see [`crate::Level`]).
+//! level `h` are the runs of equal `h·d`-bit prefixes. No plane is finer
+//! than the deepest level: the tree stores no half-space counts (see
+//! [`crate::ChildIndex`]).
 
 use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{powi_exp, trunc_to_u64, u32_to_usize};

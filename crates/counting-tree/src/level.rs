@@ -19,15 +19,11 @@ pub enum Direction {
 /// A fully materialized resolution level.
 ///
 /// One array per cell field, indexed by [`CellId`]: the packed `keys` with
-/// stride `W` (see `KeyLayout`), the counts `n`, the half-space counts `p`
-/// with stride `d` and `parents` (0 at level 1, under the implicit root).
-/// The cells are in packed-key order, word 0 most significant, so a lookup
-/// is a binary search over `keys`.
-///
-/// The deepest level, `H − 1`, keeps no half-space counts: the binomial
-/// test reads the `P` of a winner's parent only, and no winner sits below
-/// the deepest level, so that level is never a parent. Its `p` is empty and
-/// its cells' [`Cell::half_counts`] are empty slices.
+/// stride `W` (see `KeyLayout`), the counts `n` and `parents` (0 at level 1,
+/// under the implicit root), `8·W + 8` bytes per cell. The cells are in
+/// packed-key order, word 0 most significant, so a lookup is a binary
+/// search over `keys`. No level stores the half-space counts `P`:
+/// [`crate::ChildIndex`] derives them from the children's counts.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -36,22 +32,16 @@ pub struct Level {
     words: usize,
     keys: Vec<u64>,
     n: Vec<u32>,
-    /// Entries of `p` per cell: `d`, or 0 on a level without half-space
-    /// counts.
-    p_stride: usize,
-    p: Vec<u32>,
     parents: Vec<CellId>,
 }
 
 impl Level {
-    /// An empty level whose arrays hold exactly `cells` cells, with `P`
-    /// when `half_counts` is set: the build fills it with
-    /// [`Level::push_cell`], then puts it in key order with
+    /// An empty level whose arrays hold exactly `cells` cells: the build
+    /// fills it with [`Level::push_cell`], then puts it in key order with
     /// [`Level::sort_cells`].
-    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize, half_counts: bool) -> Self {
+    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize) -> Self {
         let layout = KeyLayout::new(h);
         let words = layout.words(d);
-        let p_stride = if half_counts { d } else { 0 };
         Level {
             h,
             d,
@@ -59,8 +49,6 @@ impl Level {
             words,
             keys: Vec::with_capacity(cells * words),
             n: Vec::with_capacity(cells),
-            p_stride,
-            p: Vec::with_capacity(cells * p_stride),
             parents: Vec::with_capacity(cells),
         }
     }
@@ -97,13 +85,11 @@ impl Level {
     #[inline]
     #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
     pub fn cell(&self, id: CellId) -> Cell<'_> {
-        let i = u32_to_usize(id);
         Cell {
             key: self.key(id),
             layout: self.layout,
             d: self.d,
-            p: &self.p[i * self.p_stride..(i + 1) * self.p_stride],
-            n: self.n[i],
+            n: self.n[u32_to_usize(id)],
         }
     }
 
@@ -227,7 +213,7 @@ impl Level {
     pub fn memory_bytes(&self) -> usize {
         size_of::<Level>()
             + self.keys.capacity() * size_of::<u64>()
-            + (self.n.capacity() + self.p.capacity()) * size_of::<u32>()
+            + self.n.capacity() * size_of::<u32>()
             + self.parents.capacity() * size_of::<CellId>()
     }
 
@@ -239,28 +225,14 @@ impl Level {
         if let Some(key) = self.keys.get_mut(start..) {
             self.layout.pack(coords, key);
         }
-        self.p.resize(self.p.len() + self.p_stride, 0);
         self.n.push(0);
         self.parents.push(parent);
     }
 
-    /// Count of the last cell pushed.
-    pub(crate) fn last_count(&self) -> Option<u32> {
-        self.n.last().copied()
-    }
-
-    /// Adds `n` points into the last cell pushed, and into its `P[j]` where
-    /// bit `j` of `upper` is clear: the points sit in the cell's lower half
-    /// along `e_j`. A level without half-space counts ignores `upper`.
-    #[expect(clippy::indexing_slicing, reason = "`i` is the last cell pushed")]
-    pub(crate) fn add_to_last(&mut self, n: u32, upper: u64) {
-        let Some(i) = self.n_cells().checked_sub(1) else {
-            return;
-        };
-        self.n[i] += n;
-        let s = self.p_stride;
-        for (j, slot) in self.p[i * s..(i + 1) * s].iter_mut().enumerate() {
-            *slot += n * u32::from((upper >> j) & 1 == 0);
+    /// Adds `n` points into the last cell pushed.
+    pub(crate) fn add_to_last(&mut self, n: u32) {
+        if let Some(last) = self.n.last_mut() {
+            *last += n;
         }
     }
 
@@ -308,7 +280,7 @@ impl Level {
     }
 
     /// Ids `0..n_cells`.
-    fn ids(&self) -> impl ExactSizeIterator<Item = CellId> {
+    pub(crate) fn ids(&self) -> std::ops::Range<CellId> {
         // The build counts at most `MAX_POINTS` points, so ids stay below 2^32.
         0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX)
     }
@@ -339,7 +311,6 @@ impl Level {
     /// Swaps every field of cells `a` and `b`.
     fn swap_cells(&mut self, a: usize, b: usize) {
         swap_rows(&mut self.keys, self.words, a, b);
-        swap_rows(&mut self.p, self.p_stride, a, b);
         self.n.swap(a, b);
         self.parents.swap(a, b);
     }
@@ -377,10 +348,10 @@ mod tests {
     /// given order and then sorted as the build sorts them.
     fn sorted_level(h: u32, cells: &[(&[u64], CellId, u32)]) -> Level {
         let d = cells.first().map_or(1, |c| c.0.len());
-        let mut l = Level::with_capacity(h, d, cells.len(), true);
+        let mut l = Level::with_capacity(h, d, cells.len());
         for &(coords, parent, n) in cells {
             l.push_cell(coords.iter().copied(), parent);
-            l.add_to_last(n, 0);
+            l.add_to_last(n);
         }
         l.sort_cells(&[]);
         l
@@ -429,22 +400,6 @@ mod tests {
         assert_eq!(l.words, 2);
         assert_eq!(l.find(&coords), Some(0));
         assert_eq!(l.cell(0).coords().collect::<Vec<_>>(), coords);
-    }
-
-    #[test]
-    fn counting_updates_half_spaces() {
-        let mut l = Level::with_capacity(2, 2, 1, true);
-        l.push_cell([2, 3], 0);
-        // Bit j of `upper` clear → lower half along axis j.
-        l.add_to_last(1, 0b10);
-        l.add_to_last(1, 0b00);
-        l.add_to_last(1, 0b01);
-        l.sort_cells(&[]);
-        let c = l.cell(l.find(&[2, 3]).unwrap());
-        assert_eq!(c.n(), 3);
-        assert_eq!(c.half_count(0), 2);
-        assert_eq!(c.half_count(1), 2);
-        assert_eq!(c.half_counts(), &[2, 2]);
     }
 
     #[test]
@@ -512,7 +467,7 @@ mod tests {
         let by_coords = coords.map(|c| want[l.find(&c).unwrap() as usize]);
         assert_eq!(by_coords, [2 + 3 + 1, 5 + 7, 5, 2, 5]);
         assert_eq!(l.face_neighbor_sums(), want);
-        assert!(Level::with_capacity(2, 2, 0, true)
+        assert!(Level::with_capacity(2, 2, 0)
             .face_neighbor_sums()
             .is_empty());
     }
@@ -540,10 +495,10 @@ mod tests {
     #[test]
     fn sorting_renames_parents_and_reports_new_ids() {
         // Keys 6, 1, 4 at level 3 in one dimension: sorted order 1, 4, 6.
-        let mut l = Level::with_capacity(3, 1, 3, true);
+        let mut l = Level::with_capacity(3, 1, 3);
         for (c, parent) in [(6, 0), (1, 1), (4, 2)] {
             l.push_cell([c], parent);
-            l.add_to_last(1, 0);
+            l.add_to_last(1);
         }
         // The parent level moved its cells 0, 1, 2 to 2, 0, 1.
         let rank = l.sort_cells(&[2, 0, 1]);
@@ -555,9 +510,9 @@ mod tests {
 
     #[test]
     fn side_halves_per_level() {
-        assert!(exactly(Level::with_capacity(1, 1, 0, true).side(), 0.5));
-        assert!(exactly(Level::with_capacity(3, 1, 0, true).side(), 0.125));
-        assert_eq!(Level::with_capacity(2, 1, 0, true).grid_extent(), 4);
+        assert!(exactly(Level::with_capacity(1, 1, 0).side(), 0.5));
+        assert!(exactly(Level::with_capacity(3, 1, 0).side(), 0.125));
+        assert_eq!(Level::with_capacity(2, 1, 0).grid_extent(), 4);
     }
 
     #[test]

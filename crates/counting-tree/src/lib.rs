@@ -20,10 +20,9 @@
 //! A multi-resolution description of a dataset embedded in the unit
 //! hyper-cube `[0,1)^d`. Level `h` covers the space with a hyper-grid of
 //! cells of side `ξ_h = 1/2^h`; each cell knows how many points it contains
-//! (`n`) and, on every level but the deepest, how many of them sit in its
-//! lower half along every axis (the *half-space counts* `P[j]`). Only
-//! non-empty cells are materialized, so each level stores at most `η`
-//! cells and the whole structure is `O(H·η·d)` space. Algorithm 1 of the
+//! (`n`) and its parent one level up. Only non-empty cells are
+//! materialized, so each level stores at most `η` cells and the whole
+//! structure is `O(H·η·d)` space. Algorithm 1 of the
 //! paper builds it in a single scan of the data; [`CountingTree::build`]
 //! gets the same counts from one sort of per-point keys, in
 //! `O(η·H·d + η·H log η)` time (see "Building" below).
@@ -67,14 +66,15 @@
 //! parents are renamed to the sorted ids. A tree is a function of the set
 //! of points: no field records the order of the dataset's rows.
 //!
-//! The per-cell payload (`n`, `P[d]`) is the paper's, with the counts stored
-//! as `u32`: a tree counts at most [`MAX_POINTS`]. The deepest level, `H − 1`,
-//! stores no `P`: the β-cluster search reads the half-space counts of a
-//! winner's parent only, and the deepest level is never a parent. There
-//! [`Cell::half_counts`] is empty. The paper's third field,
-//! `usedCell`, records which cells the β-cluster search has consumed; that is
-//! search state, so the search's per-level cursors hold it and a built tree
-//! never changes.
+//! The per-cell payload is the paper's `n`, stored as `u32`: a tree counts
+//! at most [`MAX_POINTS`]. The paper's half-space counts `P[d]` (points in
+//! the lower half along each axis) are not stored: the β-cluster search
+//! reads them only at a tested winner's parent, so [`ChildIndex`] rebuilds
+//! the paper's `ptr` from the recorded parents and sums `P[j]` over the
+//! children with an even coordinate `j`. The paper's third field,
+//! `usedCell`, records which cells the β-cluster search has consumed; that
+//! is search state, so the search's per-level cursors hold it and a built
+//! tree never changes.
 
 pub mod cell;
 mod keys;
@@ -83,4 +83,4 @@ pub mod tree;
 
 pub use cell::{Cell, CellId};
 pub use level::{Direction, Level};
-pub use tree::{CountingTree, MAX_POINTS, MAX_RESOLUTIONS, MIN_RESOLUTIONS};
+pub use tree::{ChildIndex, CountingTree, MAX_POINTS, MAX_RESOLUTIONS, MIN_RESOLUTIONS};

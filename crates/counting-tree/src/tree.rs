@@ -4,6 +4,7 @@ use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
+use crate::cell::CellId;
 use crate::keys::{plane_bits, SortedKeys};
 use crate::level::Level;
 
@@ -25,10 +26,10 @@ pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 /// The Counting-tree: levels `h = 1 … H−1` of a multi-resolution hyper-grid.
 ///
 /// The root (level 0, the whole unit cube, `n = η`) is implicit. Build with
-/// [`CountingTree::build`], which counts every point in every level and
-/// accumulates the per-axis half-space counts, Algorithm 1's result, from
-/// one sort of per-point keys. Levels `1 … H−2` keep the half-space counts;
-/// the deepest level, which is no β-cluster winner's parent, keeps none.
+/// [`CountingTree::build`], which counts every point in every level from
+/// one sort of per-point keys. Algorithm 1 also stores the per-axis
+/// half-space counts `P` in every cell; here [`ChildIndex`] derives them
+/// from the children's counts, for the few cells whose `P` is read.
 ///
 /// ```
 /// use mrcc_common::Dataset;
@@ -63,10 +64,10 @@ impl CountingTree {
     /// Once the keys are sorted, the cells of level `h` are the runs of
     /// equal `h·d`-bit prefixes. One sweep over the runs appends every
     /// level's cells in that order, with their parents (the enclosing run
-    /// one level up). Each point counts into its deepest cell, and each run, as
-    /// it ends, adds its counts into its parent. Each level is then sorted
-    /// once into packed-key order, its cells renumbered and its children's
-    /// parents renamed. `O(η·H·d + η·H log η)` time.
+    /// one level up). Each point counts into its cell at every level. Each
+    /// level is then sorted once into packed-key order, its cells
+    /// renumbered and its children's parents renamed.
+    /// `O(η·H·d + η·H log η)` time.
     ///
     /// # Errors
     /// * [`Error::InvalidParameter`] if `resolutions` is outside
@@ -101,31 +102,23 @@ impl CountingTree {
                 *count += 1;
             }
         });
-        // Only the `P` of a winner's parent is ever read, and the deepest
-        // level is no winner's parent: it keeps none.
         let mut levels: Vec<Level> = (1..)
             .zip(cells)
-            .map(|(h, cells)| Level::with_capacity(h, d, cells, u32_to_usize(h) < h_max))
+            .map(|(h, cells)| Level::with_capacity(h, d, cells))
             .collect();
 
         // The sweep. `deep` holds the deepest-level coordinates of the open
-        // runs and `loc[h − 1]` the level-h bit-plane of each; a run starting
-        // at plane `split` closes the runs at planes `split..` into their
-        // parents, deepest first, then opens one per plane.
+        // runs; a point starting a run at plane `split` opens one per plane
+        // `split..`, then counts into the open run of every level.
         let mut deep = [0u64; MAX_DIMS];
         #[expect(
             clippy::indexing_slicing,
             reason = "a `Dataset` has at most MAX_DIMS axes"
         )]
         let deep = &mut deep[..d];
-        let mut loc = [0u64; MAX_RESOLUTIONS];
         keys.walk(|key, split| {
-            close_runs(&mut levels, &loc, split);
             for plane in split..h_max {
                 let bits = plane_bits(key, plane, d);
-                if let Some(slot) = loc.get_mut(plane) {
-                    *slot = bits;
-                }
                 let shift = h_max - 1 - plane;
                 for (j, c) in deep.iter_mut().enumerate() {
                     *c = (*c & !(1 << shift)) | (((bits >> j) & 1) << shift);
@@ -139,12 +132,10 @@ impl CountingTree {
                     level.push_cell(deep.iter().map(|&c| c >> shift), parent);
                 }
             }
-            // The deepest level has no `P`, so no half-space bits to add.
-            if let Some(deepest) = levels.last_mut() {
-                deepest.add_to_last(1, 0);
+            for level in &mut levels {
+                level.add_to_last(1);
             }
         });
-        close_runs(&mut levels, &loc, 0);
         drop(keys);
         // Level-major order is not packed-key order past level 1: sort each
         // level, shallow to deep, renaming the parents to the sorted ids.
@@ -222,17 +213,67 @@ impl CountingTree {
     }
 }
 
-/// Closes the open runs at planes `from..`, deepest first: each adds its
-/// count into its parent's open run, and into the parent's `P[j]` where
-/// its plane bits `loc` put it in the lower half.
-/// Level 1's runs have no parent to close into.
-fn close_runs(levels: &mut [Level], loc: &[u64], from: usize) {
-    for plane in (from.max(1)..levels.len()).rev() {
-        let (coarse, fine) = levels.split_at_mut(plane);
-        let child = fine.first().and_then(Level::last_count);
-        if let (Some(parent), Some(n), Some(&bits)) = (coarse.last_mut(), child, loc.get(plane)) {
-            parent.add_to_last(n, bits);
+/// The children of every cell of one level, grouped by parent: the paper's
+/// `ptr`, from one counting sort of the child level's parent ids. It gives
+/// the half-space counts `P` that the tree does not store, in
+/// `4·(c_h + 1 + c_(h+1))` bytes for `c_h` cells at level `h`.
+#[derive(Debug)]
+pub struct ChildIndex<'a> {
+    children: &'a Level,
+    /// Parent `p`'s children are `ids[first[p]..first[p + 1]]`.
+    first: Vec<u32>,
+    /// The child level's ids, grouped by parent, ascending within a group.
+    ids: Vec<CellId>,
+}
+
+impl<'a> ChildIndex<'a> {
+    /// Indexes the children of the cells of level `h`, `1 ≤ h ≤ H − 2`.
+    ///
+    /// # Panics
+    /// Panics for `h` outside `1..=H−2`: the deepest level has no children.
+    #[expect(clippy::indexing_slicing, reason = "parent ids < parents")]
+    pub fn new(tree: &'a CountingTree, h: usize) -> Self {
+        let (parents, children) = (tree.level(h).n_cells(), tree.level(h + 1));
+        let mut first = vec![0u32; parents + 1];
+        for id in children.ids() {
+            first[u32_to_usize(children.parent(id))] += 1;
         }
+        let mut total = 0;
+        for slot in &mut first {
+            total += *slot;
+            *slot = total;
+        }
+        // Filled back to front: each `first[p]` steps down to its group's
+        // start, and each group is ascending.
+        let mut ids = vec![0; children.n_cells()];
+        for id in children.ids().rev() {
+            let slot = &mut first[u32_to_usize(children.parent(id))];
+            *slot -= 1;
+            ids[u32_to_usize(*slot)] = id;
+        }
+        ChildIndex {
+            children,
+            first,
+            ids,
+        }
+    }
+
+    /// Half-space count `P[j]` of cell `parent`: its points in the **lower**
+    /// half along `e_j`, the count of its children with an even coordinate
+    /// `j`.
+    ///
+    /// # Panics
+    /// Panics when `parent` is not a cell of the indexed level.
+    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
+    pub fn half_count(&self, parent: CellId, j: usize) -> u64 {
+        let p = u32_to_usize(parent);
+        let group = u32_to_usize(self.first[p])..u32_to_usize(self.first[p + 1]);
+        self.ids[group]
+            .iter()
+            .map(|&id| self.children.cell(id))
+            .filter(|child| !child.loc_bit(j))
+            .map(|child| child.n())
+            .sum()
     }
 }
 
@@ -316,7 +357,8 @@ mod tests {
         for h in 1..tree.deepest_level() {
             let level = tree.level(h);
             let child = tree.level(h + 1);
-            for (_, cell) in level.iter() {
+            let index = ChildIndex::new(&tree, h);
+            for (id, cell) in level.iter() {
                 for j in 0..tree.dims() {
                     let expect: u64 = child
                         .iter()
@@ -327,7 +369,7 @@ mod tests {
                         .map(|(_, cc)| cc.n())
                         .sum();
                     assert_eq!(
-                        cell.half_count(j),
+                        index.half_count(id, j),
                         expect,
                         "h={h} cell={:?} axis={j}",
                         cell.coords().collect::<Vec<_>>()
@@ -335,6 +377,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn half_counts_derive_from_the_children() {
+        // Level-1 cell (0, 0) holds three points; on the level-2 grid they
+        // sit at (0, 1), (0, 0) and (1, 0): two in its lower half per axis.
+        let ds = Dataset::from_rows(&[[0.1, 0.3], [0.1, 0.1], [0.3, 0.1]]).unwrap();
+        let tree = CountingTree::build(&ds, 3).unwrap();
+        let id = tree.level(1).find(&[0, 0]).unwrap();
+        let index = ChildIndex::new(&tree, 1);
+        assert_eq!([0, 1].map(|j| index.half_count(id, j)), [2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn the_deepest_level_has_no_child_index() {
+        let tree = CountingTree::build(&tiny(), 4).unwrap();
+        ChildIndex::new(&tree, tree.deepest_level());
     }
 
     #[test]

@@ -89,6 +89,18 @@ fn measured_build(ds: &Dataset, resolutions: usize) -> Measured {
     }
 }
 
+/// The tree's exact heap: per level its `Level` struct and, per cell, the
+/// `W_h = ⌈d / ⌊64/h⌋⌉` words of its packed key, its `u32` count and its
+/// parent id, `8·W_h + 8` bytes; plus the tree's own struct. No cell
+/// stores half-space counts.
+fn tree_bytes(tree: &CountingTree) -> usize {
+    let level_bytes = |l: &Level| {
+        let words = tree.dims().div_ceil(64 / l.h() as usize);
+        size_of::<Level>() + l.n_cells() * (8 * words + size_of::<u32>() + size_of::<CellId>())
+    };
+    size_of::<CountingTree>() + tree.levels().map(level_bytes).sum::<usize>()
+}
+
 /// The bound on a build's transient buffers: the sort's `η·(8·W + 4)`
 /// bytes, `W = ⌈d·(H−1)/64⌉` key words, plus one run count per level.
 fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
@@ -138,7 +150,8 @@ fn build_allocations_and_memory_bytes() {
     );
 
     // memory_bytes is exactly the live heap the build left behind, plus the
-    // tree's own struct, which lives on the stack. Above the cell arrays the
+    // tree's own struct, which lives on the stack, and that is exactly the
+    // keys, counts and parents of every cell. Above the cell arrays the
     // build holds the sort's keys and the run counts while it sweeps, then
     // one level sort's scratch at a time once the keys are freed; also with
     // 4-word keys (d·(H−1) = 4·63 bits) and with crowded cells, where the keys
@@ -158,6 +171,11 @@ fn build_allocations_and_memory_bytes() {
         assert_eq!(
             build.tree.memory_bytes(),
             build.grown + size_of::<CountingTree>(),
+            "{context}"
+        );
+        assert_eq!(
+            build.tree.memory_bytes(),
+            tree_bytes(&build.tree),
             "{context}"
         );
         let (bound, scratch) = (transient_bound(ds, resolutions), sort_scratch(&build.tree));

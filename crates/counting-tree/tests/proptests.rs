@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use mrcc_common::Dataset;
-use mrcc_counting_tree::{CellId, CountingTree, Direction, Level};
+use mrcc_counting_tree::{CellId, ChildIndex, CountingTree, Direction, Level};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,13 +140,30 @@ fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
 
 /// One level's cells by coordinates: `n`, `P` and the parent's
 /// coordinates (empty at level 1, under the implicit root).
-type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u32>, Vec<u64>)>;
+type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u64>, Vec<u64>)>;
 
-/// Every level of `tree` as a [`CellTable`], whatever its id numbering.
+/// The half-space counts `P` of every cell of level `h`, by [`CellId`],
+/// derived by a [`ChildIndex`]; empty on the deepest level, which has no
+/// children.
+fn derived_half_counts(tree: &CountingTree, h: usize) -> Vec<Vec<u64>> {
+    let level = tree.level(h);
+    if h == tree.deepest_level() {
+        return vec![Vec::new(); level.n_cells()];
+    }
+    let index = ChildIndex::new(tree, h);
+    level
+        .iter()
+        .map(|(id, _)| (0..tree.dims()).map(|j| index.half_count(id, j)).collect())
+        .collect()
+}
+
+/// Every level of `tree` as a [`CellTable`], whatever its id numbering,
+/// with `P` from [`derived_half_counts`].
 fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
     (1..=tree.deepest_level())
         .map(|h| {
             let level = tree.level(h);
+            let mut halves = derived_half_counts(tree, h).into_iter();
             level
                 .iter()
                 .map(|(id, cell)| {
@@ -154,7 +171,7 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
                         1 => Vec::new(),
                         _ => tree.level(h - 1).cell(level.parent(id)).coords().collect(),
                     };
-                    let fields = (cell.n(), cell.half_counts().to_vec(), parent);
+                    let fields = (cell.n(), halves.next().unwrap(), parent);
                     (cell.coords().collect(), fields)
                 })
                 .collect()
@@ -165,8 +182,8 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
 /// The cell tables of every level straight from the points: a point sits
 /// in the level-`h` cell `⌊v·2^h⌋` per axis, in its lower half along `e_j`
 /// when its level-`h + 1` coordinate on axis `j` is even, and under the
-/// level-`h − 1` cell `⌊v·2^h⌋ >> 1`. The deepest level, `H − 1`, keeps no
-/// half-space counts, so its `P` is empty.
+/// level-`h − 1` cell `⌊v·2^h⌋ >> 1`. The deepest level, `H − 1`, has no
+/// finer level to split it, so its `P` is empty.
 fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
     let grid = |p: &[f64], h: usize| -> Vec<u64> {
         let scale = (2.0f64).powi(h as i32);
@@ -191,7 +208,7 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
                     .or_insert_with(|| (0, vec![0; finer.len()], parent));
                 entry.0 += 1;
                 for (half, f) in entry.1.iter_mut().zip(&finer) {
-                    *half += u32::from(f & 1 == 0);
+                    *half += u64::from(f & 1 == 0);
                 }
             }
             table
@@ -200,13 +217,11 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
 }
 
 /// The sorted build gives the cells of the brute-force tables, with their
-/// counts and parents, at every level, and their half-space
-/// counts at every level but the deepest, which keeps none.
+/// counts and parents, at every level, and a [`ChildIndex`] derives their
+/// half-space counts at every level but the deepest, which has no children.
 fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
     let tree = CountingTree::build(ds, resolutions).unwrap();
     assert_eq!(tree.n_points(), ds.len());
-    let deepest = tree.level(tree.deepest_level());
-    assert!(deepest.iter().all(|(_, c)| c.half_counts().is_empty()));
     let (got, want) = (cell_tables(&tree), brute_force_tables(ds, resolutions));
     assert_eq!(got.len(), want.len(), "levels");
     for (h, (a, b)) in (1..).zip(got.iter().zip(&want)) {
@@ -298,21 +313,18 @@ proptest! {
     }
 
     /// Every level counts every point exactly once, and on every level
-    /// that keeps half-space counts (all but the deepest) no half-space
-    /// count exceeds its cell's count, on the wide and tall shapes too.
+    /// with children (all but the deepest) no derived half-space count
+    /// exceeds its cell's count, on the wide and tall shapes too.
     #[test]
     fn levels_conserve_mass((ds, h) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, h).unwrap();
         for level in tree.levels() {
+            let h = level.h() as usize;
             prop_assert_eq!(level.total_points(), ds.len() as u64);
-            let halves = if level.h() as usize == tree.deepest_level() {
-                0
-            } else {
-                tree.dims()
-            };
-            for (_, cell) in level.iter() {
-                prop_assert_eq!(cell.half_counts().len(), halves);
-                prop_assert!(cell.half_counts().iter().all(|&p| u64::from(p) <= cell.n()));
+            let halves = if h == tree.deepest_level() { 0 } else { tree.dims() };
+            for ((_, cell), p) in level.iter().zip(derived_half_counts(&tree, h)) {
+                prop_assert_eq!(p.len(), halves);
+                prop_assert!(p.iter().all(|&p| p <= cell.n()));
             }
         }
     }
@@ -333,16 +345,17 @@ proptest! {
         }
     }
 
-    /// Half-space counts never exceed the cell count and the two halves sum
-    /// to the whole: P[j] ∈ [0, n], on levels `1 … H−2`, the ones that keep
-    /// them.
+    /// Derived half-space counts never exceed the cell count and the two
+    /// halves sum to the whole: P[j] ∈ [0, n], on levels `1 … H−2`, the
+    /// ones with children.
     #[test]
     fn half_space_counts_bounded(ds in dataset_strategy()) {
         let tree = CountingTree::build(&ds, 5).unwrap();
-        for level in (1..tree.deepest_level()).map(|h| tree.level(h)) {
-            for (_, cell) in level.iter() {
+        for h in 1..tree.deepest_level() {
+            let index = ChildIndex::new(&tree, h);
+            for (id, cell) in tree.level(h).iter() {
                 for j in 0..tree.dims() {
-                    prop_assert!(cell.half_count(j) <= cell.n());
+                    prop_assert!(index.half_count(id, j) <= cell.n());
                 }
             }
         }
