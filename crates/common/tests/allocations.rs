@@ -1,45 +1,23 @@
 //! Allocation profile of the CSV reader: a fixed set of buffers that grow by
 //! doubling, nothing per line.
 //!
-//! A test-local counting allocator wraps the system allocator. This binary
-//! holds a single test, so no other test thread allocates while it measures.
+//! `mrcc_eval::TrackingAllocator` is the global allocator and counts the
+//! allocations. This binary holds a single test, so no other test thread
+//! allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mrcc_common::csv;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: every method forwards to `System` with the caller's arguments; the
-// counter is an atomic that never allocates, so nothing recurses.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the contract is `System::alloc`'s own.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: the contract is `System::dealloc`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` above,
-        // which forwarded to `System`.
-        unsafe { System.dealloc(ptr, layout) };
-    }
-}
+use mrcc_eval::TrackingAllocator;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: TrackingAllocator = TrackingAllocator;
 
 /// Allocations made by `f`.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = TrackingAllocator::allocations();
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, TrackingAllocator::allocations() - before)
 }
 
 #[test]

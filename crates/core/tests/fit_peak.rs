@@ -1,64 +1,18 @@
 //! The heap peak of one `MrCC::fit`, pinned to a bound derived from the
 //! arrays each phase holds.
 //!
-//! A test-local counting allocator wraps the system allocator and tracks
-//! live and peak bytes; a `realloc` counts as the net change, as in
-//! `mrcc_eval::TrackingAllocator`. This binary holds a single test, so no
-//! other test thread allocates while it measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! `mrcc_eval::TrackingAllocator` is the global allocator: it tracks live
+//! and peak bytes, a `realloc` counting as the net change. This binary
+//! holds a single test, so no other test thread allocates while it
+//! measures.
 
 use mrcc::{MrCC, MrCCConfig};
 use mrcc_counting_tree::{CellId, CountingTree, Level};
 use mrcc_datagen::{generate, SyntheticSpec};
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAllocator;
-
-fn on_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments; the
-// counters are atomics that never allocate, so nothing recurses.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the contract is `System::alloc`'s own.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            on_alloc(layout.size());
-        }
-        p
-    }
-
-    // SAFETY: the contract is `System::dealloc`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` above,
-        // which forwarded to `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    // SAFETY: the contract is `System::realloc`'s own.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from this allocator with `layout`, and the
-        // caller guarantees `new_size` is nonzero.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            on_alloc(new_size);
-        }
-        p
-    }
-}
+use mrcc_eval::TrackingAllocator;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: TrackingAllocator = TrackingAllocator;
 
 /// Room for the structures of size `O(β² + β·d + tests)` that no term below
 /// names: the β-clusters the search keeps, its tested winners and one
@@ -72,9 +26,9 @@ const SMALL_STATE: usize = 64 << 10;
 /// * **tree** `T = Σ_h (size_of::<Level>() + c_h·(8·W_h + 8))`: per cell its
 ///   packed key, its `u32` count and its parent id, and no half-space
 ///   counts;
-/// * **build** `T + max(η·(8·W + 4) + 8·(H − 1), max_h 20·c_h + 4·c_(h−1))`:
-///   the sorted keys, `W = ⌈d·(H−1)/64⌉` words each, and the run counts, or
-///   later one level sort's scratch (see the counting-tree crate's
+/// * **build** `T + η·(8·W' + 4)`: the points' sorted deepest-level keys,
+///   `W' = ⌈d / ⌊64/(H−1)⌋⌉` words each, which outweigh each coarser
+///   level's sort, `c_(h+1)·(8·W_h + 4)` (see the counting-tree crate's
 ///   allocation test);
 /// * **search** `T + max(max_h R_(<h) + 20·c_h, R + C) + SMALL_STATE`: the
 ///   rankings `R = Σ_(h≥2) 12·c_h`, one 12-byte entry per cell, and the
@@ -96,14 +50,7 @@ fn peak_bound(cells: &[usize], dims: usize, n: usize, contained: usize, labeled:
             size_of::<Level>() + c * (8 * dims.div_ceil(64 / h) + 4 + size_of::<CellId>())
         })
         .sum();
-    let keys = n * (8 * (dims * (resolutions - 1)).div_ceil(64) + 4) + 8 * (resolutions - 1);
-    let with_root: Vec<usize> = std::iter::once(0).chain(cells.iter().copied()).collect();
-    let sort_scratch = with_root
-        .windows(2)
-        .map(|c| 20 * c[1] + 4 * c[0])
-        .max()
-        .unwrap();
-    let build = tree + keys.max(sort_scratch);
+    let build = tree + n * (8 * dims.div_ceil(64 / (resolutions - 1)) + 4);
     let (mut above, mut ranking) = (0, 0);
     for &c in &cells[1..] {
         ranking = ranking.max(above + 20 * c);
@@ -127,10 +74,10 @@ fn fit_peak_stays_within_the_derived_bound() {
         .map(Level::n_cells)
         .collect();
 
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
+    let live = TrackingAllocator::live();
+    TrackingAllocator::reset_peak();
     let fit = MrCC::new(config).fit(&ds).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - live;
+    let peak = TrackingAllocator::peak() - live;
 
     assert!(fit.n_clusters() >= 2, "{} clusters", fit.n_clusters());
     let contained = (0..ds.len())

@@ -1,43 +1,17 @@
 //! Allocation profile of `MrCCResult::soft_memberships`: a fixed number of
 //! allocations per call, whatever the number of points.
 //!
-//! A test-local counting allocator wraps the system allocator. This binary
-//! holds a single test, so no other test thread allocates while it measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! `mrcc_eval::TrackingAllocator` is the global allocator and counts the
+//! allocations. This binary holds a single test, so no other test thread
+//! allocates while it measures.
 
 use mrcc::merge::build_correlation_clusters;
 use mrcc::{MrCC, MrCCResult};
 use mrcc_common::Dataset;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: every method forwards to `System` with the caller's arguments; the
-// counter is an atomic that never allocates, so nothing recurses.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the contract is `System::alloc`'s own.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        p
-    }
-
-    // SAFETY: the contract is `System::dealloc`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` above,
-        // which forwarded to `System`.
-        unsafe { System.dealloc(ptr, layout) };
-    }
-}
+use mrcc_eval::TrackingAllocator;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: TrackingAllocator = TrackingAllocator;
 
 /// `n` points of a rod on axes {0, 1} crossing a slab on axis 2, with 10 %
 /// uniform noise: two clusters whose regions share points.
@@ -65,9 +39,9 @@ fn rod_and_slab(n: usize) -> Dataset {
 
 /// Allocations of one `soft_memberships` call, and its shared-point count.
 fn soft_allocations(result: &MrCCResult, ds: &Dataset) -> (usize, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = TrackingAllocator::allocations();
     let soft = result.soft_memberships(ds);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = TrackingAllocator::allocations() - before;
     (allocations, soft.n_shared_points())
 }
 

@@ -4,8 +4,9 @@
 use std::cmp::Ordering;
 
 use crate::cell::{Cell, CellId, KeyLayout};
+use crate::keys::{Run, SortedKeys};
 use mrcc_common::dataset::MAX_DIMS;
-use mrcc_common::num::{bounded_to_u32, powi_exp, u32_to_usize};
+use mrcc_common::num::{powi_exp, u32_to_usize};
 
 /// Direction of a face neighbor along one axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,21 +37,49 @@ pub struct Level {
 }
 
 impl Level {
-    /// An empty level whose arrays hold exactly `cells` cells: the build
-    /// fills it with [`Level::push_cell`], then puts it in key order with
-    /// [`Level::sort_cells`].
-    pub(crate) fn with_capacity(h: u32, d: usize, cells: usize) -> Self {
+    /// Level `h` of `d`-dimensional cells, one per run of `sorted`, the
+    /// level-`h` keys of what the cells hold: each cell takes its run's key
+    /// and `count(id, run)` points. The runs come in packed-key order, so
+    /// the cells need no other sort. Every parent is 0 until the level
+    /// above is built from this one (see [`Level::adopt`]); level 1 keeps
+    /// them, under the implicit root.
+    pub(crate) fn from_runs(
+        h: u32,
+        d: usize,
+        sorted: &SortedKeys,
+        mut count: impl FnMut(CellId, Run<'_>) -> u32,
+    ) -> Self {
         let layout = KeyLayout::new(h);
         let words = layout.words(d);
+        let cells = sorted.runs().count();
+        let mut keys = Vec::with_capacity(cells * words);
+        let mut n = Vec::with_capacity(cells);
+        for (id, run) in (0..).zip(sorted.runs()) {
+            keys.extend(run.key());
+            n.push(count(id, run));
+        }
         Level {
             h,
             d,
             layout,
             words,
-            keys: Vec::with_capacity(cells * words),
-            n: Vec::with_capacity(cells),
-            parents: Vec::with_capacity(cells),
+            keys,
+            n,
+            parents: vec![0; cells],
         }
+    }
+
+    /// Records `parent` as the parent of `children`, and returns their
+    /// summed count: the parent's.
+    #[expect(clippy::indexing_slicing, reason = "children are cells of this level")]
+    pub(crate) fn adopt(&mut self, parent: CellId, children: impl Iterator<Item = CellId>) -> u32 {
+        children
+            .map(|id| {
+                let i = u32_to_usize(id);
+                self.parents[i] = parent;
+                self.n[i]
+            })
+            .sum()
     }
 
     /// The level number `h` (cells have side `1/2^h`).
@@ -217,68 +246,6 @@ impl Level {
             + self.parents.capacity() * size_of::<CellId>()
     }
 
-    /// Appends an empty cell at `coords` under `parent`. The build calls it
-    /// once per cell.
-    pub(crate) fn push_cell(&mut self, coords: impl IntoIterator<Item = u64>, parent: CellId) {
-        let start = self.keys.len();
-        self.keys.resize(start + self.words, 0);
-        if let Some(key) = self.keys.get_mut(start..) {
-            self.layout.pack(coords, key);
-        }
-        self.n.push(0);
-        self.parents.push(parent);
-    }
-
-    /// Adds `n` points into the last cell pushed.
-    pub(crate) fn add_to_last(&mut self, n: u32) {
-        if let Some(last) = self.n.last_mut() {
-            *last += n;
-        }
-    }
-
-    /// Renames every parent through `parent_rank`, the parent level's
-    /// old-to-new ids (empty at level 1), then puts the cells in packed-key
-    /// order, each field moving with its cell. Returns this level's
-    /// old-to-new ids. The scratch is the sort's `(first word, id)` pairs
-    /// and the returned ids, 20 bytes per cell.
-    #[expect(clippy::indexing_slicing, reason = "ids and ranks are < cells")]
-    pub(crate) fn sort_cells(&mut self, parent_rank: &[CellId]) -> Vec<CellId> {
-        if !parent_rank.is_empty() {
-            for parent in &mut self.parents {
-                *parent = parent_rank[u32_to_usize(*parent)];
-            }
-        }
-        let mut order: Vec<(u64, CellId)> = self
-            .ids()
-            .map(|id| (self.key(id).first().copied().unwrap_or(0), id))
-            .collect();
-        order.sort_unstable_by_key(|&(word, _)| word);
-        // Cells tie on the first word only when their keys span several
-        // words; the full keys order each tie.
-        for ties in order.chunk_by_mut(|a, b| a.0 == b.0) {
-            ties.sort_unstable_by(|a, b| self.key(a.1).cmp(self.key(b.1)));
-        }
-        let mut rank = vec![0; order.len()];
-        for (new, &(_, old)) in (0..).zip(&order) {
-            rank[u32_to_usize(old)] = new;
-        }
-        // Cell `new` takes the fields of cell `order[new]`, one cycle of the
-        // permutation at a time; a placed entry points to itself.
-        for start in 0..order.len() {
-            let mut at = start;
-            loop {
-                let from = u32_to_usize(order[at].1);
-                order[at].1 = bounded_to_u32(at);
-                if from == start {
-                    break;
-                }
-                self.swap_cells(at, from);
-                at = from;
-            }
-        }
-        rank
-    }
-
     /// Ids `0..n_cells`.
     pub(crate) fn ids(&self) -> std::ops::Range<CellId> {
         // The build counts at most `MAX_POINTS` points, so ids stay below 2^32.
@@ -307,23 +274,6 @@ impl Level {
         }
         None
     }
-
-    /// Swaps every field of cells `a` and `b`.
-    fn swap_cells(&mut self, a: usize, b: usize) {
-        swap_rows(&mut self.keys, self.words, a, b);
-        self.n.swap(a, b);
-        self.parents.swap(a, b);
-    }
-}
-
-/// Swaps rows `a` and `b` of `rows`, `stride` entries each.
-fn swap_rows<T>(rows: &mut [T], stride: usize, a: usize, b: usize) {
-    let (lo, hi) = (a.min(b) * stride, a.max(b) * stride);
-    if let Some((head, tail)) = rows.split_at_mut_checked(hi) {
-        if let (Some(x), Some(y)) = (head.get_mut(lo..lo + stride), tail.get_mut(..stride)) {
-            x.swap_with_slice(y);
-        }
-    }
 }
 
 /// Compares `other` with `key + step` in word `word`, word by word.
@@ -344,23 +294,25 @@ mod tests {
     use mrcc_common::float::exactly;
     use mrcc_common::Dataset;
 
-    /// A level of the given cells, each `(coords, parent, n)`, pushed in the
-    /// given order and then sorted as the build sorts them.
-    fn sorted_level(h: u32, cells: &[(&[u64], CellId, u32)]) -> Level {
+    /// A level of the given cells, each `(coords, n)`, listed in any
+    /// order and grouped by the build's sort; parents are 0.
+    fn level_of(h: u32, cells: &[(&[u64], u32)]) -> Level {
         let d = cells.first().map_or(1, |c| c.0.len());
-        let mut l = Level::with_capacity(h, d, cells.len());
-        for &(coords, parent, n) in cells {
-            l.push_cell(coords.iter().copied(), parent);
-            l.add_to_last(n);
-        }
-        l.sort_cells(&[]);
-        l
+        let layout = KeyLayout::new(h);
+        let sorted = SortedKeys::new(cells.iter(), layout.words(d), |cell, key| {
+            layout.pack(cell.0.iter().copied(), key);
+            Ok(())
+        })
+        .unwrap();
+        Level::from_runs(h, d, &sorted, |_, run| {
+            run.items().map(|i| cells[i as usize].1).sum()
+        })
     }
 
-    /// A level of one-point cells at `coords`, under parent 0.
+    /// A level of one-point cells at `coords`.
     fn level_with(h: u32, coords: &[&[u64]]) -> Level {
-        let cells: Vec<_> = coords.iter().map(|&c| (c, 0, 1)).collect();
-        sorted_level(h, &cells)
+        let cells: Vec<_> = coords.iter().map(|&c| (c, 1)).collect();
+        level_of(h, &cells)
     }
 
     #[test]
@@ -447,12 +399,12 @@ mod tests {
     fn face_neighbor_sums_add_both_directions() {
         // (1,1) has faces (0,1), (2,1), (1,0), (1,2); (2,2) is a corner.
         let coords: [[u64; 2]; 5] = [[1, 1], [2, 1], [1, 0], [2, 2], [0, 1]];
-        let cells: Vec<(&[u64], CellId, u32)> = coords
+        let cells: Vec<(&[u64], u32)> = coords
             .iter()
             .zip([5, 2, 3, 7, 1])
-            .map(|(c, points)| (&c[..], 0, points))
+            .map(|(c, points)| (&c[..], points))
             .collect();
-        let l = sorted_level(2, &cells);
+        let l = level_of(2, &cells);
         let want: Vec<u64> = l
             .iter()
             .map(|(id, _)| {
@@ -467,9 +419,7 @@ mod tests {
         let by_coords = coords.map(|c| want[l.find(&c).unwrap() as usize]);
         assert_eq!(by_coords, [2 + 3 + 1, 5 + 7, 5, 2, 5]);
         assert_eq!(l.face_neighbor_sums(), want);
-        assert!(Level::with_capacity(2, 2, 0)
-            .face_neighbor_sums()
-            .is_empty());
+        assert!(level_of(2, &[]).face_neighbor_sums().is_empty());
     }
 
     #[test]
@@ -482,37 +432,36 @@ mod tests {
     }
 
     #[test]
-    fn parent_is_recorded() {
-        // Pushed out of key order: the sort moves each parent and count
-        // with its cell.
-        let l = sorted_level(2, &[(&[3], 9, 1), (&[0], 4, 2)]);
-        let (a, b) = (l.find(&[0]).unwrap(), l.find(&[3]).unwrap());
-        assert_eq!((a, b), (0, 1));
-        assert_eq!((l.parent(a), l.parent(b)), (4, 9));
-        assert_eq!((l.cell(a).n(), l.cell(b).n()), (2, 1));
+    fn cells_come_in_packed_key_order() {
+        // Listed out of key order, the cells come out sorted, each count
+        // with its cell; 1-d keys 6, 1, 4 at level 3 sort as 1, 4, 6.
+        let l = level_of(3, &[(&[6], 3), (&[1], 1), (&[4], 2)]);
+        let coords: Vec<u64> = l.iter().map(|(_, c)| c.coord(0)).collect();
+        assert_eq!(coords, [1, 4, 6]);
+        assert_eq!([0, 1, 2].map(|id| l.cell(id).n()), [1, 2, 3]);
     }
 
     #[test]
-    fn sorting_renames_parents_and_reports_new_ids() {
-        // Keys 6, 1, 4 at level 3 in one dimension: sorted order 1, 4, 6.
-        let mut l = Level::with_capacity(3, 1, 3);
-        for (c, parent) in [(6, 0), (1, 1), (4, 2)] {
-            l.push_cell([c], parent);
-            l.add_to_last(1);
-        }
-        // The parent level moved its cells 0, 1, 2 to 2, 0, 1.
-        let rank = l.sort_cells(&[2, 0, 1]);
-        assert_eq!(rank, [2, 0, 1]);
-        let coords: Vec<u64> = l.iter().map(|(_, c)| c.coord(0)).collect();
-        assert_eq!(coords, [1, 4, 6]);
-        assert_eq!([0, 1, 2].map(|id| l.parent(id)), [0, 1, 2]);
+    fn parent_is_recorded() {
+        // Rows out of key order: level-2 cells (3) and (0), with one and two
+        // points, sit under level-1 cells (1) and (0), ids 1 and 0.
+        let ds = Dataset::from_rows(&[[0.9], [0.1], [0.2]]).unwrap();
+        let tree = CountingTree::build(&ds, 3).unwrap();
+        let l = tree.level(2);
+        let (a, b) = (l.find(&[0]).unwrap(), l.find(&[3]).unwrap());
+        assert_eq!((a, b), (0, 1));
+        assert_eq!((l.parent(a), l.parent(b)), (0, 1));
+        assert_eq!((l.cell(a).n(), l.cell(b).n()), (2, 1));
+        let l1 = tree.level(1);
+        assert_eq!((l1.find(&[0]), l1.find(&[1])), (Some(0), Some(1)));
+        assert_eq!((l1.parent(0), l1.parent(1)), (0, 0), "under the root");
     }
 
     #[test]
     fn side_halves_per_level() {
-        assert!(exactly(Level::with_capacity(1, 1, 0).side(), 0.5));
-        assert!(exactly(Level::with_capacity(3, 1, 0).side(), 0.125));
-        assert_eq!(Level::with_capacity(2, 1, 0).grid_extent(), 4);
+        assert!(exactly(level_of(1, &[]).side(), 0.5));
+        assert!(exactly(level_of(3, &[]).side(), 0.125));
+        assert_eq!(level_of(2, &[]).grid_extent(), 4);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! materialized, so each level stores at most `η` cells and the whole
 //! structure is `O(H·η·d)` space. Algorithm 1 of the
 //! paper builds it in a single scan of the data; [`CountingTree::build`]
-//! gets the same counts from one sort of per-point keys, in
+//! gets the same counts from one sort per level, bottom-up, in
 //! `O(η·H·d + η·H log η)` time (see "Building" below).
 //!
 //! ## Representation
@@ -56,15 +56,16 @@
 //!
 //! ## Building
 //!
-//! [`CountingTree::build`] gives each point one *level-major* key: the
-//! level-1 bit of every axis, then the level-2 bits, and so on down to the
-//! deepest level's, `⌈d·(H−1)/64⌉` words. After one sort of the
-//! keys, the cells of level `h` are the runs of equal `h·d`-bit prefixes. One
-//! sweep over the runs appends every level's cells in that order, with
-//! their parents (the enclosing run one level up) and their counts. Each
-//! level is then sorted once into packed-key order, and its children's
-//! parents are renamed to the sorted ids. A tree is a function of the set
-//! of points: no field records the order of the dataset's rows.
+//! [`CountingTree::build`] builds the levels deepest first, each in
+//! packed-key order from the start. It packs every point's deepest-level
+//! coordinates into that level's key and sorts the keys once: each run of
+//! equal keys is one cell, counting the run's points. Each coarser level
+//! `h` packs the coordinates `>> 1` of every level-`(h+1)` cell into a
+//! level-`h` key and sorts those: each run is one cell, whose count is
+//! the sum of the run's children and whose id is every child's parent.
+//! One key format, the packed key, serves the sorts, the lookups and the
+//! β-search's tie rule. A tree is a function of the set of points: no
+//! field records the order of the dataset's rows.
 //!
 //! The per-cell payload is the paper's `n`, stored as `u32`: a tree counts
 //! at most [`MAX_POINTS`]. The paper's half-space counts `P[d]` (points in

@@ -1,11 +1,10 @@
 //! Counting-tree construction (Algorithm 1) and whole-tree queries.
 
-use mrcc_common::dataset::MAX_DIMS;
 use mrcc_common::num::{bounded_to_u32, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
-use crate::cell::CellId;
-use crate::keys::{plane_bits, SortedKeys};
+use crate::cell::{CellId, KeyLayout};
+use crate::keys::SortedKeys;
 use crate::level::Level;
 
 /// Minimum number of resolutions the paper allows (`H ≥ 3`).
@@ -27,7 +26,7 @@ pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 ///
 /// The root (level 0, the whole unit cube, `n = η`) is implicit. Build with
 /// [`CountingTree::build`], which counts every point in every level from
-/// one sort of per-point keys. Algorithm 1 also stores the per-axis
+/// one sort of keys per level. Algorithm 1 also stores the per-axis
 /// half-space counts `P` in every cell; here [`ChildIndex`] derives them
 /// from the children's counts, for the few cells whose `P` is read.
 ///
@@ -58,15 +57,14 @@ impl CountingTree {
     /// Builds the tree over a unit-normalized dataset with `H = resolutions`
     /// distinct resolutions.
     ///
-    /// The build sorts instead of inserting. Each point gets one level-major
-    /// key: the level-1 bit of every axis, then the level-2 bits, and so on
-    /// down to the deepest level's, `d·(H−1)` bits in all.
-    /// Once the keys are sorted, the cells of level `h` are the runs of
-    /// equal `h·d`-bit prefixes. One sweep over the runs appends every
-    /// level's cells in that order, with their parents (the enclosing run
-    /// one level up). Each point counts into its cell at every level. Each
-    /// level is then sorted once into packed-key order, its cells
-    /// renumbered and its children's parents renamed.
+    /// The build sorts instead of inserting, deepest level first. Each
+    /// point's deepest-level coordinates are packed into that level's key,
+    /// and the keys sorted once: each run of equal keys is one cell,
+    /// counting its points. Each coarser level `h` then packs every
+    /// level-`(h+1)` cell's coordinates `>> 1` and sorts those keys: each
+    /// run is one cell, counting the sum of its children, and its id is
+    /// their parent. The keys are the levels' own, so every level comes
+    /// out in packed-key order and no id is renamed.
     /// `O(η·H·d + η·H log η)` time.
     ///
     /// # Errors
@@ -91,58 +89,26 @@ impl CountingTree {
         if ds.len() > MAX_POINTS {
             return Err(Error::TooManyPoints { max: MAX_POINTS });
         }
-        let h_max = resolutions - 1;
-        let keys = SortedKeys::new(ds, resolutions)?;
-
-        // A run of level h starts wherever the sorted keys first differ in
-        // one of the first h bit-planes. Count the runs to size each level.
-        let mut cells = vec![0usize; h_max];
-        keys.walk(|_, split| {
-            for count in cells.iter_mut().skip(split) {
-                *count += 1;
-            }
-        });
-        let mut levels: Vec<Level> = (1..)
-            .zip(cells)
-            .map(|(h, cells)| Level::with_capacity(h, d, cells))
-            .collect();
-
-        // The sweep. `deep` holds the deepest-level coordinates of the open
-        // runs; a point starting a run at plane `split` opens one per plane
-        // `split..`, then counts into the open run of every level.
-        let mut deep = [0u64; MAX_DIMS];
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "a `Dataset` has at most MAX_DIMS axes"
-        )]
-        let deep = &mut deep[..d];
-        keys.walk(|key, split| {
-            for plane in split..h_max {
-                let bits = plane_bits(key, plane, d);
-                let shift = h_max - 1 - plane;
-                for (j, c) in deep.iter_mut().enumerate() {
-                    *c = (*c & !(1 << shift)) | (((bits >> j) & 1) << shift);
-                }
-                // Level 1's parent is the implicit root, reported as id 0.
-                let parent = plane
-                    .checked_sub(1)
-                    .and_then(|up| levels.get(up))
-                    .map_or(0, |up| bounded_to_u32(up.n_cells()) - 1);
-                if let Some(level) = levels.get_mut(plane) {
-                    level.push_cell(deep.iter().map(|&c| c >> shift), parent);
-                }
-            }
-            for level in &mut levels {
-                level.add_to_last(1);
-            }
-        });
-        drop(keys);
-        // Level-major order is not packed-key order past level 1: sort each
-        // level, shallow to deep, renaming the parents to the sorted ids.
-        let mut rank = Vec::new();
-        for level in &mut levels {
-            rank = level.sort_cells(&rank);
+        let h_max = bounded_to_u32(resolutions - 1);
+        // The deepest level: a run of equal keys per cell, holding the
+        // run's points.
+        let points = SortedKeys::of_points(ds, h_max)?;
+        let mut level = Level::from_runs(h_max, d, &points, |_, run| bounded_to_u32(run.len()));
+        drop(points);
+        // Each coarser level from the cells below: a run per cell, holding
+        // the run's children, whose parent it is.
+        let mut levels = Vec::with_capacity(resolutions - 1);
+        for h in (1..h_max).rev() {
+            let layout = KeyLayout::new(h);
+            let children = SortedKeys::new(level.iter(), layout.words(d), |(_, cell), key| {
+                layout.pack(cell.coords().map(|c| c >> 1), key);
+                Ok(())
+            })?;
+            let parent = Level::from_runs(h, d, &children, |id, run| level.adopt(id, run.items()));
+            levels.push(std::mem::replace(&mut level, parent));
         }
+        levels.push(level);
+        levels.reverse();
         Ok(CountingTree {
             dims: d,
             n_points: ds.len(),

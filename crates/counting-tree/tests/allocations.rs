@@ -1,47 +1,16 @@
 //! Allocation profile, peak transient memory and exact memory accounting of
 //! the Counting-tree build, and the allocation profile of the level pass.
 //!
-//! A test-local counting allocator wraps the system allocator. This binary
-//! holds a single test, so no other test thread allocates while it measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! `mrcc_eval::TrackingAllocator` is the global allocator: it counts
+//! allocations and tracks live and peak bytes. This binary holds a single
+//! test, so no other test thread allocates while it measures.
 
 use mrcc_common::Dataset;
 use mrcc_counting_tree::{CellId, CountingTree, Level};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: every method forwards to `System` with the caller's arguments; the
-// counters are atomics that never allocate, so nothing recurses.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the contract is `System::alloc`'s own.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    // SAFETY: the contract is `System::dealloc`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `alloc` above,
-        // which forwarded to `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
+use mrcc_eval::TrackingAllocator;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: TrackingAllocator = TrackingAllocator;
 
 /// `n` deterministic pseudo-random points in `[0, 1)^4`.
 fn dataset(n: usize) -> Dataset {
@@ -77,15 +46,15 @@ struct Measured {
 }
 
 fn measured_build(ds: &Dataset, resolutions: usize) -> Measured {
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
+    let allocations = TrackingAllocator::allocations();
+    let live = TrackingAllocator::live();
+    TrackingAllocator::reset_peak();
     let tree = CountingTree::build(ds, resolutions).unwrap();
     Measured {
         tree,
-        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocations,
-        grown: LIVE.load(Ordering::Relaxed) - live,
-        peak: PEAK.load(Ordering::Relaxed) - live,
+        allocations: TrackingAllocator::allocations() - allocations,
+        grown: TrackingAllocator::live() - live,
+        peak: TrackingAllocator::peak() - live,
     }
 }
 
@@ -101,27 +70,28 @@ fn tree_bytes(tree: &CountingTree) -> usize {
     size_of::<CountingTree>() + tree.levels().map(level_bytes).sum::<usize>()
 }
 
-/// The bound on a build's transient buffers: the sort's `η·(8·W + 4)`
-/// bytes, `W = ⌈d·(H−1)/64⌉` key words, plus one run count per level.
-fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
-    let words = (ds.dims() * (resolutions - 1)).div_ceil(64);
-    ds.len() * (8 * words + 4) + (resolutions - 1) * size_of::<usize>()
+/// Key words of a `d`-dimensional cell at level `h`, `⌈d / ⌊64/h⌋⌉`.
+fn key_words(d: usize, h: usize) -> usize {
+    d.div_ceil(64 / h)
 }
 
-/// The bound on the level sorts' scratch, once the keys are freed. Sorting
-/// level `h` holds a `(first key word, id)` pair per cell, 16 bytes, and
-/// the old-to-new id it returns, 4 bytes; the parent level's returned ids
-/// stay alive while the level renames its parents, 4 bytes per cell of
-/// level `h − 1`. So the scratch peaks at `max_h 20·c_h + 4·c_(h−1)` bytes,
-/// where `c_h` is the cell count of level `h` and `c_0 = 0`.
+/// The bound on a build's transient buffers: the sort of the points'
+/// deepest-level keys, a 12-byte `(first word, index)` entry and the
+/// `W' − 1` other words per point, `η·(8·W' + 4)` bytes for
+/// `W' = ⌈d / ⌊64/(H−1)⌋⌉` key words.
+fn transient_bound(ds: &Dataset, resolutions: usize) -> usize {
+    ds.len() * (8 * key_words(ds.dims(), resolutions - 1) + 4)
+}
+
+/// The scratch of the coarser levels' sorts, once the points' keys are
+/// freed. Level `h` is built from a sort of the `c_(h+1)` cells below it,
+/// each keyed by its coordinates `>> 1` in level `h`'s `W_h` words, so it
+/// holds `c_(h+1)·(8·W_h + 4)` bytes. With `c_(h+1) ≤ η` and `W_h ≤ W'`,
+/// every one of them fits in [`transient_bound`].
 fn sort_scratch(tree: &CountingTree) -> usize {
-    let cells: Vec<usize> = std::iter::once(0)
-        .chain(tree.levels().map(Level::n_cells))
-        .collect();
-    let per_cell = size_of::<(u64, CellId)>() + size_of::<CellId>();
-    cells
-        .windows(2)
-        .map(|c| per_cell * c[1] + size_of::<CellId>() * c[0])
+    let d = tree.dims();
+    (1..tree.deepest_level())
+        .map(|h| tree.level(h + 1).n_cells() * (8 * key_words(d, h) + 4))
         .max()
         .unwrap_or(0)
 }
@@ -152,10 +122,10 @@ fn build_allocations_and_memory_bytes() {
     // memory_bytes is exactly the live heap the build left behind, plus the
     // tree's own struct, which lives on the stack, and that is exactly the
     // keys, counts and parents of every cell. Above the cell arrays the
-    // build holds the sort's keys and the run counts while it sweeps, then
-    // one level sort's scratch at a time once the keys are freed; also with
-    // 4-word keys (d·(H−1) = 4·63 bits) and with crowded cells, where the keys
-    // outweigh the level sorts.
+    // build holds the points' sorted keys, then one coarser level's sort at
+    // a time, never more than the points' sort; also with 4-word keys
+    // (d = 4 axes of 63 bits each) and with crowded cells, where the
+    // points' sort outweighs the level sorts.
     let tall = dataset(2_000);
     let tall_build = measured_build(&tall, 64);
     let dense = crowded(16_000);
@@ -179,10 +149,14 @@ fn build_allocations_and_memory_bytes() {
             "{context}"
         );
         let (bound, scratch) = (transient_bound(ds, resolutions), sort_scratch(&build.tree));
+        assert!(
+            scratch <= bound,
+            "{context}: sort scratch {scratch}, bound {bound}"
+        );
         let over_cells = build.peak - build.grown;
         assert!(
-            over_cells <= bound.max(scratch),
-            "{context}: peak {over_cells} bytes above the cell arrays, bound {bound}, sort scratch {scratch}"
+            over_cells <= bound,
+            "{context}: peak {over_cells} bytes above the cell arrays, bound {bound}"
         );
     }
     let (tree, big_tree) = (small_build.tree, large_build.tree);
@@ -190,9 +164,9 @@ fn build_allocations_and_memory_bytes() {
     // The level pass allocates only the sums it returns, at any cell count.
     let pass_allocations = |t: &CountingTree| {
         let level = t.level(H - 1);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = TrackingAllocator::allocations();
         let sums = level.face_neighbor_sums();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = TrackingAllocator::allocations() - before;
         assert_eq!(sums.len(), level.n_cells());
         allocations
     };

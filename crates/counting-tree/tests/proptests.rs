@@ -216,12 +216,37 @@ fn brute_force_tables(ds: &Dataset, resolutions: usize) -> Vec<CellTable> {
         .collect()
 }
 
+/// The packed key of a level-`h` cell, computed here from its coordinates:
+/// `h` bits per coordinate, `⌊64/h⌋` coordinates per word, coordinate `j`
+/// in word `j / ⌊64/h⌋` at bit `h·(j mod ⌊64/h⌋)`.
+fn packed_key(h: usize, coords: &[u64]) -> Vec<u64> {
+    let per_word = 64 / h;
+    let mut key = vec![0u64; coords.len().div_ceil(per_word)];
+    for (j, &c) in coords.iter().enumerate() {
+        key[j / per_word] |= c << (h * (j % per_word));
+    }
+    key
+}
+
 /// The sorted build gives the cells of the brute-force tables, with their
 /// counts and parents, at every level, and a [`ChildIndex`] derives their
 /// half-space counts at every level but the deepest, which has no children.
+/// Each level numbers its cells in packed-key order, word 0 first: the
+/// order the β-search's tie rule reads.
 fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
     let tree = CountingTree::build(ds, resolutions).unwrap();
     assert_eq!(tree.n_points(), ds.len());
+    for level in tree.levels() {
+        let h = level.h() as usize;
+        let keys: Vec<Vec<u64>> = level
+            .iter()
+            .map(|(_, cell)| packed_key(h, &cell.coords().collect::<Vec<_>>()))
+            .collect();
+        assert!(
+            keys.windows(2).all(|k| k[0] < k[1]),
+            "level {h}: ids out of packed-key order"
+        );
+    }
     let (got, want) = (cell_tables(&tree), brute_force_tables(ds, resolutions));
     assert_eq!(got.len(), want.len(), "levels");
     for (h, (a, b)) in (1..).zip(got.iter().zip(&want)) {

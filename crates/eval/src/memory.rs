@@ -12,16 +12,21 @@
 //! and brackets each algorithm run with [`measure_peak`], which resets the
 //! peak to the current live size, runs the closure, and reports how far the
 //! peak rose above the starting point — i.e. the run's own net peak usage.
+//!
+//! It also counts allocations, for the tests that pin how many allocations
+//! an operation makes: each `alloc`, `alloc_zeroed` and `realloc` counts as
+//! one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// A `#[global_allocator]` shim over the system allocator that tracks live
-/// and peak heap bytes.
+/// and peak heap bytes and counts allocations.
 pub struct TrackingAllocator;
 
 impl TrackingAllocator {
@@ -33,6 +38,12 @@ impl TrackingAllocator {
     /// Peak heap bytes since the last [`TrackingAllocator::reset_peak`].
     pub fn peak() -> usize {
         PEAK.load(Ordering::Relaxed)
+    }
+
+    /// Allocations so far: each successful `alloc`, `alloc_zeroed` and
+    /// `realloc` counts one.
+    pub fn allocations() -> usize {
+        ALLOCATIONS.load(Ordering::Relaxed)
     }
 
     /// Resets the peak to the current live size.
@@ -49,6 +60,7 @@ impl TrackingAllocator {
 
 fn on_alloc(size: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -146,8 +158,10 @@ mod tests {
     #[test]
     fn counters_move_with_manual_events() {
         let before_live = TrackingAllocator::live();
+        let before_allocations = TrackingAllocator::allocations();
         on_alloc(1024);
         assert_eq!(TrackingAllocator::live(), before_live + 1024);
+        assert!(TrackingAllocator::allocations() > before_allocations);
         assert!(TrackingAllocator::peak() >= before_live + 1024);
         on_dealloc(1024);
         assert_eq!(TrackingAllocator::live(), before_live);

@@ -1,7 +1,7 @@
 //! Streaming ingestion: points arrive in batches (e.g. from a live feed),
 //! and a snapshot clustering is wanted after each batch. The Counting-tree
-//! build is one sort of the points, so each snapshot rebuilds the tree over
-//! everything ingested so far with `CountingTree::build` and hands it to the
+//! build sorts the points once and then each level's cells, so each
+//! snapshot rebuilds the tree over everything ingested so far with `CountingTree::build` and hands it to the
 //! β-cluster search, using the public phase APIs directly.
 //!
 //! ```text
