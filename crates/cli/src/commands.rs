@@ -8,7 +8,7 @@ use std::path::Path;
 
 use mrcc::{MrCC, MrCCConfig};
 use mrcc_bench::MethodKind;
-use mrcc_common::{csv, Dataset, SubspaceClustering};
+use mrcc_common::{csv, Dataset, SubspaceClustering, NOISE};
 use mrcc_datagen::{generate, SyntheticSpec};
 use mrcc_eval::quality;
 
@@ -177,13 +177,24 @@ fn evaluate(
 }
 
 /// Rebuilds a clustering from a label column (axes unknown → full masks).
+/// The distinct non-noise labels, ascending, become the dense ids `0..k`, so
+/// `k` is at most the row count whatever the label values are.
 fn clustering_from_labels(labels: &[i32], dims: usize) -> CliResult<SubspaceClustering> {
-    let k = labels.iter().copied().max().unwrap_or(-1) + 1;
-    if labels.iter().any(|&l| l < -1) {
+    if labels.iter().any(|&l| l < NOISE) {
         return Err("labels must be ≥ -1".into());
     }
-    let masks = vec![mrcc_common::AxisMask::full(dims); k.max(0) as usize];
-    Ok(SubspaceClustering::from_labels(labels, &masks, dims))
+    let mut distinct: Vec<i32> = labels.iter().copied().filter(|&l| l != NOISE).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let dense = labels
+        .iter()
+        .map(|l| match distinct.binary_search(l) {
+            Ok(id) => i32::try_from(id).map_err(|e| e.to_string()),
+            Err(_) => Ok(NOISE),
+        })
+        .collect::<CliResult<Vec<i32>>>()?;
+    let masks = vec![mrcc_common::AxisMask::full(dims); distinct.len()];
+    Ok(SubspaceClustering::from_labels(&dense, &masks, dims))
 }
 
 #[expect(clippy::too_many_arguments, reason = "one parameter per option")]

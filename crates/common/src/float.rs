@@ -27,12 +27,6 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
     approx_eq_eps(a, b, DEFAULT_EPS)
 }
 
-/// `true` when `x` is within [`DEFAULT_EPS`] of zero.
-#[must_use]
-pub fn near_zero(x: f64) -> bool {
-    x.abs() <= DEFAULT_EPS
-}
-
 /// Exact equality against a sentinel/boundary value (`0.0`, `1.0`, …).
 ///
 /// Probability parameters and normalized coordinates use exact boundary
@@ -58,10 +52,7 @@ mod tests {
     }
 
     #[test]
-    fn near_zero_and_exactly() {
-        assert!(near_zero(0.0));
-        assert!(near_zero(-1e-13));
-        assert!(!near_zero(1e-6));
+    fn exactly_is_ieee_equality() {
         assert!(exactly(0.0, 0.0));
         assert!(exactly(-0.0, 0.0));
         assert!(!exactly(f64::NAN, f64::NAN));

@@ -26,15 +26,12 @@
 //!   for a cluster's *relevant axes* and for subspace bookkeeping.
 //! * [`BoundingBox`] — an axis-aligned hyper-rectangle, the geometric
 //!   description of a β-cluster / correlation cluster (matrices `L`/`U`).
-//! * [`BoxIndex`] — point-stabbing index over a set of boxes (per-axis
-//!   interval stabbing), powering the single-scan merge/labeling phase.
 //! * [`SubspaceCluster`] / [`SubspaceClustering`] — the output type shared by
 //!   MrCC and every baseline: disjoint point sets plus per-cluster relevant
 //!   axes, with everything unassigned being noise.
 //! * CSV import/export so examples can round-trip data.
 
 pub mod bbox;
-pub mod boxindex;
 pub mod clustering;
 pub mod csv;
 pub mod dataset;
@@ -44,7 +41,6 @@ pub mod mask;
 pub mod num;
 
 pub use bbox::BoundingBox;
-pub use boxindex::BoxIndex;
 pub use clustering::{SubspaceCluster, SubspaceClustering, NOISE};
 pub use dataset::{Dataset, NormalizeInfo};
 pub use error::{Error, Result};

@@ -16,10 +16,12 @@
 //! scan per β-cluster for the box populations, another per overlapping
 //! β-pair for the junction-density numerators, and a third pass for
 //! labeling — `O(β²·η·d)` overall. This module instead performs **exactly
-//! one dataset pass**: a [`BoxIndex`] (per-axis interval stabbing over the
-//! β-bounds) maps each point to its containing-box set, from which the pass
-//! simultaneously accumulates per-β point counts, sparse pairwise
-//! co-containment counts and the per-point containment lists. Union–find,
+//! one dataset pass**: each point is tested against every β-box in turn,
+//! narrowest axis first and stopping at the first axis it lies outside, and
+//! the pass accumulates per-β point counts, sparse pairwise co-containment
+//! counts and the per-point containment lists from the boxes that contain
+//! it. At fixed β that is linear in `η`: `O(η·β·k)`, where `k` is the number
+//! of axes a box tests before it rejects a point. Union–find,
 //! axis union, hulls and point labels are all derived from that recorded
 //! pass with zero further dataset scans, and the per-β counts plus per-point
 //! containment are handed to the caller as a [`MergeCache`] so downstream
@@ -34,7 +36,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use mrcc_common::{AxisMask, BoundingBox, BoxIndex, Dataset, SubspaceCluster, SubspaceClustering};
+use mrcc_common::{AxisMask, BoundingBox, Dataset, SubspaceCluster, SubspaceClustering};
 
 use crate::beta::BetaCluster;
 
@@ -99,17 +101,6 @@ pub struct MergeCache {
 }
 
 impl MergeCache {
-    /// An empty cache for `n_points` points and zero β-clusters (the
-    /// no-β-clusters fit; every containment list is empty).
-    #[must_use]
-    pub fn empty(n_points: usize) -> Self {
-        MergeCache {
-            box_counts: Vec::new(),
-            offsets: vec![0; n_points + 1],
-            ids: Vec::new(),
-        }
-    }
-
     /// Number of points the cache covers.
     #[must_use]
     pub fn n_points(&self) -> usize {
@@ -158,14 +149,28 @@ struct ScanResult {
     pair_counts: HashMap<(u32, u32), usize>,
 }
 
-/// The single dataset pass: builds the β-box index, then walks every point
-/// exactly once, recording its containing-box set and counting every box
-/// and every co-containing pair.
+/// The single dataset pass: walks every point exactly once, testing it
+/// against each β-box in id order, and records its containing-box set while
+/// counting every box and every co-containing pair. Each box's `(axis,
+/// lower, upper)` tests sit narrowest interval first in one flat table, so
+/// a point outside a box is usually rejected on the first test. Every axis
+/// is tested, which makes the test [`BoundingBox::contains`] for any point.
+///
+/// # Panics
+/// Panics on a box/dataset dims mismatch or more β-clusters than `u32` ids.
 fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster]) -> ScanResult {
     #[cfg(test)]
     note_dataset_scan();
-    let boxes: Vec<BoundingBox> = betas.iter().map(|b| b.bounds.clone()).collect();
-    let index = BoxIndex::new(&boxes);
+    let dims = dataset.dims();
+    assert!(u32::try_from(betas.len()).is_ok(), "β ids exceed u32");
+    let mut tests: Vec<(usize, f64, f64)> = Vec::with_capacity(betas.len() * dims);
+    for (k, beta) in betas.iter().enumerate() {
+        let b = &beta.bounds;
+        assert_eq!(b.dims(), dims, "β-cluster {k}: box/dataset dims mismatch");
+        let mut axes: Vec<usize> = (0..dims).collect();
+        axes.sort_by(|&i, &j| b.extent(i).total_cmp(&b.extent(j)));
+        tests.extend(axes.into_iter().map(|j| (j, b.lower(j), b.upper(j))));
+    }
     let mut cache = MergeCache {
         box_counts: vec![0; betas.len()],
         offsets: Vec::with_capacity(dataset.len() + 1),
@@ -175,7 +180,17 @@ fn scan_dataset(dataset: &Dataset, betas: &[BetaCluster]) -> ScanResult {
     let mut pair_counts: HashMap<(u32, u32), usize> = HashMap::new();
     let mut buf: Vec<u32> = Vec::new();
     for point in dataset.iter() {
-        index.containing(point, &mut buf);
+        buf.clear();
+        // Ids ascend with the boxes, so `buf` comes out ascending.
+        for (id, box_tests) in (0u32..).zip(tests.chunks_exact(dims)) {
+            #[expect(clippy::indexing_slicing, reason = "each box has the point's dims")]
+            if box_tests
+                .iter()
+                .all(|&(j, lo, hi)| (lo..=hi).contains(&point[j]))
+            {
+                buf.push(id);
+            }
+        }
         #[expect(
             clippy::indexing_slicing,
             reason = "ids are minted from β indices < betas.len(), and pos < buf.len()"
@@ -300,20 +315,16 @@ fn describe_groups(
 ///
 /// `_threads` is ignored: the pass is serial. The parameter stays only
 /// because the `perfbench` benchmark still passes a thread count.
+///
+/// # Panics
+/// Panics when a β-cluster's box has a different dimensionality than the
+/// dataset, or when there are more β-clusters than `u32` can number.
 pub fn build_correlation_clusters(
     dataset: &Dataset,
     betas: &[BetaCluster],
     _threads: usize,
 ) -> (Vec<CorrelationCluster>, SubspaceClustering, MergeCache) {
     let dims = dataset.dims();
-    if betas.is_empty() {
-        return (
-            Vec::new(),
-            SubspaceClustering::empty(dataset.len(), dims),
-            MergeCache::empty(dataset.len()),
-        );
-    }
-
     let ScanResult { cache, pair_counts } = scan_dataset(dataset, betas);
 
     // Pairwise share-space → union (Algorithm 3, lines 1–5), with a
@@ -325,8 +336,8 @@ pub fn build_correlation_clusters(
     // space (a coarse-level box spans `[0,1]` on its irrelevant axes, so
     // such crossings are unavoidable). See DESIGN.md. The junction counts
     // come from the recorded pass; no β-pair ever re-reads the dataset.
-    // The box index numbers the β-clusters in `u32` (`BoxIndex::new` checks
-    // that they fit), so zipping with `0u32..` pairs each β with its id.
+    // The scan numbers the β-clusters in `u32` (`scan_dataset` checks that
+    // they fit), so zipping with `0u32..` pairs each β with its id.
     let mut uf = UnionFind::new(betas.len());
     for ((i, beta_i), a) in betas.iter().enumerate().zip(0u32..) {
         for ((j, beta_j), b) in betas.iter().enumerate().zip(0u32..).skip(i + 1) {

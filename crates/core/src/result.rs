@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use mrcc_common::SubspaceClustering;
+use mrcc_common::{SubspaceCluster, SubspaceClustering};
 
 use crate::beta::BetaCluster;
 use crate::merge::{CorrelationCluster, MergeCache};
@@ -73,9 +73,12 @@ impl MrCCResult {
     ///   per axis and carries at least one relevant axis;
     /// * every correlation cluster references valid β-cluster indices
     ///   (sorted, unique), its axis set covers the union of its members'
-    ///   axes, and its hull has the embedding dimensionality;
-    /// * the merge cache covers every point and every β-cluster, and each
-    ///   cached containing-box list is sorted-unique with in-range ids.
+    ///   axes, its hull has the embedding dimensionality, and its `size` is
+    ///   the length of the matching partition cluster;
+    /// * every β-cluster is a member of exactly one correlation cluster;
+    /// * the merge cache covers every point and every β-cluster, each
+    ///   cached containing-box list is sorted-unique with in-range ids, and
+    ///   each β-cluster's cached count is the number of lists holding it.
     ///
     /// Call from tests after `fit`.
     ///
@@ -106,7 +109,13 @@ impl MrCCResult {
                 );
             }
         }
+        let mut owners = vec![0usize; self.beta_clusters.len()];
         for (k, c) in self.clusters.iter().enumerate() {
+            assert_eq!(
+                self.clustering.clusters().get(k).map(SubspaceCluster::len),
+                Some(c.size),
+                "invariant violated: correlation cluster {k} size differs from its point count"
+            );
             assert!(
                 c.beta_indices.is_sorted_by(|a, b| a < b),
                 "invariant violated: correlation cluster {k} member list not sorted-unique"
@@ -127,8 +136,15 @@ impl MrCCResult {
                     member.axes.iter().all(|j| c.axes.contains(j)),
                     "invariant violated: correlation cluster {k} axes do not cover member {bi}"
                 );
+                if let Some(n) = owners.get_mut(bi) {
+                    *n += 1;
+                }
             }
         }
+        assert!(
+            owners.iter().all(|&n| n == 1),
+            "invariant violated: a β-cluster is not in exactly one correlation cluster"
+        );
         assert_eq!(
             self.merge_cache.n_points(),
             self.clustering.n_points(),
@@ -139,6 +155,7 @@ impl MrCCResult {
             self.beta_clusters.len(),
             "invariant violated: merge cache covers the wrong β-cluster count"
         );
+        let mut listed = vec![0usize; self.beta_clusters.len()];
         for i in 0..self.merge_cache.n_points() {
             let ids = self.merge_cache.containing(i);
             assert!(
@@ -149,14 +166,28 @@ impl MrCCResult {
                 ids.iter().all(|&b| (b as usize) < self.beta_clusters.len()),
                 "invariant violated: point {i} containment references missing β-cluster"
             );
+            for &b in ids {
+                if let Some(n) = listed.get_mut(b as usize) {
+                    *n += 1;
+                }
+            }
         }
+        let counts: Vec<usize> = (0..listed.len())
+            .map(|k| self.merge_cache.box_count(k))
+            .collect();
+        assert_eq!(
+            counts, listed,
+            "invariant violated: cached β counts differ from the containment lists"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::build_correlation_clusters;
     use mrcc_common::float::exactly;
+    use mrcc_common::Dataset;
 
     #[test]
     fn stats_total_is_sum_of_phases() {
@@ -171,11 +202,13 @@ mod tests {
 
     #[test]
     fn noise_ratio_of_empty_result() {
+        let ds = Dataset::from_rows(&[[0.5; 3]; 10]).unwrap();
+        let (clusters, clustering, merge_cache) = build_correlation_clusters(&ds, &[], 1);
         let r = MrCCResult {
-            clustering: SubspaceClustering::empty(10, 3),
-            clusters: Vec::new(),
+            clustering,
+            clusters,
             beta_clusters: Vec::new(),
-            merge_cache: MergeCache::empty(10),
+            merge_cache,
             stats: FitStats {
                 tree_memory_bytes: 0,
                 tree_build: Duration::ZERO,
@@ -183,6 +216,7 @@ mod tests {
                 merge_phase: Duration::ZERO,
             },
         };
+        r.check_invariants();
         assert_eq!(r.n_clusters(), 0);
         assert!(exactly(r.noise_ratio(), 1.0));
     }

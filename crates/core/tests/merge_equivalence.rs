@@ -4,11 +4,12 @@
 //! promises the exact same output as the superseded multi-scan path, kept
 //! here as the private [`build_correlation_clusters_oracle`] —
 //! bit-identical, floats compared through [`f64::to_bits`]. The proptests
-//! pin that contract on adversarial β-box arrangements the
-//! [`mrcc_common::BoxIndex`] must not mis-prune: bounds snapped to a coarse
-//! grid so boxes constantly touch at faces, nest, coincide, degenerate to
-//! zero extent, span the full unit interval on every axis, or contain no
-//! points at all. Hand-built cases check the merge semantics, and one case
+//! pin that contract on adversarial arrangements of up to 64 β-boxes, whose
+//! containment the engine tests axis by axis, narrowest first: bounds
+//! snapped to a coarse grid so boxes constantly touch at faces, nest,
+//! coincide, degenerate to zero extent, span the full unit interval on
+//! every axis, or contain no points at all. Hand-built cases check the
+//! merge semantics and points and boxes outside the unit cube, and one case
 //! checks β-boxes found by a real search.
 
 use mrcc::beta::BetaCluster;
@@ -253,7 +254,7 @@ proptest! {
         raw_points in proptest::collection::vec(
             proptest::collection::vec(0u32..1_000_000, 4), 0..=300),
         raw_boxes in proptest::collection::vec(
-            proptest::collection::vec((0u8..=9, 0u8..=9), 4), 0..=8),
+            proptest::collection::vec((0u8..=9, 0u8..=9), 4), 0..=64),
     ) {
         let points: Vec<Vec<u32>> = raw_points
             .iter()
@@ -398,6 +399,32 @@ fn hull_covers_members() {
     let h = &clusters[0].hull;
     assert!(exactly(h.lower(0), 0.0));
     assert!(exactly(h.upper(1), 0.6));
+}
+
+#[test]
+fn points_and_boxes_outside_the_unit_cube() {
+    // `build_correlation_clusters` accepts any finite coordinates, so
+    // points beyond `[0,1]` must be tested on every axis, including axes on
+    // which a box spans the whole unit interval.
+    let mut rows = Vec::new();
+    for x in [-0.5, -0.25, 0.0, 0.5, 1.0, 1.25, 1.5] {
+        for y in [-0.5, 0.0, 0.25, 0.75, 1.0, 1.5] {
+            rows.push([x, y]);
+        }
+    }
+    let ds = Dataset::from_rows(&rows).unwrap();
+    let betas = vec![
+        beta_box(&[0.0, 0.0], &[1.0, 1.0], &[0]), // the unit box
+        beta_box(&[0.0, 0.0], &[0.5, 1.0], &[0]), // [0,1] on axis 1
+        beta_box(&[-1.0, 0.0], &[0.0, 0.25], &[0, 1]), // leaves [0,1] below
+        beta_box(&[1.0, -0.5], &[2.0, 0.0], &[0, 1]), // leaves [0,1] above
+        beta_box(&[-0.5, -0.5], &[1.5, 1.5], &[0]), // holds every point
+    ];
+    let (_, _, cache) = build_checked(&ds, &betas);
+    assert_eq!(cache.box_count(0), 3 * 4);
+    assert_eq!(cache.box_count(4), ds.len());
+    // Row 5 is (-0.5, 1.5), outside the unit cube on both axes.
+    assert_eq!(cache.containing(5), &[4]);
 }
 
 #[test]

@@ -155,8 +155,19 @@ mod tests {
     // would skew every other test's numbers); install-dependent behaviour is
     // exercised in the bench crate where the allocator is the global one.
 
+    /// Held by every test that moves the shared counters, so a parallel
+    /// test's events cannot land between another's reads.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_move_with_manual_events() {
+        let _counters = lock_counters();
         let before_live = TrackingAllocator::live();
         let before_allocations = TrackingAllocator::allocations();
         on_alloc(1024);
@@ -169,6 +180,7 @@ mod tests {
 
     #[test]
     fn reset_peak_snaps_to_live() {
+        let _counters = lock_counters();
         on_alloc(4096);
         on_dealloc(4096);
         TrackingAllocator::reset_peak();
@@ -177,6 +189,7 @@ mod tests {
 
     #[test]
     fn measure_peak_reports_closure_growth() {
+        let _counters = lock_counters();
         // Simulate a run that allocates 10 KiB net-zero.
         let (_out, report) = measure_peak(|| {
             on_alloc(10 * 1024);
