@@ -32,12 +32,15 @@ pub fn convolve(level: &Level, id: CellId, dims: usize, mask: MaskKind) -> i64 {
 /// Face-only convolved value of every cell of `level`, indexed by
 /// [`CellId`]: exactly [`convolve`] at each cell, from one
 /// [`Level::face_neighbor_sums`] pass instead of `2d` lookups per cell.
+/// The values overwrite the face sums in their buffer, so the pass holds
+/// 8 bytes per cell, not 16.
 pub fn convolve_level(level: &Level, dims: usize) -> Vec<i64> {
     let centre_weight = 2 * dims as i64;
     level
-        .iter()
-        .zip(level.face_neighbor_sums())
-        .map(|((_, cell), faces)| centre_weight * cell.n() as i64 - faces as i64)
+        .face_neighbor_sums()
+        .into_iter()
+        .zip(level.iter())
+        .map(|(faces, (_, cell))| centre_weight * cell.n() as i64 - faces as i64)
         .collect()
 }
 

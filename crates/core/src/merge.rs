@@ -361,23 +361,31 @@ pub fn build_correlation_clusters(
     // shared boundaries). "First cluster whose member box contains the
     // point" is exactly the smallest group id over the point's recorded
     // containing-box set — no containment is re-evaluated.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
-    for i in 0..dataset.len() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "containment ids index `betas`, groups index `members`"
-        )]
-        if let Some(&g) = cache
+    #[expect(clippy::indexing_slicing, reason = "containment ids index `betas`")]
+    let label = |i: usize| {
+        cache
             .containing(i)
             .iter()
-            .map(|&b| &group_of[b as usize])
+            .map(|&b| group_of[b as usize])
             .min()
-        {
-            members[g].push(i);
+    };
+    // One pass counts each cluster's points, so the second fills member
+    // lists of exactly their size.
+    for i in 0..dataset.len() {
+        #[expect(clippy::indexing_slicing, reason = "group ids index `clusters`")]
+        if let Some(g) = label(i) {
+            clusters[g].size += 1;
         }
     }
-    for (cluster, m) in clusters.iter_mut().zip(&members) {
-        cluster.size = m.len();
+    let mut members: Vec<Vec<usize>> = clusters
+        .iter()
+        .map(|c| Vec::with_capacity(c.size))
+        .collect();
+    for i in 0..dataset.len() {
+        #[expect(clippy::indexing_slicing, reason = "group ids index `members`")]
+        if let Some(g) = label(i) {
+            members[g].push(i);
+        }
     }
 
     let subspace_clusters: Vec<SubspaceCluster> = clusters

@@ -14,7 +14,7 @@
 //!
 //! Algorithm 2 restarts from level 2 after every find and stops after a full
 //! sweep finds nothing. Read literally, every sweep re-convolves every cell;
-//! this implementation convolves each cell exactly once instead. A convolved
+//! this implementation convolves each level once per band instead. A convolved
 //! value depends only on cell counts, which the search never changes, and a
 //! cell's eligibility (not yet tested, no strict overlap with a found β-box)
 //! can only be lost, never regained. So each level is ranked once by the
@@ -22,9 +22,16 @@
 //! full scan's "first maximum wins" over the cells in id order — and a
 //! per-level cursor walks that ranking: a sweep's winner at a level is the
 //! first eligible cell past the cursor, and every cell the cursor passes
-//! stays ineligible for good. The ranking is a heap, so a cursor pays
-//! `O(log cells)` per cell it passes and nothing for the cells it never
-//! reaches, typically most of them. A `CellId` is the cell's rank in
+//! stays ineligible for good. A cursor reaches only the top of its
+//! ranking, typically a few percent of the cells, so it holds only a band
+//! of it: the level is convolved and its top cells, `max(1024, cells/8)`
+//! of them, are selected through a bounded heap. When the cursor has
+//! passed the whole band, it convolves the level again and selects the
+//! next band, twice the first's size, strictly below the last cell it
+//! yielded. The search then holds one 12-byte entry per band cell, not per
+//! cell, and pays `O(log band)` per cell it passes. A level is convolved
+//! at most five times, since its first band holds at least an eighth of
+//! it, and once on the benchmark workloads. A `CellId` is the cell's rank in
 //! packed grid position, so ties, too, are broken by where a cell is and
 //! not by the order of the dataset's rows: a fit treats the dataset as the
 //! set of points of the paper's Definition 1.
@@ -42,7 +49,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::iter;
 
 use mrcc_common::num::grid_to_f64;
 use mrcc_common::{AxisMask, BoundingBox};
@@ -62,19 +68,33 @@ pub const NEIGHBORHOOD_REGIONS: u64 = 6;
 /// of the neighborhood mass: `cP_j ~ Binomial(nP_j, 1/6)`.
 pub const NULL_REGION_SHARE: f64 = 1.0 / 6.0;
 
+/// The smallest first band a level's ranking selects (see [`Ranking`]).
+const MIN_BAND: usize = 1024;
+
 /// Runs the full β-cluster search over a Counting-tree.
 pub fn find_beta_clusters(tree: &CountingTree, config: &MrCCConfig) -> Vec<BetaCluster> {
-    search(tree, config).0
+    search(tree, config, MIN_BAND).0
 }
 
-/// The β-cluster search. Returns the β-clusters and every tested winner as
-/// `(level, CellId)` in test order: the cells the paper marks `usedCell`.
-fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
+/// The β-cluster search, whose rankings select first bands of
+/// `max(min_band, cells/8)` cells. Returns the β-clusters and every tested
+/// winner as `(level, CellId)` in test order: the cells the paper marks
+/// `usedCell`.
+fn search(
+    tree: &CountingTree,
+    config: &MrCCConfig,
+    min_band: usize,
+) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
     let dims = tree.dims();
     let h_max = tree.deepest_level();
     // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
+    // Each selects its first band here, so no level's convolved values are
+    // alive beside the child indexes unless a band runs out.
     let mut cursors: Vec<_> = (2..=h_max)
-        .map(|h| ranked_cells(tree.level(h), dims))
+        .map(|h| {
+            let level = tree.level(h);
+            Ranking::new(level, dims, min_band.max(level.n_cells() / 8))
+        })
         .collect();
     // The children of each level-(h − 1) cell, for the winners of level h.
     let child_indexes: Vec<_> = (1..h_max).map(|h| ChildIndex::new(tree, h)).collect();
@@ -103,25 +123,93 @@ fn search(tree: &CountingTree, config: &MrCCConfig) -> (Vec<BetaCluster>, Vec<(u
     (betas, tested)
 }
 
-/// A ranking entry: a cell's convolved value and its id. The max-heap pops
-/// the largest value first and, among equal values, the smallest id.
-/// Packed to 12 bytes, where the tuple `(i64, Reverse<CellId>)` pads to 16.
+/// A ranking entry: a cell's convolved value and its id. The ranking
+/// yields the largest entry first: the largest value and, among equal
+/// values, the smallest id. Packed to 12 bytes, where the tuple `(i64,
+/// Reverse<CellId>)` pads to 16.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(C, packed(4))]
 struct Ranked(i64, Reverse<CellId>);
 
-/// Every cell id of `level`, convolved once and yielded lazily in the
-/// strict total order *(convolved value descending, id ascending)*: the
-/// order in which the restart-scan of Algorithm 2 would pick them as
-/// winners. Heapifying takes `O(cells)`, and each cell yielded
-/// `O(log cells)`.
-fn ranked_cells(level: &Level, dims: usize) -> impl Iterator<Item = CellId> {
-    let mut heap: BinaryHeap<Ranked> = convolve_level(level, dims)
-        .into_iter()
-        .zip(0..)
-        .map(|(value, id)| Ranked(value, Reverse(id)))
-        .collect();
-    iter::from_fn(move || heap.pop().map(|Ranked(_, Reverse(id))| id))
+/// Every cell id of a level, yielded lazily in the strict total order
+/// *(convolved value descending, id ascending)*: the order in which the
+/// restart-scan of Algorithm 2 would pick them as winners.
+///
+/// It holds one band of that order at a time. Selecting a band convolves
+/// the level and streams its entries through a min-heap of the band's
+/// size that keeps the largest ones below the floor, the last entry
+/// yielded. Every band after the first is twice the first's size, so a
+/// refill holds at most `24·band` bytes of entries beside the level's
+/// values.
+struct Ranking<'a> {
+    level: &'a Level,
+    dims: usize,
+    /// Size of every band after the first.
+    refill: usize,
+    /// The rest of the current band, a max-heap in ranking order.
+    band: BinaryHeap<Ranked>,
+    /// The last entry yielded: every later band lies strictly below it.
+    floor: Option<Ranked>,
+    /// Cells in no band yet.
+    unselected: usize,
+}
+
+impl<'a> Ranking<'a> {
+    /// Ranks `level` and selects its first `band` cells (at least one).
+    fn new(level: &'a Level, dims: usize, band: usize) -> Self {
+        let band = band.max(1);
+        let mut ranking = Ranking {
+            level,
+            dims,
+            refill: band.saturating_mul(2),
+            band: BinaryHeap::new(),
+            floor: None,
+            unselected: level.n_cells(),
+        };
+        ranking.select(band);
+        ranking
+    }
+
+    /// Convolves the level and selects the next `band` entries below the
+    /// floor.
+    fn select(&mut self, band: usize) {
+        // Free the spent band before the level's values are allocated.
+        self.band = BinaryHeap::new();
+        let band = band.min(self.unselected);
+        let mut heap = BinaryHeap::with_capacity(band);
+        for (value, id) in convolve_level(self.level, self.dims).into_iter().zip(0..) {
+            let entry = Ranked(value, Reverse(id));
+            if self.floor.is_some_and(|floor| entry >= floor) {
+                continue; // yielded already
+            }
+            if heap.len() < band {
+                heap.push(Reverse(entry));
+            } else if let Some(mut least) = heap.peek_mut() {
+                if entry > least.0 {
+                    *least = Reverse(entry);
+                }
+            }
+        }
+        self.unselected -= heap.len();
+        // Heapified again in place as a max-heap: the cursor pops only
+        // the part of the band it reaches.
+        let entries: Vec<Ranked> = heap.into_vec().into_iter().map(|Reverse(e)| e).collect();
+        self.band = BinaryHeap::from(entries);
+    }
+}
+
+impl Iterator for Ranking<'_> {
+    type Item = CellId;
+
+    fn next(&mut self) -> Option<CellId> {
+        if self.band.is_empty() && self.unselected > 0 {
+            self.select(self.refill);
+        }
+        let entry = self.band.pop()?;
+        self.floor = Some(entry);
+        let Ranked(_, Reverse(id)) = entry;
+        Some(id)
+    }
 }
 
 /// The cell-vs-β-cluster share-space predicate (strict interior overlap; a
@@ -431,14 +519,21 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The cursor search returns the reference's β-clusters bit for
-            /// bit and tests the same winners in the same order.
+            /// bit and tests the same winners in the same order, with the
+            /// fit's bands and with bands of `max(1, cells/8)` cells, whose
+            /// cursors run out of band and select the next one.
             #[test]
             fn same_betas_and_tested_winners((spec, config) in case_strategy()) {
                 let ds = generate(&spec).dataset;
                 let tree = CountingTree::build(&ds, config.resolutions).unwrap();
                 let (reference, reference_tested) = reference_search(&tree, &config);
-                let (betas, tested) = search(&tree, &config);
+                let (betas, tested) = search(&tree, &config, MIN_BAND);
                 let context = format!("{spec:?} {config:?}");
+                prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
+                prop_assert_eq!(tested, reference_tested.clone(), "{}", context);
+
+                let (betas, tested) = search(&tree, &config, 1);
+                let context = format!("{context} min band 1");
                 prop_assert_eq!(fingerprints(&betas), fingerprints(&reference), "{}", context);
                 prop_assert_eq!(tested, reference_tested, "{}", context);
             }
@@ -447,8 +542,10 @@ mod tests {
 
     /// The lazy cursor yields every cell in exactly the order of a full
     /// sort by *(value descending, id ascending)*, the values from the
-    /// per-cell convolution. A uniform grid makes whole rows of cells tie
-    /// on their value, so the ids order them.
+    /// per-cell convolution, with the fit's first band and with first bands
+    /// of 1, 2, 3 and 7 cells. A uniform grid makes whole rows of cells tie
+    /// on their value, so the ids order them, and runs of ties straddle
+    /// the edges of the small bands.
     #[test]
     fn lazy_ranking_equals_a_full_sort() {
         let mut rows = Vec::new();
@@ -470,11 +567,14 @@ mod tests {
                 .filter(|w| value(w[0]) == value(w[1]))
                 .count();
             assert!(ties > level.n_cells() / 2, "level {h}: {ties} ties");
-            assert_eq!(
-                ranked_cells(level, 2).collect::<Vec<_>>(),
-                sorted,
-                "level {h}"
-            );
+            let fit_band = MIN_BAND.max(level.n_cells() / 8);
+            for band in [fit_band, 1, 2, 3, 7] {
+                assert_eq!(
+                    Ranking::new(level, 2, band).collect::<Vec<_>>(),
+                    sorted,
+                    "level {h}, band {band}"
+                );
+            }
         }
     }
 
