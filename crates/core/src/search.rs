@@ -42,17 +42,19 @@
 //! β-clusters.
 //!
 //! The binomial test reads the half-space counts `P` of a winner's parent,
-//! which the tree does not store. Beside its rankings the search builds one
-//! [`ChildIndex`] per parent level, the paper's `ptr`, and sums `P[j]` over
-//! the parent's children with an even coordinate `j` (see
-//! `neighborhood_stats`).
+//! which the tree does not store, nor the parent itself. The parent is the
+//! cell at the winner's `coords >> 1` one level up, one binary search away,
+//! and its children, the winner's siblings, lie in one range of the
+//! winner's level's keys: [`Level::half_counts`] walks that range and sums
+//! `P[j]` over the siblings with an even coordinate `j` (see
+//! `neighborhood_stats`). So the test holds no memory per cell.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mrcc_common::num::grid_to_f64;
 use mrcc_common::{AxisMask, BoundingBox};
-use mrcc_counting_tree::{Cell, CellId, ChildIndex, CountingTree, Direction, Level};
+use mrcc_counting_tree::{Cell, CellId, CountingTree, Direction, Level};
 use mrcc_stats::{binomial_critical_value, mdl_cut};
 
 use crate::beta::{AxisStats, BetaCluster};
@@ -88,21 +90,17 @@ fn search(
     let dims = tree.dims();
     let h_max = tree.deepest_level();
     // One cursor per convolvable level 2..=H−1, over its ranked cell ids.
-    // Each selects its first band here, so no level's convolved values are
-    // alive beside the child indexes unless a band runs out.
     let mut cursors: Vec<_> = (2..=h_max)
         .map(|h| {
             let level = tree.level(h);
             Ranking::new(level, dims, min_band.max(level.n_cells() / 8))
         })
         .collect();
-    // The children of each level-(h − 1) cell, for the winners of level h.
-    let child_indexes: Vec<_> = (1..h_max).map(|h| ChildIndex::new(tree, h)).collect();
     let mut betas: Vec<BetaCluster> = Vec::new();
     let mut tested = Vec::new();
     'search: loop {
         // One sweep from the coarsest convolvable level down.
-        for ((h, cursor), children) in (2..=h_max).zip(cursors.iter_mut()).zip(&child_indexes) {
+        for (h, cursor) in (2..=h_max).zip(cursors.iter_mut()) {
             let level = tree.level(h);
             let side = level.side();
             // `find` steps the cursor past every cell it rejects and past
@@ -113,7 +111,7 @@ fn search(
                 continue;
             };
             tested.push((h, winner));
-            if let Some(beta) = confirm_beta_cluster(tree, children, h, winner, config) {
+            if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
                 betas.push(beta);
                 continue 'search; // restart at level 2 (Algorithm 2, line 2)
             }
@@ -225,25 +223,31 @@ fn shares_space_with_any(cell: Cell<'_>, side: f64, betas: &[BetaCluster]) -> bo
     })
 }
 
-/// Statistics of the six-region neighborhood of `winner` along every axis.
-/// `children` indexes the children of level `h − 1`: the parent's half-space
-/// counts `P` come from it.
+/// Statistics of the six-region neighborhood of `winner`, a cell of level
+/// `h ≥ 2`, along every axis. The parent's half-space counts `P` come from
+/// the winner's siblings.
+///
+/// `None` only when the winner has no parent, which the build rules out:
+/// it makes every cell of level `h − 1` from the cells below it, so each
+/// cell's `coords >> 1` is one.
 fn neighborhood_stats(
     tree: &CountingTree,
-    children: &ChildIndex<'_>,
     h: usize,
     winner: CellId,
     alpha: f64,
-) -> Vec<AxisStats> {
-    let dims = tree.dims();
+) -> Option<Vec<AxisStats>> {
     let level = tree.level(h);
     let cell = level.cell(winner);
+    let parent_coords: Vec<u64> = cell.coords().map(|c| c >> 1).collect();
     let parent_level = tree.level(h - 1);
-    let parent_id = level.parent(winner);
+    let parent_id = parent_level.find(&parent_coords)?;
     let parent = parent_level.cell(parent_id);
+    let half_counts = level.half_counts(&parent_coords);
 
-    (0..dims)
-        .map(|j| {
+    let stats = half_counts
+        .into_iter()
+        .enumerate()
+        .map(|(j, lower)| {
             // Predecessor + its two face neighbors along e_j (the paper's
             // internal and external neighbors N I / N E of a_{h−1}): three
             // consecutive level-(h−1) cells, i.e. six half-cell regions.
@@ -253,7 +257,6 @@ fn neighborhood_stats(
             // Centre region: the half of the parent that contains the winner.
             // Half-space count P[j] is the parent's lower half, so take it
             // directly when the winner's loc bit is 0, its complement when 1.
-            let lower = children.half_count(parent_id, j);
             let center = if cell.loc_bit(j) {
                 parent.n() - lower
             } else {
@@ -272,19 +275,19 @@ fn neighborhood_stats(
                 relevance,
             }
         })
-        .collect()
+        .collect();
+    Some(stats)
 }
 
 /// Applies the significance test at `winner`; on success builds the full
 /// β-cluster description (relevant axes + refined bounds).
 fn confirm_beta_cluster(
     tree: &CountingTree,
-    children: &ChildIndex<'_>,
     h: usize,
     winner: CellId,
     config: &MrCCConfig,
 ) -> Option<BetaCluster> {
-    let stats = neighborhood_stats(tree, children, h, winner, config.alpha);
+    let stats = neighborhood_stats(tree, h, winner, config.alpha)?;
     if !stats.iter().any(AxisStats::significant) {
         return None;
     }
@@ -448,9 +451,6 @@ mod tests {
         config: &MrCCConfig,
     ) -> (Vec<BetaCluster>, Vec<(usize, CellId)>) {
         let dims = tree.dims();
-        let child_indexes: Vec<_> = (1..tree.deepest_level())
-            .map(|h| ChildIndex::new(tree, h))
-            .collect();
         let mut used: Vec<Vec<bool>> = tree.levels().map(|l| vec![false; l.n_cells()]).collect();
         let mut betas: Vec<BetaCluster> = Vec::new();
         let mut tested = Vec::new();
@@ -473,9 +473,7 @@ mod tests {
                 };
                 used[h - 1][winner as usize] = true;
                 tested.push((h, winner));
-                if let Some(beta) =
-                    confirm_beta_cluster(tree, &child_indexes[h - 2], h, winner, config)
-                {
+                if let Some(beta) = confirm_beta_cluster(tree, h, winner, config) {
                     betas.push(beta);
                     continue 'search;
                 }
@@ -574,6 +572,29 @@ mod tests {
                     sorted,
                     "level {h}, band {band}"
                 );
+            }
+        }
+    }
+
+    /// Every cell of every convolvable level has the parent the binomial
+    /// test reads, so `neighborhood_stats` answers at any winner, and the
+    /// two halves of a parent hold all its points.
+    #[test]
+    fn every_cell_has_the_parent_the_test_reads() {
+        let ds = generate(&SyntheticSpec::new("parents", 6, 2_000, 3, 0.15, 3)).dataset;
+        for resolutions in [3, 5] {
+            let tree = CountingTree::build(&ds, resolutions).unwrap();
+            for h in 2..=tree.deepest_level() {
+                for (id, cell) in tree.level(h).iter() {
+                    let stats = neighborhood_stats(&tree, h, id, 1e-10);
+                    let context = format!("H {resolutions} level {h} cell {id}");
+                    let stats = stats.unwrap_or_else(|| panic!("{context}: no parent"));
+                    assert_eq!(stats.len(), 6, "{context}");
+                    for s in &stats {
+                        assert!(s.center >= 1 && s.center <= s.neighborhood, "{context}");
+                    }
+                    assert!(cell.n() <= stats[0].center, "{context}");
+                }
             }
         }
     }

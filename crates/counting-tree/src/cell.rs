@@ -2,12 +2,13 @@
 //!
 //! The paper's cell structure is `<loc, n, P[d], usedCell, ptr>`. Here `loc`
 //! and `ptr` are subsumed by the cell's packed grid position, its *key* (see
-//! the crate docs), and the parent id its level records; `n` is stored
+//! the crate docs): its parent is the key of `coords >> 1` one level up,
+//! and its children a range of keys one level down. `n` is stored
 //! verbatim, in one flat `u32` array per level. `P[d]` is not stored: it is
 //! the count of the children with an even coordinate, which
-//! [`crate::ChildIndex`] sums on demand. `usedCell` is search state, so the
-//! β-cluster search's cursors hold it, not the tree. A [`Cell`] is a `Copy`
-//! view of one cell's entries.
+//! [`crate::Level::half_counts`] sums on demand. `usedCell` is search
+//! state, so the β-cluster search's cursors hold it, not the tree. A
+//! [`Cell`] is a `Copy` view of one cell's entries.
 
 use mrcc_common::num::{grid_to_f64, u32_to_usize};
 
@@ -53,6 +54,16 @@ impl KeyLayout {
     /// Word index and bit shift of coordinate `j`.
     pub(crate) fn locate(self, j: usize) -> (usize, usize) {
         (j / self.per_word, self.bits * (j % self.per_word))
+    }
+
+    /// The axis whose field is the `i`-th most significant in the key
+    /// order, `i = 0` first, of a `d`-dimensional key; `None` for
+    /// `i ≥ d`. Word 0 is the most significant word, and a word's highest
+    /// field its most significant.
+    pub(crate) fn by_significance(self, d: usize, i: usize) -> Option<usize> {
+        let (word, from_top) = (i / self.per_word, i % self.per_word);
+        let end = d.min((word + 1) * self.per_word);
+        (word * self.per_word + from_top < end).then(|| end - 1 - from_top)
     }
 
     /// Coordinate `j` of `key`, or `None` past the key's words.
@@ -176,6 +187,18 @@ mod tests {
         assert_eq!(KeyLayout::new(1).words(64), 1);
         assert_eq!(KeyLayout::new(63).words(64), 64);
         assert_eq!(KeyLayout::new(63).top(), (1 << 63) - 1);
+    }
+
+    #[test]
+    fn fields_by_significance_follow_the_key_order() {
+        // h = 3, d = 23: word 0 holds axes 0–20, axis 20 on top; word 1
+        // holds axes 21 and 22.
+        let l3 = KeyLayout::new(3);
+        let order: Vec<usize> = (0..24).map_while(|i| l3.by_significance(23, i)).collect();
+        let want: Vec<usize> = (0..21).rev().chain([22, 21]).collect();
+        assert_eq!(order, want);
+        assert_eq!(KeyLayout::new(2).by_significance(3, 0), Some(2));
+        assert_eq!(KeyLayout::new(2).by_significance(3, 3), None);
     }
 
     #[test]

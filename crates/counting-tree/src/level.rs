@@ -2,6 +2,7 @@
 //! in packed-key order (see the crate docs).
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::cell::{Cell, CellId, KeyLayout};
 use crate::keys::{Run, SortedKeys};
@@ -20,11 +21,12 @@ pub enum Direction {
 /// A fully materialized resolution level.
 ///
 /// One array per cell field, indexed by [`CellId`]: the packed `keys` with
-/// stride `W` (see `KeyLayout`), the counts `n` and `parents` (0 at level 1,
-/// under the implicit root), `8·W + 8` bytes per cell. The cells are in
-/// packed-key order, word 0 most significant, so a lookup is a binary
-/// search over `keys`. No level stores the half-space counts `P`:
-/// [`crate::ChildIndex`] derives them from the children's counts.
+/// stride `W` (see `KeyLayout`) and the counts `n`, `8·W + 4` bytes per
+/// cell. The cells are in packed-key order, word 0 most significant, so a
+/// lookup is a binary search over `keys`. No level stores parents or the
+/// half-space counts `P`: a cell's parent is the cell at `coords >> 1` one
+/// level up, and [`Level::half_counts`] sums a parent's `P` over its
+/// children, which share one range of the child level's keys.
 #[derive(Debug)]
 pub struct Level {
     h: u32,
@@ -33,30 +35,27 @@ pub struct Level {
     words: usize,
     keys: Vec<u64>,
     n: Vec<u32>,
-    parents: Vec<CellId>,
 }
 
 impl Level {
     /// Level `h` of `d`-dimensional cells, one per run of `sorted`, the
     /// level-`h` keys of what the cells hold: each cell takes its run's key
-    /// and `count(id, run)` points. The runs come in packed-key order, so
-    /// the cells need no other sort. Every parent is 0 until the level
-    /// above is built from this one (see [`Level::adopt`]); level 1 keeps
-    /// them, under the implicit root.
+    /// and `count(run)` points. The runs come in packed-key order, so the
+    /// cells need no other sort.
     pub(crate) fn from_runs(
         h: u32,
         d: usize,
         sorted: &SortedKeys,
-        mut count: impl FnMut(CellId, Run<'_>) -> u32,
+        mut count: impl FnMut(Run<'_>) -> u32,
     ) -> Self {
         let layout = KeyLayout::new(h);
         let words = layout.words(d);
         let cells = sorted.runs().count();
         let mut keys = Vec::with_capacity(cells * words);
         let mut n = Vec::with_capacity(cells);
-        for (id, run) in (0..).zip(sorted.runs()) {
+        for run in sorted.runs() {
             keys.extend(run.key());
-            n.push(count(id, run));
+            n.push(count(run));
         }
         Level {
             h,
@@ -65,21 +64,13 @@ impl Level {
             words,
             keys,
             n,
-            parents: vec![0; cells],
         }
     }
 
-    /// Records `parent` as the parent of `children`, and returns their
-    /// summed count: the parent's.
-    #[expect(clippy::indexing_slicing, reason = "children are cells of this level")]
-    pub(crate) fn adopt(&mut self, parent: CellId, children: impl Iterator<Item = CellId>) -> u32 {
-        children
-            .map(|id| {
-                let i = u32_to_usize(id);
-                self.parents[i] = parent;
-                self.n[i]
-            })
-            .sum()
+    /// The summed count of cells `ids`: their parent's count.
+    #[expect(clippy::indexing_slicing, reason = "ids are cells of this level")]
+    pub(crate) fn count_of(&self, ids: impl Iterator<Item = CellId>) -> u32 {
+        ids.map(|id| self.n[u32_to_usize(id)]).sum()
     }
 
     /// The level number `h` (cells have side `1/2^h`).
@@ -221,15 +212,55 @@ impl Level {
         sums
     }
 
-    /// Id of the cell's parent one level up, the cell at `coords >> 1`.
-    /// Level-1 cells report 0: their parent is the implicit root.
+    /// The half-space counts `P` of the level-`(h − 1)` cell at `parent`
+    /// (`d` zeros for the root, level 1's parent): per axis `j`, the points
+    /// of its children, this level's cells at `coords >> 1 == parent`,
+    /// whose coordinate `j` is even. All zero when no cell of this level
+    /// lies under `parent`, or when `parent` does not have one coordinate
+    /// per axis inside the level-`(h − 1)` grid.
     ///
-    /// # Panics
-    /// Panics on an out-of-range id.
-    #[inline]
-    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
-    pub fn parent(&self, id: CellId) -> CellId {
-        self.parents[u32_to_usize(id)]
+    /// The children's keys all lie between the keys of `2·parent` and
+    /// `2·parent + 1`, every field's low bit clear and set, but that range
+    /// may also hold other parents' children: in 2-d, level 2's `(2, 0)`
+    /// and `(3, 0)`, under `(1, 0)`, lie between `(0, 0)` and `(1, 1)`.
+    /// Two binary searches find the range. While a range holds more than
+    /// 32 keys, it is split in two on the low bit of its most significant
+    /// free field, each half found by two binary searches inside it, and
+    /// empty halves are dropped: a walk down a binary trie of the
+    /// children. A range of at most 32 keys is scanned once, keeping the
+    /// keys that equal `2·parent` once the low bits are masked off. No
+    /// allocation but the returned counts.
+    pub fn half_counts(&self, parent: &[u64]) -> Vec<u64> {
+        self.half_counts_scanning(parent, SCAN_CELLS)
+    }
+
+    /// [`Level::half_counts`], scanning every key range of at most
+    /// `scan_cells` cells instead of splitting it.
+    fn half_counts_scanning(&self, parent: &[u64], scan_cells: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; self.d];
+        if parent.len() != self.d || parent.iter().any(|&c| c > self.layout.top() >> 1) {
+            return counts;
+        }
+        let w = self.words;
+        let (mut lower, mut low_bits, mut upper) = ([0u64; MAX_DIMS], [0; MAX_DIMS], [0; MAX_DIMS]);
+        let (Some(lower), Some(low_bits), Some(upper)) = (
+            lower.get_mut(..w),
+            low_bits.get_mut(..w),
+            upper.get_mut(..w),
+        ) else {
+            return counts;
+        };
+        self.layout.pack(parent.iter().map(|&c| c << 1), lower);
+        self.layout.pack(std::iter::repeat_n(1, self.d), low_bits);
+        let mut walk = ChildWalk {
+            level: self,
+            low_bits,
+            upper,
+            scan_cells,
+            counts: &mut counts,
+        };
+        walk.add(0..self.n_cells(), 0, lower);
+        counts
     }
 
     /// Sum of point counts over all cells (must equal `η`; used by tests and
@@ -243,11 +274,10 @@ impl Level {
         size_of::<Level>()
             + self.keys.capacity() * size_of::<u64>()
             + self.n.capacity() * size_of::<u32>()
-            + self.parents.capacity() * size_of::<CellId>()
     }
 
     /// Ids `0..n_cells`.
-    pub(crate) fn ids(&self) -> std::ops::Range<CellId> {
+    pub(crate) fn ids(&self) -> Range<CellId> {
         // The build counts at most `MAX_POINTS` points, so ids stay below 2^32.
         0..CellId::try_from(self.n_cells()).unwrap_or(CellId::MAX)
     }
@@ -262,17 +292,116 @@ impl Level {
 
     /// Binary search of the sorted keys for `key`.
     fn search(&self, key: &[u64]) -> Option<CellId> {
+        let i = self.partition(0..self.n_cells(), |k| k < key);
         let w = self.words;
-        let (mut lo, mut hi) = (0, self.n_cells());
+        (self.keys.get(i * w..(i + 1) * w)? == key)
+            .then(|| CellId::try_from(i).ok())
+            .flatten()
+    }
+
+    /// The first cell of `cells` whose key fails `before`, a predicate
+    /// that holds on a prefix of them (`cells.end` if none fails): a binary
+    /// search.
+    fn partition(&self, cells: Range<usize>, before: impl Fn(&[u64]) -> bool) -> usize {
+        let w = self.words;
+        let (mut lo, mut hi) = (cells.start, cells.end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.keys.get(mid * w..(mid + 1) * w)?.cmp(key) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return CellId::try_from(mid).ok(),
+            if self.keys.get(mid * w..(mid + 1) * w).is_some_and(&before) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        None
+        lo
+    }
+}
+
+/// Key ranges of at most this many cells `Level::half_counts` scans
+/// instead of splitting them.
+const SCAN_CELLS: usize = 32;
+
+/// The walk of [`Level::half_counts`] through one parent's key range.
+struct ChildWalk<'a> {
+    level: &'a Level,
+    /// The low bit of every field.
+    low_bits: &'a [u64],
+    /// Scratch: the last key of the range being split.
+    upper: &'a mut [u64],
+    scan_cells: usize,
+    /// The half-space counts summed so far.
+    counts: &'a mut [u64],
+}
+
+impl ChildWalk<'_> {
+    /// Adds the children whose keys equal `lower` but for the low bits of
+    /// the fields from the `free`-th most significant on, which are clear
+    /// in `lower`. They all lie in `window`, cells in key order.
+    fn add(&mut self, window: Range<usize>, free: usize, lower: &mut [u64]) {
+        let level = self.level;
+        let field = level
+            .layout
+            .by_significance(level.d, free)
+            .map(|j| level.layout.locate(j));
+        // The range's last key: `lower` with every free low bit set.
+        for (k, ((u, &l), &b)) in self
+            .upper
+            .iter_mut()
+            .zip(&*lower)
+            .zip(self.low_bits)
+            .enumerate()
+        {
+            *u = l | match field {
+                Some((word, shift)) if k == word => b & (u64::MAX >> (63 - shift)),
+                Some((word, _)) if k > word => b,
+                _ => 0,
+            };
+        }
+        let upper = &*self.upper;
+        let range = level.partition(window.clone(), |key| key < &*lower)
+            ..level.partition(window, |key| key <= upper);
+        match field {
+            Some((word, shift)) if range.len() > self.scan_cells => {
+                self.add(range.clone(), free + 1, lower);
+                if let Some(w) = lower.get_mut(word) {
+                    *w |= 1 << shift;
+                    self.add(range, free + 1, lower);
+                }
+                if let Some(w) = lower.get_mut(word) {
+                    *w &= !(1 << shift);
+                }
+            }
+            _ => self.scan(range, lower),
+        }
+    }
+
+    /// Adds every child among `cells`: a key that equals `lower` once the
+    /// low bits are masked off adds its count to every axis on which its
+    /// coordinate is even.
+    fn scan(&mut self, cells: Range<usize>, lower: &[u64]) {
+        let level = self.level;
+        let w = level.words;
+        let keys = level
+            .keys
+            .get(cells.start * w..cells.end * w)
+            .unwrap_or_default();
+        let n = level.n.get(cells).unwrap_or_default();
+        for (key, &n) in keys.chunks_exact(w).zip(n) {
+            let child = key
+                .iter()
+                .zip(lower)
+                .zip(self.low_bits)
+                .all(|((&k, &l), &b)| k & !b == l & !b);
+            if !child {
+                continue;
+            }
+            for (j, count) in self.counts.iter_mut().enumerate() {
+                let (word, shift) = level.layout.locate(j);
+                if key.get(word).is_some_and(|&k| (k >> shift) & 1 == 0) {
+                    *count += u64::from(n);
+                }
+            }
+        }
     }
 }
 
@@ -295,7 +424,7 @@ mod tests {
     use mrcc_common::Dataset;
 
     /// A level of the given cells, each `(coords, n)`, listed in any
-    /// order and grouped by the build's sort; parents are 0.
+    /// order and grouped by the build's sort.
     fn level_of(h: u32, cells: &[(&[u64], u32)]) -> Level {
         let d = cells.first().map_or(1, |c| c.0.len());
         let layout = KeyLayout::new(h);
@@ -304,7 +433,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        Level::from_runs(h, d, &sorted, |_, run| {
+        Level::from_runs(h, d, &sorted, |run| {
             run.items().map(|i| cells[i as usize].1).sum()
         })
     }
@@ -442,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_is_recorded() {
+    fn parent_is_found_one_level_up() {
         // Rows out of key order: level-2 cells (3) and (0), with one and two
         // points, sit under level-1 cells (1) and (0), ids 1 and 0.
         let ds = Dataset::from_rows(&[[0.9], [0.1], [0.2]]).unwrap();
@@ -450,11 +579,139 @@ mod tests {
         let l = tree.level(2);
         let (a, b) = (l.find(&[0]).unwrap(), l.find(&[3]).unwrap());
         assert_eq!((a, b), (0, 1));
-        assert_eq!((l.parent(a), l.parent(b)), (0, 1));
         assert_eq!((l.cell(a).n(), l.cell(b).n()), (2, 1));
         let l1 = tree.level(1);
-        assert_eq!((l1.find(&[0]), l1.find(&[1])), (Some(0), Some(1)));
-        assert_eq!((l1.parent(0), l1.parent(1)), (0, 0), "under the root");
+        let parent = |id| l1.find(&[l.cell(id).coord(0) >> 1]);
+        assert_eq!((parent(a), parent(b)), (Some(0), Some(1)));
+        assert_eq!([0, 1].map(|id| l1.cell(id).n()), [2, 1]);
+        // Level 1's parent is the root: one point of three in its lower half.
+        assert_eq!(l1.half_counts(&[0]), [2]);
+        assert_eq!(l.half_counts(&[0]), [2], "both points of (0) are in (0)");
+        assert_eq!(l.half_counts(&[1]), [0], "(3) is the upper half of (1)");
+    }
+
+    #[test]
+    fn half_counts_skip_the_other_parents_in_the_key_range() {
+        // Level 2 in 2-d packs (x, y) as x + 4·y. Parent (0, 0)'s children
+        // span keys 0 ..= 5, and (2, 0) and (3, 0), keys 2 and 3, are in
+        // that range but under parent (1, 0).
+        let l = level_of(
+            2,
+            &[
+                (&[0, 0], 1),
+                (&[1, 0], 2),
+                (&[2, 0], 4),
+                (&[3, 0], 8),
+                (&[0, 1], 16),
+                (&[1, 1], 32),
+                (&[2, 1], 64),
+            ],
+        );
+        assert_eq!(l.half_counts(&[0, 0]), [1 + 16, 1 + 2]);
+        assert_eq!(l.half_counts(&[1, 0]), [4 + 64, 4 + 8]);
+        // A parent without children, or not on the level-1 grid, or of the
+        // wrong width, has no points in either half.
+        assert_eq!(l.half_counts(&[0, 1]), [0, 0]);
+        assert_eq!(l.half_counts(&[2, 0]), [0, 0]);
+        assert_eq!(l.half_counts(&[0]), [0, 0]);
+        assert_eq!(l.half_counts(&[0, 0, 0]), [0, 0]);
+    }
+
+    #[test]
+    fn half_counts_scan_a_key_range_across_a_word_boundary() {
+        // h = 3, d = 22: axes 0–20 fill word 0, axis 21 is word 1. Parent
+        // (1, 0, …, 0)'s children span word-0 values from key(2, 0, …) to
+        // key(3, 1, …, 1). Every child here has axis 21 at 0 or 1; (2, 2,
+        // 0, …) and (3, 0, …, 0, 2) fall inside that range too, but under
+        // parents (1, 1, 0, …) and (1, 0, …, 0, 1).
+        let at = |fields: &[(usize, u64)]| {
+            let mut coords = vec![0u64; 22];
+            for &(j, c) in fields {
+                coords[j] = c;
+            }
+            coords
+        };
+        let children = [
+            (at(&[(0, 2)]), 1),
+            (at(&[(0, 3), (5, 1)]), 2),
+            (at(&[(0, 2), (20, 1), (21, 1)]), 4),
+            (at(&[(0, 3), (21, 1)]), 8),
+        ];
+        let strangers = [(at(&[(0, 2), (1, 2)]), 16), (at(&[(0, 3), (21, 2)]), 32)];
+        let cells: Vec<(&[u64], u32)> = children
+            .iter()
+            .chain(&strangers)
+            .map(|(c, n)| (&c[..], *n))
+            .collect();
+        let l = level_of(3, &cells);
+        assert_eq!(l.words, 2);
+        let mut want = vec![1 + 2 + 4 + 8; 22];
+        want[0] = 1 + 4;
+        want[5] = 1 + 4 + 8;
+        want[20] = 1 + 2 + 8;
+        want[21] = 1 + 2;
+        assert_eq!(l.half_counts(&at(&[(0, 1)])), want);
+        // The strangers' own parents see only them.
+        assert_eq!(l.half_counts(&at(&[(0, 1), (1, 1)])), [16; 22]);
+        let mut upper_21 = vec![32; 22];
+        upper_21[0] = 0;
+        assert_eq!(l.half_counts(&at(&[(0, 1), (21, 1)])), upper_21);
+    }
+
+    #[test]
+    fn splitting_the_key_range_finds_what_a_scan_finds() {
+        // Clustered children under a few parents, among cells spread over
+        // the grid, so key ranges hold hundreds of keys of other parents;
+        // one- to three-word keys.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for (h, d) in [(2u32, 2usize), (2, 7), (3, 5), (3, 22), (3, 43), (5, 4)] {
+            let extent = 1u64 << h;
+            let parents: Vec<Vec<u64>> = (0..6)
+                .map(|_| (0..d).map(|_| next(extent / 2)).collect())
+                .collect();
+            let mut coords: Vec<Vec<u64>> = (0..2_000)
+                .map(|i| match parents.get(i % 8) {
+                    Some(p) => p.iter().map(|&c| 2 * c + next(2)).collect(),
+                    None => (0..d).map(|_| next(extent)).collect(),
+                })
+                .collect();
+            coords.sort();
+            coords.dedup();
+            let cells: Vec<(&[u64], u32)> = coords
+                .iter()
+                .zip(1..)
+                .map(|(c, n)| (&c[..], n % 5 + 1))
+                .collect();
+            let l = level_of(h, &cells);
+            let spread: Vec<Vec<u64>> = (0..6)
+                .map(|_| (0..d).map(|_| next(extent / 2)).collect())
+                .collect();
+            for parent in parents.iter().chain(&spread) {
+                let want: Vec<u64> = (0..d)
+                    .map(|j| {
+                        l.iter()
+                            .filter(|(_, c)| c.coords().zip(parent).all(|(c, &p)| c >> 1 == p))
+                            .filter(|(_, c)| c.coord(j) % 2 == 0)
+                            .map(|(_, c)| c.n())
+                            .sum()
+                    })
+                    .collect();
+                let context = format!("h {h} d {d} parent {parent:?}");
+                assert_eq!(l.half_counts(parent), want, "{context}");
+                assert_eq!(l.half_counts_scanning(parent, 0), want, "{context}");
+                assert_eq!(
+                    l.half_counts_scanning(parent, usize::MAX),
+                    want,
+                    "{context}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! A multi-resolution description of a dataset embedded in the unit
 //! hyper-cube `[0,1)^d`. Level `h` covers the space with a hyper-grid of
 //! cells of side `ξ_h = 1/2^h`; each cell knows how many points it contains
-//! (`n`) and its parent one level up. Only non-empty cells are
+//! (`n`), and its parent is the cell one level up that contains it. Only
+//! non-empty cells are
 //! materialized, so each level stores at most `η` cells and the whole
 //! structure is `O(H·η·d)` space. Algorithm 1 of the
 //! paper builds it in a single scan of the data; [`CountingTree::build`]
@@ -44,7 +45,10 @@
 //!   21 dimensions is one word; the key is exact, so it *is* the position,
 //!   and a coordinate decodes with a shift and a mask;
 //! * relative position `loc` bit of axis `j` = low bit of coordinate `j`,
-//! * immediate parent = `coords >> 1` one level up, recorded by the build,
+//! * immediate parent = `coords >> 1` one level up, found by a binary
+//!   search, and its children = the cells between the keys of `2·parent`
+//!   and `2·parent + 1` whose fields equal `2·parent` but for the low bit:
+//!   the paper's `ptr` is a key range, not a stored pointer;
 //! * the *internal* face neighbor of the paper (same parent) and the
 //!   *external* one (different parent) are both `coords[j] ± 1`: one field
 //!   of one word steps by one, after an explicit border check (a field at
@@ -61,8 +65,9 @@
 //! coordinates into that level's key and sorts the keys once: each run of
 //! equal keys is one cell, counting the run's points. Each coarser level
 //! `h` packs the coordinates `>> 1` of every level-`(h+1)` cell into a
-//! level-`h` key and sorts those: each run is one cell, whose count is
-//! the sum of the run's children and whose id is every child's parent.
+//! level-`h` key and sorts those: each run is one cell, the parent of the
+//! run's children, whose count is the sum of theirs. No parent is
+//! recorded, so a cell costs `8·W + 4` bytes: its key words and its count.
 //! One key format, the packed key, serves the sorts, the lookups and the
 //! β-search's tie rule. A tree is a function of the set of points: no
 //! field records the order of the dataset's rows.
@@ -70,9 +75,9 @@
 //! The per-cell payload is the paper's `n`, stored as `u32`: a tree counts
 //! at most [`MAX_POINTS`]. The paper's half-space counts `P[d]` (points in
 //! the lower half along each axis) are not stored: the β-cluster search
-//! reads them only at a tested winner's parent, so [`ChildIndex`] rebuilds
-//! the paper's `ptr` from the recorded parents and sums `P[j]` over the
-//! children with an even coordinate `j`. The paper's third field,
+//! reads them only at a tested winner's parent, so [`Level::half_counts`]
+//! walks the parent's key range in the child level and sums `P[j]` over
+//! the children with an even coordinate `j`. The paper's third field,
 //! `usedCell`, records which cells the β-cluster search has consumed; that
 //! is search state, so the search's per-level cursors hold it and a built
 //! tree never changes.
@@ -84,4 +89,4 @@ pub mod tree;
 
 pub use cell::{Cell, CellId};
 pub use level::{Direction, Level};
-pub use tree::{ChildIndex, CountingTree, MAX_POINTS, MAX_RESOLUTIONS, MIN_RESOLUTIONS};
+pub use tree::{CountingTree, MAX_POINTS, MAX_RESOLUTIONS, MIN_RESOLUTIONS};

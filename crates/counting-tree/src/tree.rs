@@ -3,7 +3,7 @@
 use mrcc_common::num::{bounded_to_u32, u32_to_usize};
 use mrcc_common::{Dataset, Error, Result};
 
-use crate::cell::{CellId, KeyLayout};
+use crate::cell::KeyLayout;
 use crate::keys::SortedKeys;
 use crate::level::Level;
 
@@ -27,8 +27,8 @@ pub const MAX_POINTS: usize = u32_to_usize(u32::MAX);
 /// The root (level 0, the whole unit cube, `n = η`) is implicit. Build with
 /// [`CountingTree::build`], which counts every point in every level from
 /// one sort of keys per level. Algorithm 1 also stores the per-axis
-/// half-space counts `P` in every cell; here [`ChildIndex`] derives them
-/// from the children's counts, for the few cells whose `P` is read.
+/// half-space counts `P` in every cell; here [`Level::half_counts`] sums
+/// them from the children's counts, for the few cells whose `P` is read.
 ///
 /// ```
 /// use mrcc_common::Dataset;
@@ -62,9 +62,10 @@ impl CountingTree {
     /// and the keys sorted once: each run of equal keys is one cell,
     /// counting its points. Each coarser level `h` then packs every
     /// level-`(h+1)` cell's coordinates `>> 1` and sorts those keys: each
-    /// run is one cell, counting the sum of its children, and its id is
-    /// their parent. The keys are the levels' own, so every level comes
-    /// out in packed-key order and no id is renamed.
+    /// run is one cell, its children's parent, counting the sum of their
+    /// counts. The keys are the levels' own, so every level comes out in
+    /// packed-key order and no id is renamed. Nothing records a parent: a
+    /// cell's parent is the cell at its coordinates `>> 1`.
     /// `O(η·H·d + η·H log η)` time.
     ///
     /// # Errors
@@ -93,7 +94,7 @@ impl CountingTree {
         // The deepest level: a run of equal keys per cell, holding the
         // run's points.
         let points = SortedKeys::of_points(ds, h_max)?;
-        let mut level = Level::from_runs(h_max, d, &points, |_, run| bounded_to_u32(run.len()));
+        let mut level = Level::from_runs(h_max, d, &points, |run| bounded_to_u32(run.len()));
         drop(points);
         // Each coarser level from the cells below: a run per cell, holding
         // the run's children, whose parent it is.
@@ -104,7 +105,7 @@ impl CountingTree {
                 layout.pack(cell.coords().map(|c| c >> 1), key);
                 Ok(())
             })?;
-            let parent = Level::from_runs(h, d, &children, |id, run| level.adopt(id, run.items()));
+            let parent = Level::from_runs(h, d, &children, |run| level.count_of(run.items()));
             levels.push(std::mem::replace(&mut level, parent));
         }
         levels.push(level);
@@ -176,70 +177,6 @@ impl CountingTree {
     /// owns (the memory experiments and `FitStats::tree_memory_bytes`).
     pub fn memory_bytes(&self) -> usize {
         self.levels.iter().map(Level::memory_bytes).sum::<usize>() + size_of::<CountingTree>()
-    }
-}
-
-/// The children of every cell of one level, grouped by parent: the paper's
-/// `ptr`, from one counting sort of the child level's parent ids. It gives
-/// the half-space counts `P` that the tree does not store, in
-/// `4·(c_h + 1 + c_(h+1))` bytes for `c_h` cells at level `h`.
-#[derive(Debug)]
-pub struct ChildIndex<'a> {
-    children: &'a Level,
-    /// Parent `p`'s children are `ids[first[p]..first[p + 1]]`.
-    first: Vec<u32>,
-    /// The child level's ids, grouped by parent, ascending within a group.
-    ids: Vec<CellId>,
-}
-
-impl<'a> ChildIndex<'a> {
-    /// Indexes the children of the cells of level `h`, `1 ≤ h ≤ H − 2`.
-    ///
-    /// # Panics
-    /// Panics for `h` outside `1..=H−2`: the deepest level has no children.
-    #[expect(clippy::indexing_slicing, reason = "parent ids < parents")]
-    pub fn new(tree: &'a CountingTree, h: usize) -> Self {
-        let (parents, children) = (tree.level(h).n_cells(), tree.level(h + 1));
-        let mut first = vec![0u32; parents + 1];
-        for id in children.ids() {
-            first[u32_to_usize(children.parent(id))] += 1;
-        }
-        let mut total = 0;
-        for slot in &mut first {
-            total += *slot;
-            *slot = total;
-        }
-        // Filled back to front: each `first[p]` steps down to its group's
-        // start, and each group is ascending.
-        let mut ids = vec![0; children.n_cells()];
-        for id in children.ids().rev() {
-            let slot = &mut first[u32_to_usize(children.parent(id))];
-            *slot -= 1;
-            ids[u32_to_usize(*slot)] = id;
-        }
-        ChildIndex {
-            children,
-            first,
-            ids,
-        }
-    }
-
-    /// Half-space count `P[j]` of cell `parent`: its points in the **lower**
-    /// half along `e_j`, the count of its children with an even coordinate
-    /// `j`.
-    ///
-    /// # Panics
-    /// Panics when `parent` is not a cell of the indexed level.
-    #[expect(clippy::indexing_slicing, reason = "documented `# Panics` contract")]
-    pub fn half_count(&self, parent: CellId, j: usize) -> u64 {
-        let p = u32_to_usize(parent);
-        let group = u32_to_usize(self.first[p])..u32_to_usize(self.first[p + 1]);
-        self.ids[group]
-            .iter()
-            .map(|&id| self.children.cell(id))
-            .filter(|child| !child.loc_bit(j))
-            .map(|child| child.n())
-            .sum()
     }
 }
 
@@ -317,30 +254,30 @@ mod tests {
     #[test]
     fn half_space_counts_match_child_level() {
         // P[j] of a level-h cell must equal the points of its children with
-        // an even coordinate along axis j at level h+1.
+        // an even coordinate along axis j at level h+1; level 1 gives the
+        // root's.
         let ds = tiny();
         let tree = CountingTree::build(&ds, 5).unwrap();
+        let root = tree.level(1).half_counts(&[0, 0]);
+        assert_eq!(root, [4, 5], "x < 0.5 and y < 0.5");
         for h in 1..tree.deepest_level() {
             let level = tree.level(h);
             let child = tree.level(h + 1);
-            let index = ChildIndex::new(&tree, h);
-            for (id, cell) in level.iter() {
-                for j in 0..tree.dims() {
-                    let expect: u64 = child
-                        .iter()
-                        .filter(|(_, cc)| {
-                            (0..tree.dims()).all(|k| cc.coord(k) >> 1 == cell.coord(k))
-                                && cc.coord(j) & 1 == 0
-                        })
-                        .map(|(_, cc)| cc.n())
-                        .sum();
-                    assert_eq!(
-                        index.half_count(id, j),
-                        expect,
-                        "h={h} cell={:?} axis={j}",
-                        cell.coords().collect::<Vec<_>>()
-                    );
-                }
+            for (_, cell) in level.iter() {
+                let coords: Vec<u64> = cell.coords().collect();
+                let expect: Vec<u64> = (0..tree.dims())
+                    .map(|j| {
+                        child
+                            .iter()
+                            .filter(|(_, cc)| {
+                                (0..tree.dims()).all(|k| cc.coord(k) >> 1 == coords[k])
+                                    && cc.coord(j) & 1 == 0
+                            })
+                            .map(|(_, cc)| cc.n())
+                            .sum()
+                    })
+                    .collect();
+                assert_eq!(child.half_counts(&coords), expect, "h={h} cell={coords:?}");
             }
         }
     }
@@ -351,25 +288,42 @@ mod tests {
         // sit at (0, 1), (0, 0) and (1, 0): two in its lower half per axis.
         let ds = Dataset::from_rows(&[[0.1, 0.3], [0.1, 0.1], [0.3, 0.1]]).unwrap();
         let tree = CountingTree::build(&ds, 3).unwrap();
-        let id = tree.level(1).find(&[0, 0]).unwrap();
-        let index = ChildIndex::new(&tree, 1);
-        assert_eq!([0, 1].map(|j| index.half_count(id, j)), [2, 2]);
+        assert_eq!(tree.level(2).half_counts(&[0, 0]), [2, 2]);
     }
 
     #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn the_deepest_level_has_no_child_index() {
+    fn a_parent_without_children_has_empty_halves() {
+        // Level-1 cell (0, 1) holds no point, so no level-2 cell lies
+        // under it; the deepest level answers for its parents too.
         let tree = CountingTree::build(&tiny(), 4).unwrap();
-        ChildIndex::new(&tree, tree.deepest_level());
+        assert_eq!(tree.level(1).find(&[0, 1]), None);
+        assert_eq!(tree.level(2).half_counts(&[0, 1]), [0, 0]);
+        let deepest = tree.level(tree.deepest_level());
+        let parents = tree.level(tree.deepest_level() - 1);
+        let halves: u64 = parents
+            .iter()
+            .map(|(_, cell)| deepest.half_counts(&cell.coords().collect::<Vec<_>>())[0])
+            .sum();
+        assert_eq!(
+            halves, 5,
+            "points in the lower half of their level-2 cell on x"
+        );
     }
 
     #[test]
     fn parent_child_counts_are_consistent() {
+        // Every cell's parent is the cell at its coordinates >> 1 one level
+        // up, and each cell counts the sum of its children.
         let ds = tiny();
         let tree = CountingTree::build(&ds, 5).unwrap();
         for h in 1..tree.deepest_level() {
             let level = tree.level(h);
             let child = tree.level(h + 1);
+            for (_, cc) in child.iter() {
+                let up: Vec<u64> = cc.coords().map(|c| c >> 1).collect();
+                let parent = level.find(&up).expect("every cell has a parent");
+                assert!(level.cell(parent).n() >= cc.n());
+            }
             for (_, cell) in level.iter() {
                 let sum: u64 = child
                     .iter()

@@ -6,7 +6,7 @@
 //! test, so no other test thread allocates while it measures.
 
 use mrcc_common::Dataset;
-use mrcc_counting_tree::{CellId, CountingTree, Level};
+use mrcc_counting_tree::{CountingTree, Level};
 use mrcc_eval::TrackingAllocator;
 
 #[global_allocator]
@@ -59,13 +59,13 @@ fn measured_build(ds: &Dataset, resolutions: usize) -> Measured {
 }
 
 /// The tree's exact heap: per level its `Level` struct and, per cell, the
-/// `W_h = ⌈d / ⌊64/h⌋⌉` words of its packed key, its `u32` count and its
-/// parent id, `8·W_h + 8` bytes; plus the tree's own struct. No cell
-/// stores half-space counts.
+/// `W_h = ⌈d / ⌊64/h⌋⌉` words of its packed key and its `u32` count,
+/// `8·W_h + 4` bytes; plus the tree's own struct. No cell stores a parent
+/// or half-space counts.
 fn tree_bytes(tree: &CountingTree) -> usize {
     let level_bytes = |l: &Level| {
         let words = tree.dims().div_ceil(64 / l.h() as usize);
-        size_of::<Level>() + l.n_cells() * (8 * words + size_of::<u32>() + size_of::<CellId>())
+        size_of::<Level>() + l.n_cells() * (8 * words + size_of::<u32>())
     };
     size_of::<CountingTree>() + tree.levels().map(level_bytes).sum::<usize>()
 }
@@ -121,7 +121,7 @@ fn build_allocations_and_memory_bytes() {
 
     // memory_bytes is exactly the live heap the build left behind, plus the
     // tree's own struct, which lives on the stack, and that is exactly the
-    // keys, counts and parents of every cell. Above the cell arrays the
+    // keys and counts of every cell. Above the cell arrays the
     // build holds the points' sorted keys, then one coarser level's sort at
     // a time, never more than the points' sort; also with 4-word keys
     // (d = 4 axes of 63 bits each) and with crowded cells, where the

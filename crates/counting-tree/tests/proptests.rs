@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use mrcc_common::Dataset;
-use mrcc_counting_tree::{CellId, ChildIndex, CountingTree, Direction, Level};
+use mrcc_counting_tree::{CellId, CountingTree, Direction, Level};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,17 +21,19 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 /// cell, `2^h − 1`.
 const LAST_BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
 
-/// Strategy: a tree shape `(d, H)` with `d ∈ {1, 2..=8, 21, 22, 64}` and
-/// `H ∈ {3, 4..=7, 64}`, drawing each wide `d` about one time in twelve
-/// and each extreme `H` about one in six. At `H = 4` the deepest level packs
-/// 21 coordinates per key word, so `d = 21, 22, 64` take one, two and four
-/// words; at `H = 64` every coordinate of the deepest level takes a word.
+/// Strategy: a tree shape `(d, H)` with `d ∈ {1, 2..=8, 21, 22, 43, 64}`
+/// and `H ∈ {3, 4..=7, 64}`, drawing each wide `d` about one time in
+/// thirteen and each extreme `H` about one in six. At `H = 4` the deepest
+/// level packs 21 coordinates per key word, so `d = 21, 22, 43, 64` take
+/// one to four words; at `H = 64` every coordinate of the deepest level
+/// takes a word.
 fn shape_strategy() -> impl Strategy<Value = (usize, usize)> {
-    (0usize..=11, 0usize..=5).prop_map(|(a, b)| {
+    (0usize..=12, 0usize..=5).prop_map(|(a, b)| {
         let d = match a {
             0 => 64,
             10 => 21,
             11 => 22,
+            12 => 43,
             a => a.min(8),
         };
         let h = match b {
@@ -143,18 +145,28 @@ fn assert_points_round_trip(ds: &Dataset, tree: &CountingTree) {
 type CellTable = BTreeMap<Vec<u64>, (u64, Vec<u64>, Vec<u64>)>;
 
 /// The half-space counts `P` of every cell of level `h`, by [`CellId`],
-/// derived by a [`ChildIndex`]; empty on the deepest level, which has no
-/// children.
+/// summed by [`Level::half_counts`] over the cell's children at level
+/// `h + 1`; empty on the deepest level, which has no children.
 fn derived_half_counts(tree: &CountingTree, h: usize) -> Vec<Vec<u64>> {
     let level = tree.level(h);
     if h == tree.deepest_level() {
         return vec![Vec::new(); level.n_cells()];
     }
-    let index = ChildIndex::new(tree, h);
+    let children = tree.level(h + 1);
     level
         .iter()
-        .map(|(id, _)| (0..tree.dims()).map(|j| index.half_count(id, j)).collect())
+        .map(|(_, cell)| children.half_counts(&cell.coords().collect::<Vec<_>>()))
         .collect()
+}
+
+/// The coordinates of the parent of the level-`h` cell at `coords`, `h ≥ 2`:
+/// the cell that `find` returns for `coords >> 1` one level up, which must
+/// exist.
+fn parent_coords(tree: &CountingTree, h: usize, coords: &[u64]) -> Vec<u64> {
+    let up: Vec<u64> = coords.iter().map(|c| c >> 1).collect();
+    let parents = tree.level(h - 1);
+    let id = parents.find(&up).expect("every cell has a parent");
+    parents.cell(id).coords().collect()
 }
 
 /// Every level of `tree` as a [`CellTable`], whatever its id numbering,
@@ -166,13 +178,13 @@ fn cell_tables(tree: &CountingTree) -> Vec<CellTable> {
             let mut halves = derived_half_counts(tree, h).into_iter();
             level
                 .iter()
-                .map(|(id, cell)| {
+                .map(|(_, cell)| {
+                    let coords: Vec<u64> = cell.coords().collect();
                     let parent = match h {
                         1 => Vec::new(),
-                        _ => tree.level(h - 1).cell(level.parent(id)).coords().collect(),
+                        _ => parent_coords(tree, h, &coords),
                     };
-                    let fields = (cell.n(), halves.next().unwrap(), parent);
-                    (cell.coords().collect(), fields)
+                    (coords, (cell.n(), halves.next().unwrap(), parent))
                 })
                 .collect()
         })
@@ -229,8 +241,9 @@ fn packed_key(h: usize, coords: &[u64]) -> Vec<u64> {
 }
 
 /// The sorted build gives the cells of the brute-force tables, with their
-/// counts and parents, at every level, and a [`ChildIndex`] derives their
-/// half-space counts at every level but the deepest, which has no children.
+/// counts and parents, at every level, and [`Level::half_counts`] sums
+/// their half-space counts at every level but the deepest, which has no
+/// children.
 /// Each level numbers its cells in packed-key order, word 0 first: the
 /// order the β-search's tie rule reads.
 fn assert_build_equals_brute_force(ds: &Dataset, resolutions: usize) {
@@ -319,7 +332,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The level lookups answer exactly like a linear scan, including at
-    /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where coordinates reach
+    /// `d = 1`, `d = 21, 22, 43, 64`, `H = 3` and `H = 64`, where coordinates reach
     /// `2^63 − 2^10` and `Upper` stops at the grid border of every level up
     /// to 53.
     #[test]
@@ -330,7 +343,7 @@ proptest! {
     }
 
     /// A sorted build equals the brute-force tables, including at
-    /// `d = 1`, `d = 21, 22, 64`, `H = 3` and `H = 64`, where a key takes up
+    /// `d = 1`, `d = 21, 22, 43, 64`, `H = 3` and `H = 64`, where a key takes up
     /// to 64 words.
     #[test]
     fn build_equals_brute_force((ds, h) in tree_case_strategy()) {
@@ -370,25 +383,25 @@ proptest! {
         }
     }
 
-    /// Derived half-space counts never exceed the cell count and the two
-    /// halves sum to the whole: P[j] ∈ [0, n], on levels `1 … H−2`, the
-    /// ones with children.
+    /// Derived half-space counts, one per axis, never exceed the cell
+    /// count: P[j] ∈ [0, n], on levels `1 … H−2`, the ones with children,
+    /// on the wide and tall shapes too, whose key ranges span words.
     #[test]
-    fn half_space_counts_bounded(ds in dataset_strategy()) {
-        let tree = CountingTree::build(&ds, 5).unwrap();
+    fn half_space_counts_bounded((ds, h) in tree_case_strategy()) {
+        let tree = CountingTree::build(&ds, h).unwrap();
         for h in 1..tree.deepest_level() {
-            let index = ChildIndex::new(&tree, h);
-            for (id, cell) in tree.level(h).iter() {
-                for j in 0..tree.dims() {
-                    prop_assert!(index.half_count(id, j) <= cell.n());
-                }
+            let children = tree.level(h + 1);
+            for (_, cell) in tree.level(h).iter() {
+                let halves = children.half_counts(&cell.coords().collect::<Vec<_>>());
+                prop_assert_eq!(halves.len(), tree.dims());
+                prop_assert!(halves.iter().all(|&p| p <= cell.n()));
             }
         }
     }
 
     /// Each cell's count equals the sum of its children's counts, and
-    /// every child records as its parent the cell at `coords >> 1`, which
-    /// holds at least as many points.
+    /// every child's parent, the cell at `coords >> 1` one level up,
+    /// exists and holds at least as many points.
     #[test]
     fn parent_child_mass((ds, resolutions) in tree_case_strategy()) {
         let tree = CountingTree::build(&ds, resolutions).unwrap();
@@ -400,7 +413,9 @@ proptest! {
             let mut acc: HashMap<Vec<u64>, u64> = HashMap::new();
             for (id, cc) in child.iter() {
                 let key: Vec<u64> = cc.coords().map(|c| c >> 1).collect();
-                let parent = level.cell(child.parent(id));
+                let parent = level.find(&key).map(|p| level.cell(p));
+                prop_assert!(parent.is_some(), "level {} cell {id} has no parent", h + 1);
+                let parent = parent.unwrap();
                 prop_assert!(parent.coords().eq(key.iter().copied()), "level {} cell {id}", h + 1);
                 prop_assert!(parent.n() >= cc.n());
                 *acc.entry(key).or_insert(0) += cc.n();
