@@ -60,7 +60,8 @@ impl Default for ExperimentOptions {
 /// Runs one experiment by id and returns its records.
 ///
 /// # Errors
-/// I/O failures while writing result files; unknown ids.
+/// I/O failures while writing result files; unknown ids; a scale that
+/// leaves a dataset fewer points than its spec needs.
 pub fn run_experiment(id: &str, opts: &ExperimentOptions) -> io::Result<Vec<RunRecord>> {
     let records = match id {
         "fig4-alpha" => fig4_alpha(opts),
@@ -72,29 +73,38 @@ pub fn run_experiment(id: &str, opts: &ExperimentOptions) -> io::Result<Vec<RunR
         "fig5-dims" => group_experiment(dims_group(), opts),
         "fig5-rotated" => group_experiment(rotated_group(), opts),
         "fig5-subspaces" => group_experiment(first_group(), opts),
-        "fig5-real" => fig5_real(opts),
+        "fig5-real" => Ok(fig5_real(opts)),
         "ablations" => ablations(opts),
         "extra-baselines" => extra_baselines(opts),
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("unknown experiment `{other}` (known: {ALL_EXPERIMENTS:?})"),
-            ))
-        }
-    };
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("unknown experiment `{other}` (known: {ALL_EXPERIMENTS:?})"),
+        )),
+    }?;
     write_results(id, &records, opts)?;
     Ok(records)
 }
 
-fn generate_scaled(spec: SyntheticSpec, scale: f64) -> Synthetic {
-    generate(&spec.scaled(scale))
+/// Generates `spec` at `scale`, or says why the scaled spec is invalid.
+fn generate_scaled(spec: SyntheticSpec, scale: f64) -> io::Result<Synthetic> {
+    let spec = spec.scaled(scale);
+    spec.validate().map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("dataset {} at scale {scale}: {e}", spec.name),
+        )
+    })?;
+    Ok(generate(&spec))
 }
 
 /// Runs all six methods over a dataset group (the figure-5 pattern).
-fn group_experiment(specs: Vec<SyntheticSpec>, opts: &ExperimentOptions) -> Vec<RunRecord> {
+fn group_experiment(
+    specs: Vec<SyntheticSpec>,
+    opts: &ExperimentOptions,
+) -> io::Result<Vec<RunRecord>> {
     let mut records = Vec::new();
     for spec in specs {
-        let synth = generate_scaled(spec, opts.scale);
+        let synth = generate_scaled(spec, opts.scale)?;
         eprintln!(
             "  dataset {} ({} pts, {}d)",
             synth.name,
@@ -113,7 +123,7 @@ fn group_experiment(specs: Vec<SyntheticSpec>, opts: &ExperimentOptions) -> Vec<
             records.push(r);
         }
     }
-    records
+    Ok(records)
 }
 
 /// Runs one MrCC configuration and labels the record.
@@ -128,11 +138,11 @@ fn run_mrcc_config(
 }
 
 /// Fig. 4a–c: MrCC sensitivity to the significance level α.
-fn fig4_alpha(opts: &ExperimentOptions) -> Vec<RunRecord> {
+fn fig4_alpha(opts: &ExperimentOptions) -> io::Result<Vec<RunRecord>> {
     let alphas = [1e-3, 1e-5, 1e-10, 1e-20, 1e-40, 1e-80, 1e-160];
     let mut records = Vec::new();
     for spec in first_group() {
-        let synth = generate_scaled(spec, opts.scale);
+        let synth = generate_scaled(spec, opts.scale)?;
         eprintln!("  dataset {}", synth.name);
         for &alpha in &alphas {
             let config = MrCCConfig::with_params(alpha, 4);
@@ -141,7 +151,7 @@ fn fig4_alpha(opts: &ExperimentOptions) -> Vec<RunRecord> {
             records.push(r);
         }
     }
-    records
+    Ok(records)
 }
 
 /// Fig. 4d–f: MrCC sensitivity to the resolution count H.
@@ -149,11 +159,11 @@ fn fig4_alpha(opts: &ExperimentOptions) -> Vec<RunRecord> {
 /// The paper sweeps H up to 80; grid coordinates beyond the f64 mantissa add
 /// nothing, so the sweep tops out at the Counting-tree's cap of 64
 /// (EXPERIMENTS.md discusses this).
-fn fig4_h(opts: &ExperimentOptions) -> Vec<RunRecord> {
+fn fig4_h(opts: &ExperimentOptions) -> io::Result<Vec<RunRecord>> {
     let hs = [4usize, 5, 10, 20, 40, 64];
     let mut records = Vec::new();
     for spec in first_group() {
-        let synth = generate_scaled(spec, opts.scale);
+        let synth = generate_scaled(spec, opts.scale)?;
         eprintln!("  dataset {}", synth.name);
         for &h in &hs {
             let config = MrCCConfig::with_params(1e-10, h);
@@ -166,7 +176,7 @@ fn fig4_h(opts: &ExperimentOptions) -> Vec<RunRecord> {
             records.push(r);
         }
     }
-    records
+    Ok(records)
 }
 
 /// Fig. 5t: the real-data table (KDD Cup 2008 surrogate, left-MLO view).
@@ -199,11 +209,11 @@ fn fig5_real(_opts: &ExperimentOptions) -> Vec<RunRecord> {
 
 /// Design-choice ablations (DESIGN.md): axis selection, effect-size floor,
 /// resolution count.
-fn ablations(opts: &ExperimentOptions) -> Vec<RunRecord> {
+fn ablations(opts: &ExperimentOptions) -> io::Result<Vec<RunRecord>> {
     // A mid-size, low-d dataset. The spec is unchanged since the first
     // committed run, so `results/ablations.*` stay comparable across runs.
     let spec = SyntheticSpec::new("ablation-8d", 8, 40_000, 4, 0.15, 0xAB1A);
-    let synth = generate_scaled(spec, opts.scale.max(0.25));
+    let synth = generate_scaled(spec, opts.scale.max(0.25))?;
     let mut variants: Vec<(String, MrCCConfig)> = vec![
         (
             "default (face mask, share-45)".into(),
@@ -245,16 +255,16 @@ fn ablations(opts: &ExperimentOptions) -> Vec<RunRecord> {
         );
         records.push(r);
     }
-    records
+    Ok(records)
 }
 
 /// Extended comparison: the paper's six methods plus CLIQUE and PROCLUS
 /// (the bottom-up and top-down ancestors discussed in Section II) on the
 /// first dataset group.
-fn extra_baselines(opts: &ExperimentOptions) -> Vec<RunRecord> {
+fn extra_baselines(opts: &ExperimentOptions) -> io::Result<Vec<RunRecord>> {
     let mut records = Vec::new();
     for spec in first_group() {
-        let synth = generate_scaled(spec, opts.scale);
+        let synth = generate_scaled(spec, opts.scale)?;
         eprintln!("  dataset {}", synth.name);
         for method in MethodKind::extended() {
             let r = run_method(method, &synth, opts.budget);
@@ -267,7 +277,7 @@ fn extra_baselines(opts: &ExperimentOptions) -> Vec<RunRecord> {
             records.push(r);
         }
     }
-    records
+    Ok(records)
 }
 
 /// Writes `<id>.json` and `<id>.md` into the output directory.

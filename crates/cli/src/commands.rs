@@ -108,6 +108,7 @@ fn generate_cmd(
 ) -> CliResult<()> {
     let mut spec = SyntheticSpec::new("cli", dims, points, clusters, noise, seed);
     spec.rotations = rotations;
+    spec.validate().map_err(|e| e.to_string())?;
     let synth = generate(&spec);
     let labels = synth.ground_truth.labels();
     match output {

@@ -2,6 +2,7 @@
 //! of `crates/common/tests/csv_corpus/` makes `cluster` and `info` exit 1
 //! with an `error:` line, and none of them panics. The `ok_*` files load.
 //! `evaluate` takes label ids of any size and rejects labels below `-1`.
+//! `generate` answers a spec it cannot honour the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -45,6 +46,40 @@ fn bad_inputs_exit_one_with_an_error_line() {
             assert!(stderr.starts_with("error:"), "{case}");
             assert!(!stderr.contains("panicked"), "{case}");
         }
+    }
+}
+
+#[test]
+fn bad_generate_specs_exit_one_with_an_error_line() {
+    for flags in [
+        &["--dims", "0"][..],
+        &["--dims", "1"],
+        &["--dims", "65"],
+        &["--points", "0"],
+        &["--noise", "1.0"],
+        &["--noise", "1.5"],
+        &["--noise", "nan"],
+        &["--clusters", "20", "--points", "10"],
+    ] {
+        // A valid spec with the case's flags in place of its defaults.
+        let mut args = vec!["generate"];
+        for (name, value) in [("--dims", "4"), ("--points", "100"), ("--clusters", "2")] {
+            if !flags.contains(&name) {
+                args.extend([name, value]);
+            }
+        }
+        args.extend(flags);
+        let out = Command::new(env!("CARGO_BIN_EXE_mrcc"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let case = format!("{flags:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{case}");
+        assert!(stderr.starts_with("error:"), "{case}");
+        assert_eq!(stderr.lines().count(), 1, "{case}");
+        assert!(!stderr.contains("panicked"), "{case}");
+        assert!(out.stdout.is_empty(), "{case}");
     }
 }
 

@@ -81,20 +81,13 @@ fn truncated_gaussian(rng: &mut StdRng, mean: f64, std: f64) -> f64 {
 /// ```
 ///
 /// # Panics
-/// Panics on degenerate specs (0 dims/points, noise fraction outside
-/// `[0, 1)`, more clusters than clustered points).
+/// Panics on a spec that [`SyntheticSpec::validate`] rejects; callers
+/// taking a spec from user input validate it first.
 pub fn generate(spec: &SyntheticSpec) -> Synthetic {
-    assert!(spec.dims >= 2, "need at least 2 dimensions");
-    assert!(spec.n_points > 0, "need at least one point");
-    assert!(
-        (0.0..1.0).contains(&spec.noise_fraction),
-        "noise fraction must be in [0,1)"
-    );
+    if let Err(e) = spec.validate() {
+        panic!("{e}");
+    }
     let n_clustered = spec.n_clustered();
-    assert!(
-        spec.n_clusters == 0 || n_clustered >= spec.n_clusters,
-        "fewer clustered points than clusters"
-    );
 
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let d = spec.dims;
